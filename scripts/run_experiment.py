@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from dmdstego.codebook import build_codebook
-from dmdstego.modulator import normalize_field, quantize_field
+from dmdstego.modulator import decode_field, normalize_field, quantize_field
 from dmdstego.optics import (
     ApertureSpec,
     PropagationParams,
@@ -30,7 +30,7 @@ from dmdstego.optics import (
     ssim,
 )
 from dmdstego.stego import StegoKey, capacity_of_plan, embed, extract
-from dmdstego.superpixel import BLOCK, mirrors_to_codes
+from dmdstego.superpixel import BLOCK
 from dmdstego.formats import write_field, write_image, write_pattern
 
 GEOMETRIES = {
@@ -84,8 +84,7 @@ def main():
     recovered = extract(mirrors, key, codebook)
     ok = bool(np.array_equal(recovered, payload))
 
-    codes = mirrors_to_codes(mirrors)
-    values = codebook.values[codebook.group_of_pattern[codes]]
+    _, values = decode_field(mirrors, codebook)
     recon = reconstruct(values, params)
 
     target = np.abs(resample_bilinear(obj, grid))

@@ -4,8 +4,9 @@ Subcommands cover the full workflow: hologram synthesis from an intensity
 image, binary pattern encoding, keyed data embedding and extraction,
 pattern decoding, capacity reports, numerical reconstruction, the 4f
 filter simulation, and SSIM scoring.  Reports go to stdout as JSON with
-sorted keys; artifacts go to files.  Exit codes: 0 success, 1 I/O or
-format errors, 2 capacity or usage errors.
+sorted keys; artifacts go to files.  Exit codes: 0 success, 1 I/O errors
+or bad input data, 2 capacity or usage errors (including out-of-range flag
+values), each failure reported as one "error:" line on stderr.
 
 --pitch is always the micromirror pitch; commands operating on fields
 sampled at one value per 4x4 block scale it internally.
@@ -22,7 +23,6 @@ import numpy as np
 
 from .codebook import STRATEGIES, build_codebook
 from .formats import (
-    FormatError,
     read_field,
     read_image,
     read_pattern,
@@ -48,10 +48,9 @@ from .optics import (
     simulate_4f,
     ssim,
 )
+from .rng import check_seed
 from .stego import (
     FILL_STRATEGIES,
-    BadHeaderError,
-    InvalidEmbeddedPatternError,
     PayloadTooLargeError,
     StegoKey,
     bits_to_bytes,
@@ -67,18 +66,24 @@ class UsageError(ValueError):
     pass
 
 
-def _key_type(text: str) -> StegoKey:
-    try:
-        return StegoKey.from_hex(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+def _checked(parse):
+    """argparse type running `parse` on the flag text; its ValueError is a usage error."""
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc))
+    return convert
 
 
-def _assignment_type(text: str) -> PhaseAssignment:
-    try:
-        return PhaseAssignment.from_string(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+# Flag bounds are checked by the parameter classes themselves, not repeated here.
+_key_type = _checked(StegoKey.from_hex)
+_assignment_type = _checked(PhaseAssignment.from_string)
+_alpha_type = _checked(lambda text: NormalizationParams(float(text)).peak_fraction)
+_wavelength_type = _checked(lambda text: PropagationParams(float(text), 0.0, 1.0).wavelength)
+_pitch_type = _checked(lambda text: PropagationParams(1.0, 0.0, float(text)).pitch)
+_radius_type = _checked(lambda text: ApertureSpec(radius=float(text)).radius)
+_seed_type = _checked(lambda text: check_seed(int(text)))
 
 
 def _superpixels_type(text: str) -> tuple[int, int]:
@@ -222,9 +227,9 @@ def cmd_ssim(args) -> int:
 
 
 def _add_geometry(sub) -> None:
-    sub.add_argument("--wavelength", type=float, required=True, help="illumination wavelength in meters")
+    sub.add_argument("--wavelength", type=_wavelength_type, required=True, help="illumination wavelength in meters")
     sub.add_argument("--distance", type=float, required=True, help="propagation distance in meters")
-    sub.add_argument("--pitch", type=float, required=True, help="micromirror pitch in meters")
+    sub.add_argument("--pitch", type=_pitch_type, required=True, help="micromirror pitch in meters")
 
 
 def _add_assignment(sub) -> None:
@@ -244,14 +249,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_geometry(p)
     p.add_argument("--superpixels", type=_superpixels_type, required=True,
                    help="target grid as WIDTHxHEIGHT, e.g. 480x270")
-    p.add_argument("--diffuser-seed", type=int, default=0, help="random phase seed (default 0)")
+    p.add_argument("--diffuser-seed", type=_seed_type, default=0, help="random phase seed (default 0)")
     p.add_argument("--no-diffuser", action="store_true", help="disable the random phase diffuser")
     p.set_defaults(func=cmd_hologram)
 
     p = subs.add_parser("encode", help="turn a complex field into a binary mirror pattern")
     p.add_argument("--input", required=True, help="input field (CFLD)")
     p.add_argument("--output", required=True, help="output pattern (PBM)")
-    p.add_argument("--alpha", type=float, default=0.8, help="peak modulus fraction (default 0.8)")
+    p.add_argument("--alpha", type=_alpha_type, default=0.8, help="peak modulus fraction (default 0.8)")
     p.add_argument("--strategy", choices=STRATEGIES, default="min", help="pattern choice within each group")
     p.add_argument("--key", type=_key_type, default=None, help="16 hex digits; required for --strategy random")
     _add_assignment(p)
@@ -262,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--payload", required=True, help="payload file to hide")
     p.add_argument("--output", required=True, help="output pattern (PBM)")
     p.add_argument("--key", type=_key_type, required=True, help="16 hex digits")
-    p.add_argument("--alpha", type=float, default=0.8, help="peak modulus fraction (default 0.8)")
+    p.add_argument("--alpha", type=_alpha_type, default=0.8, help="peak modulus fraction (default 0.8)")
     p.add_argument("--fill", choices=FILL_STRATEGIES, default="min", help="pattern choice after the payload ends")
     _add_assignment(p)
     p.set_defaults(func=cmd_embed)
@@ -282,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("capacity", help="report the hiding capacity of a field")
     p.add_argument("--input", required=True, help="input field (CFLD)")
-    p.add_argument("--alpha", type=float, default=0.8, help="peak modulus fraction (default 0.8)")
+    p.add_argument("--alpha", type=_alpha_type, default=0.8, help="peak modulus fraction (default 0.8)")
     _add_assignment(p)
     p.set_defaults(func=cmd_capacity)
 
@@ -297,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True, help="output field (CFLD)")
     p.add_argument("--aperture-center", type=_center_type, default=default_aperture.center,
                    help="aperture center as FX,FY in cycles per mirror")
-    p.add_argument("--aperture-radius", type=float, default=default_aperture.radius,
+    p.add_argument("--aperture-radius", type=_radius_type, default=default_aperture.radius,
                    help="aperture radius in cycles per mirror")
     p.add_argument("--compare", default=None, help="field (CFLD) to correlate the output against")
     _add_assignment(p)
@@ -316,19 +321,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except PayloadTooLargeError as exc:
+    except (PayloadTooLargeError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (FormatError, BadHeaderError, InvalidEmbeddedPatternError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .rng import SplitMix64
+from .rng import mul_high, stream_u64
 from .superpixel import (
     DEFAULT_ASSIGNMENT,
     PAIR_PHASORS,
@@ -67,11 +67,6 @@ class Codebook:
             capacity_bits=int(self.capacities[index]),
         )
 
-    def capacity_bits(self, index: int) -> int:
-        if not 0 <= index < VALUE_COUNT:
-            raise ValueError(f"group index {index} outside 0..6560")
-        return int(self.capacities[index])
-
     def nearest_value(self, target: complex) -> int:
         """Index of the group value closest to `target` (exact linear scan).
 
@@ -104,24 +99,24 @@ class Codebook:
             out[i] = np.argmin(np.abs(self.values - flat[i]))
         return out.reshape(t.shape)
 
-    def select_pattern(self, index: int, strategy: str, rng: SplitMix64 | None = None) -> int:
-        """Pick one pattern code from a group: fewest ON, most ON, or keyed draw."""
-        if strategy not in STRATEGIES:
-            raise ValueError(f"strategy must be one of {STRATEGIES}")
-        lo, hi = self.group_starts[index], self.group_starts[index + 1]
-        if strategy == "min":
-            return int(self.patterns_sorted[lo])
-        if strategy == "max":
-            return int(self.patterns_sorted[hi - 1])
-        if rng is None:
-            raise ValueError("random selection needs an rng")
-        return int(self.patterns_sorted[lo + rng.below(int(hi - lo))])
 
-    def pattern_index_in_group(self, code: int) -> tuple[int, int]:
-        """Map a pattern code to (owning group index, position inside group)."""
-        if not 0 <= code < PATTERN_COUNT:
-            raise ValueError(f"pattern code {code} outside 0..65535")
-        return int(self.group_of_pattern[code]), int(self.position_of_pattern[code])
+def pick_in_groups(sizes: np.ndarray, strategy: str, seed: int | None = None) -> np.ndarray:
+    """Position of the chosen pattern inside each group of a 1-D array of sizes.
+
+    "min" takes position 0 (fewest mirrors ON), "max" the last position
+    (most ON), and "random" one bounded SplitMix64(seed) draw per group in
+    array order.
+    """
+    if strategy not in STRATEGIES:
+        raise ValueError(f"strategy must be one of {STRATEGIES}")
+    sizes = np.asarray(sizes, dtype=np.int64)
+    if strategy == "min":
+        return np.zeros(sizes.shape, dtype=np.int64)
+    if strategy == "max":
+        return sizes - 1
+    if seed is None:
+        raise ValueError("random selection needs a key seed")
+    return mul_high(stream_u64(seed, sizes.size), sizes).astype(np.int64)
 
 
 def build_codebook(assignment: PhaseAssignment | None = None) -> Codebook:

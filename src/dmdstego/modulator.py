@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codebook import Codebook, STRATEGIES
-from .rng import mul_high, stream_u64
+from .codebook import Codebook, pick_in_groups
 from .stego import StegoKey
 from .superpixel import MAX_MODULUS, codes_to_mirrors, mirrors_to_codes
 
@@ -75,22 +74,10 @@ def select_patterns(plan: np.ndarray, codebook: Codebook, strategy: str,
     Random selection draws one bounded SplitMix64 sample per superpixel in
     row-major order, seeded by the key, so repeated runs agree bit for bit.
     """
-    if strategy not in STRATEGIES:
-        raise ValueError(f"strategy must be one of {STRATEGIES}")
     plan = np.asarray(plan)
     groups = plan.ravel().astype(np.int64)
-    starts = codebook.group_starts[groups]
-    sizes = codebook.group_sizes[groups]
-    if strategy == "min":
-        pick = np.zeros(groups.size, dtype=np.int64)
-    elif strategy == "max":
-        pick = sizes - 1
-    else:
-        if key is None:
-            raise ValueError("random selection needs a key")
-        draws = stream_u64(key.seed, groups.size)
-        pick = mul_high(draws, sizes.astype(np.uint64)).astype(np.int64)
-    return codebook.patterns_sorted[starts + pick].reshape(plan.shape)
+    pick = pick_in_groups(codebook.group_sizes[groups], strategy, None if key is None else key.seed)
+    return codebook.patterns_sorted[codebook.group_starts[groups] + pick].reshape(plan.shape)
 
 
 def encode_field(field: np.ndarray, codebook: Codebook, strategy: str = "min",

@@ -24,20 +24,25 @@ def _mix(z: int) -> int:
     return z
 
 
+def check_seed(seed: int) -> int:
+    """Return `seed` unchanged if it fits in 64 bits; raise ValueError otherwise."""
+    if not 0 <= seed <= _MASK64:
+        raise ValueError("seed must fit in 64 bits")
+    return seed
+
+
 class SplitMix64:
     """Sequential SplitMix64 stream over Python integers."""
 
     def __init__(self, seed: int):
-        if not 0 <= seed <= _MASK64:
-            raise ValueError("seed must fit in 64 bits")
-        self._state = seed
+        self._state = check_seed(seed)
 
     def next_u64(self) -> int:
         self._state = (self._state + _GAMMA) & _MASK64
         return _mix(self._state)
 
     def below(self, bound: int) -> int:
-        """Draw uniformly from 0..bound-1 via the high 64 bits of a 128-bit product."""
+        """Draw from 0..bound-1 via the high 64 bits of a 128-bit product (no rejection step)."""
         if bound < 1:
             raise ValueError("bound must be positive")
         return (self.next_u64() * bound) >> 64
@@ -55,8 +60,7 @@ def stream_u64(seed: int, count: int) -> np.ndarray:
     Output n of the scalar generator is mix(seed + (n + 1) * gamma), which
     makes the whole stream computable without the sequential dependency.
     """
-    if not 0 <= seed <= _MASK64:
-        raise ValueError("seed must fit in 64 bits")
+    check_seed(seed)
     n = np.arange(1, count + 1, dtype=np.uint64)
     z = np.uint64(seed) + n * np.uint64(_GAMMA)     # wraps mod 2**64
     z = z ^ (z >> np.uint64(30))

@@ -16,9 +16,10 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .codebook import Codebook
-from .rng import mul_high, permutation, stream_u64
+from .codebook import Codebook, pick_in_groups
+from .rng import permutation
 from .superpixel import codes_to_mirrors, mirrors_to_codes
 
 HEADER_BITS = 32
@@ -37,10 +38,6 @@ class PayloadTooLargeError(ValueError):
 
 
 class BadHeaderError(ValueError):
-    pass
-
-
-class InvalidEmbeddedPatternError(ValueError):
     pass
 
 
@@ -96,12 +93,6 @@ def _header(length: int) -> np.ndarray:
     return np.unpackbits(np.frombuffer(struct.pack(">I", length), dtype=np.uint8))
 
 
-def _bit_offsets(caps: np.ndarray) -> np.ndarray:
-    offs = np.zeros(caps.size, dtype=np.int64)
-    np.cumsum(caps[:-1], out=offs[1:])
-    return offs
-
-
 def embed(plan: np.ndarray, payload_bits: np.ndarray, key: StegoKey,
           codebook: Codebook, fill: str = "min") -> np.ndarray:
     """Choose one pattern per superpixel so the mirror array carries the payload.
@@ -120,35 +111,21 @@ def embed(plan: np.ndarray, payload_bits: np.ndarray, key: StegoKey,
         raise PayloadTooLargeError(payload_bits.size, total)
 
     stream = np.concatenate([_header(payload_bits.size), permute_bits(payload_bits, key)])
-    offs = _bit_offsets(caps)
-    active = offs < stream.size
+    # Offsets never decrease, so the superpixels carrying stream bits are a
+    # row-major prefix.  Each reads the 8-bit window at its offset and keeps
+    # its top `caps` bits; one straddling the end of the stream takes what is
+    # left, zero-padded on the low side of its index.
+    offs = np.cumsum(caps) - caps
+    active = int(np.searchsorted(offs, stream.size))
+    padded = np.concatenate([stream, np.zeros(8, dtype=np.uint8)])
+    windows = np.packbits(sliding_window_view(padded, 8)[offs[:active]], axis=1)[:, 0]
 
     groups = plan.ravel().astype(np.int64)
-    starts = codebook.group_starts[groups]
-    sizes = codebook.group_sizes[groups]
-
-    pick = np.zeros(groups.size, dtype=np.int64)
-    # A superpixel straddling the end of the stream takes what is left,
-    # zero-padded on the low side of its index.
-    padded = np.concatenate([stream, np.zeros(8, dtype=np.uint8)])
-    for d in range(1, 9):
-        sel = active & (caps == d)
-        if not sel.any():
-            continue
-        window = padded[offs[sel, None] + np.arange(d)]
-        pick[sel] = window.astype(np.int64) @ (1 << np.arange(d - 1, -1, -1, dtype=np.int64))
-
-    rest = ~active
-    if rest.any():
-        if fill == "min":
-            pass                                        # pick stays 0
-        elif fill == "max":
-            pick[rest] = sizes[rest] - 1
-        else:
-            draws = stream_u64(key.seed ^ FILL_SEED_XOR, int(rest.sum()))
-            pick[rest] = mul_high(draws, sizes[rest].astype(np.uint64)).astype(np.int64)
-
-    codes = codebook.patterns_sorted[starts + pick].reshape(plan.shape)
+    pick = np.concatenate([
+        windows >> (8 - caps[:active]),
+        pick_in_groups(codebook.group_sizes[groups[active:]], fill, key.seed ^ FILL_SEED_XOR),
+    ])
+    codes = codebook.patterns_sorted[codebook.group_starts[groups] + pick].reshape(plan.shape)
     return codes_to_mirrors(codes)
 
 
@@ -158,22 +135,16 @@ def extract(mirrors: np.ndarray, key: StegoKey, codebook: Codebook) -> np.ndarra
     groups = codebook.group_of_pattern[codes]
     pos = codebook.position_of_pattern[codes]
     caps = codebook.capacities[groups]
-    if np.any(pos >= np.int64(1) << caps):
-        raise InvalidEmbeddedPatternError("pattern position exceeds its group capacity")
-
     total = int(caps.sum())
     if total < HEADER_BITS:
         raise BadHeaderError(f"stream holds {total} bits, shorter than the {HEADER_BITS}-bit header")
-    bits = np.zeros(total, dtype=np.uint8)
-    offs = _bit_offsets(caps)
-    for d in range(1, 9):
-        sel = caps == d
-        if not sel.any():
-            continue
-        shifts = np.arange(d - 1, -1, -1, dtype=np.int64)
-        bits[offs[sel, None] + np.arange(d)] = (pos[sel, None] >> shifts) & 1
+    # Stream bit k is bit `shift` of the in-group position of the superpixel
+    # that owns it, counted MSB-first within that superpixel's window.
+    owner = np.repeat(np.arange(caps.size), caps)
+    shift = np.cumsum(caps)[owner] - 1 - np.arange(total)
+    bits = ((pos[owner] >> shift) & 1).astype(np.uint8)
 
-    length = int(bits[:HEADER_BITS] @ (np.int64(1) << np.arange(HEADER_BITS - 1, -1, -1, dtype=np.int64)))
+    length = struct.unpack(">I", bits_to_bytes(bits[:HEADER_BITS]))[0]
     if length > total - HEADER_BITS:
         raise BadHeaderError(
             f"header declares {length} payload bits but only {total - HEADER_BITS} were embedded"

@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 from dmdstego.cli import main
-from dmdstego.formats import read_field, read_image, read_pattern, write_field, write_image
+from dmdstego.formats import (
+    read_field,
+    read_image,
+    read_pattern,
+    write_field,
+    write_image,
+    write_pattern,
+)
 
 GEO = ["--wavelength", "520e-9", "--distance", "0.05", "--pitch", "7.56e-6"]
 KEY = "00000000deadbeef"
@@ -216,3 +223,28 @@ def test_module_entry_point(tmp_path, synthetic_object):
                        capture_output=True, text=True)
     assert r.returncode == 0
     assert json.loads(r.stdout)["width"] == 32
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["encode", "--input", "{field}", "--output", "{tmp}/p.pbm", "--alpha", "2"], 2),
+    (["capacity", "--input", "{field}", "--alpha", "0"], 2),
+    (["hologram", "--input", "{image}", "--output", "{tmp}/h.bin", "--wavelength", "-1",
+      "--distance", "0.05", "--pitch", "7.56e-6", "--superpixels", "8x8"], 2),
+    (["reconstruct", "--input", "{field}", "--output", "{tmp}/r.pgm", "--wavelength", "520e-9",
+      "--distance", "0.05", "--pitch", "0"], 2),
+    (["hologram", "--input", "{image}", "--output", "{tmp}/h.bin", *GEO, "--superpixels", "8x8",
+      "--diffuser-seed", "-1"], 2),
+    (["sim4f", "--input", "{pattern}", "--output", "{tmp}/s.bin", "--aperture-radius", "0"], 2),
+    (["ssim", "--input", "{image}", "--reference", "{image}"], 1),
+], ids=["alpha", "alpha-zero", "wavelength", "pitch", "diffuser-seed", "aperture-radius", "ssim-8x8"])
+def test_bad_values_exit_without_traceback(tmp_path, argv, code):
+    files = {"tmp": tmp_path, "field": tmp_path / "f.bin", "image": tmp_path / "i.pgm",
+             "pattern": tmp_path / "p.pbm"}
+    write_field(files["field"], np.ones((8, 8), dtype=complex))
+    write_image(files["image"], np.full((8, 8), 100, dtype=np.uint8))
+    write_pattern(files["pattern"], np.zeros((32, 32), dtype=np.uint8))
+    r = subprocess.run([sys.executable, "-m", "dmdstego", *(a.format(**files) for a in argv)],
+                       capture_output=True, text=True)
+    assert r.returncode == code, r.stderr
+    assert "Traceback" not in r.stderr
+    assert sum("error:" in line for line in r.stderr.splitlines()) == 1

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
-from dmdstego.codebook import STRATEGIES, build_codebook
+from dmdstego.codebook import STRATEGIES, build_codebook, pick_in_groups
 from dmdstego.rng import SplitMix64
 from dmdstego.superpixel import (
     MAX_MODULUS,
@@ -160,21 +160,22 @@ def test_nearest_agrees_with_scan_anywhere(t):
     assert cb.nearest_values(np.array([t]))[0] == scan_nearest(cb, t)
 
 
-def test_select_pattern_strategies(codebook):
-    g = codebook.group(3280)
-    assert codebook.select_pattern(3280, "min") == g.patterns[0]
-    assert codebook.select_pattern(3280, "max") == g.patterns[-1]
+def test_pick_in_groups_strategies(codebook):
+    sizes = codebook.group_sizes[[3280, 0, 3280, 17, 3280]]
+    assert pick_in_groups(sizes, "min").tolist() == [0] * 5
+    assert np.array_equal(pick_in_groups(sizes, "max"), sizes - 1)
     rng = SplitMix64(11)
-    picks = {codebook.select_pattern(3280, "random", rng) for _ in range(200)}
-    assert picks <= set(g.patterns.tolist())
+    assert pick_in_groups(sizes, "random", 11).tolist() == [rng.below(int(s)) for s in sizes]
+    picks = set(pick_in_groups(np.full(200, 256), "random", 11).tolist())
+    assert picks <= set(range(256))
     assert len(picks) > 50
 
 
-def test_select_pattern_random_requires_rng(codebook):
+def test_pick_in_groups_validation():
     with pytest.raises(ValueError):
-        codebook.select_pattern(0, "random")
+        pick_in_groups(np.ones(2, dtype=np.int64), "random")
     with pytest.raises(ValueError):
-        codebook.select_pattern(0, "nope")
+        pick_in_groups(np.ones(2, dtype=np.int64), "nope", 0)
 
 
 def test_strategy_names():

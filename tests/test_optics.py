@@ -5,6 +5,8 @@ form, and the SSIM score is cross-checked against a naive per-window
 double loop.
 """
 
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -305,3 +307,12 @@ def test_ssim_validation():
         ssim(a, a)  # too small
     with pytest.raises(ValueError):
         ssim(np.zeros((20, 20), dtype=np.uint8), np.zeros((20, 21), dtype=np.uint8))
+
+
+def test_cli_import_needs_no_second_fft_library():
+    # np.fft is the package's only FFT; scipy.signal alone costs about half a
+    # second of every CLI start.
+    code = "import sys, dmdstego.cli; print('scipy.signal' in sys.modules)"
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "False"

@@ -21,7 +21,6 @@ from dmdstego.stego import (
     FILL_STRATEGIES,
     HEADER_BITS,
     BadHeaderError,
-    InvalidEmbeddedPatternError,
     PayloadTooLargeError,
     StegoKey,
     bits_to_bytes,
@@ -135,16 +134,30 @@ def test_capacity_all_zero_plan(codebook):
 
 def test_embed_matches_reference(codebook):
     rng = np.random.default_rng(2)
+    # Edge inputs on one plan that opens with capacity-0 superpixels and has
+    # two more right after superpixel 40: an empty payload, one filling the
+    # plan exactly, and a stream ending exactly where superpixel 40 ends.
+    zero_cap = int(np.flatnonzero(codebook.capacities == 0)[0])
+    edge_plan = random_plan(np.random.default_rng(20), (8, 11))
+    edge_plan.flat[:5] = zero_cap
+    edge_plan.flat[41:43] = zero_cap
+    ends = np.cumsum(codebook.capacities[edge_plan.ravel()])
+    assert ends[40] > HEADER_BITS
+    edge_lengths = (0, int(ends[-1]) - HEADER_BITS, int(ends[40]) - HEADER_BITS)
     for fill in FILL_STRATEGIES:
-        for trial in range(4):
-            plan = random_plan(rng, (8, 11))
-            cap = capacity_of_plan(plan, codebook)
-            length = int(rng.integers(0, cap - HEADER_BITS + 1))
+        for trial in range(4 + len(edge_lengths)):
+            if trial < 4:
+                plan = random_plan(rng, (8, 11))
+                cap = capacity_of_plan(plan, codebook)
+                length = int(rng.integers(0, cap - HEADER_BITS + 1))
+            else:
+                plan, length = edge_plan, edge_lengths[trial - 4]
             bits = rng.integers(0, 2, length, dtype=np.uint8)
             key = StegoKey(seed=int(rng.integers(0, 1 << 63)))
             got = embed(plan, bits, key, codebook, fill=fill)
             want = reference_embed(plan, bits, key, codebook, fill=fill)
             assert np.array_equal(got, want), f"fill={fill} trial={trial}"
+            assert np.array_equal(extract(got, key, codebook), reference_extract(got, key, codebook))
 
 
 def test_extract_matches_reference(codebook):
@@ -266,7 +279,6 @@ def test_fill_strategies_differ_only_after_stream(codebook):
 def test_error_types():
     assert issubclass(PayloadTooLargeError, Exception)
     assert issubclass(BadHeaderError, Exception)
-    assert issubclass(InvalidEmbeddedPatternError, Exception)
 
 
 @functools.lru_cache(maxsize=1)
