@@ -82,6 +82,7 @@ _assignment_type = _checked(PhaseAssignment.from_string)
 _alpha_type = _checked(lambda text: NormalizationParams(float(text)).peak_fraction)
 _wavelength_type = _checked(lambda text: PropagationParams(float(text), 0.0, 1.0).wavelength)
 _pitch_type = _checked(lambda text: PropagationParams(1.0, 0.0, float(text)).pitch)
+_distance_type = _checked(lambda text: PropagationParams(1.0, float(text), 1.0).distance)
 _radius_type = _checked(lambda text: ApertureSpec(radius=float(text)).radius)
 _seed_type = _checked(lambda text: check_seed(int(text)))
 
@@ -93,14 +94,15 @@ def _superpixels_type(text: str) -> tuple[int, int]:
     return int(parts[0]), int(parts[1])
 
 
-def _center_type(text: str) -> tuple[float, float]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"expected FX,FY, got {text!r}")
+def _parse_center(text: str) -> tuple[float, float]:
     try:
-        return float(parts[0]), float(parts[1])
+        fx, fy = map(float, text.split(","))
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected FX,FY, got {text!r}")
+        raise ValueError(f"expected FX,FY, got {text!r}") from None
+    return ApertureSpec(center=(fx, fy)).center
+
+
+_center_type = _checked(_parse_center)
 
 
 def _emit(report: dict) -> None:
@@ -228,7 +230,7 @@ def cmd_ssim(args) -> int:
 
 def _add_geometry(sub) -> None:
     sub.add_argument("--wavelength", type=_wavelength_type, required=True, help="illumination wavelength in meters")
-    sub.add_argument("--distance", type=float, required=True, help="propagation distance in meters")
+    sub.add_argument("--distance", type=_distance_type, required=True, help="propagation distance in meters")
     sub.add_argument("--pitch", type=_pitch_type, required=True, help="micromirror pitch in meters")
 
 

@@ -7,6 +7,7 @@ between identical grids; the constant exp(i*k*z) phase is dropped throughout.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 
@@ -19,6 +20,12 @@ from .superpixel import BLOCK, DEFAULT_ASSIGNMENT, PhaseAssignment
 
 class AliasingGuardWarning(UserWarning):
     """Propagation distance exceeds the alias-free range of the grid."""
+
+
+def _check_positive(name: str, value: float) -> None:
+    # Written so that NaN fails too.
+    if not (value > 0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -43,10 +50,10 @@ class PropagationParams:
     pitch: float
 
     def __post_init__(self):
-        if self.wavelength <= 0:
-            raise ValueError("wavelength must be positive")
-        if self.pitch <= 0:
-            raise ValueError("pitch must be positive")
+        _check_positive("wavelength", self.wavelength)
+        _check_positive("pitch", self.pitch)
+        if not math.isfinite(self.distance):
+            raise ValueError("distance must be finite")
 
     def alias_free_distance(self, samples: int) -> float:
         return samples * self.pitch ** 2 / self.wavelength
@@ -156,8 +163,9 @@ class ApertureSpec:
     radius: float = 0.45
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("aperture radius must be positive")
+        _check_positive("aperture radius", self.radius)
+        if not all(math.isfinite(c) for c in self.center):
+            raise ValueError("aperture center must be finite")
 
 
 def _block_mask(assignment: PhaseAssignment) -> np.ndarray:

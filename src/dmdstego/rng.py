@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
+_MASK32 = (1 << 32) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
@@ -72,32 +73,48 @@ def stream_u64(seed: int, count: int) -> np.ndarray:
 
 
 def mul_high(x: np.ndarray, bound: np.ndarray) -> np.ndarray:
-    """High 64 bits of the elementwise 128-bit product x * bound."""
+    """High 64 bits of the elementwise 128-bit product x * bound, for bound < 2**32.
+
+    With x = xh * 2**32 + xl the product's high word is
+    (xh * bound + (xl * bound >> 32)) >> 32, and no partial sum overflows 64
+    bits while bound fits in 32.  That covers every caller: group sizes are at
+    most 256, and permutation lengths are bounded by the 32-bit length header.
+    """
     x = np.asarray(x, dtype=np.uint64)
     bound = np.asarray(bound, dtype=np.uint64)
-    mask = np.uint64(0xFFFFFFFF)
+    if bound.size and bound.max() > _MASK32:
+        raise ValueError("bound must be below 2**32")
     s = np.uint64(32)
-    xh, xl = x >> s, x & mask
-    bh, bl = bound >> s, bound & mask
-    low = xl * bl
-    cross1 = xl * bh
-    cross2 = xh * bl
-    carry = (low >> s) + (cross1 & mask) + (cross2 & mask)
-    return xh * bh + (cross1 >> s) + (cross2 >> s) + (carry >> s)
+    return ((x >> s) * bound + ((x & np.uint64(_MASK32)) * bound >> s)) >> s
 
 
 def permutation(n: int, seed: int) -> np.ndarray:
     """Fisher-Yates permutation of range(n) driven by SplitMix64(seed).
 
-    Identical to SplitMix64(seed).shuffle(list(range(n))); the bounded draws
-    are precomputed in bulk because the swap loop itself is cheap.
+    Identical to SplitMix64(seed).shuffle(list(range(n))), computed in rounds
+    of independent swaps ("deterministic reservations", Shun et al., SODA
+    2015).  Step i swaps slots i and j[i], and the sequential order runs from
+    i = n-1 down.  Each round every pending step reserves both of its slots
+    with priority i; a step holding both reservations conflicts with no
+    earlier pending step, so all such steps swap at once.  The highest
+    pending step always wins, and the pending set shrinks geometrically:
+    about 45 rounds at n = 400k.
     """
-    perm = list(range(n))
-    if n >= 2:
-        bounds = np.arange(n, 1, -1, dtype=np.uint64)
-        draws = mul_high(stream_u64(seed, n - 1), bounds).tolist()
-        i = n - 1
-        for j in draws:
-            perm[i], perm[j] = perm[j], perm[i]
-            i -= 1
-    return np.asarray(perm, dtype=np.int64)
+    perm = np.arange(n, dtype=np.int64)
+    if n < 2:
+        return perm
+    i = np.arange(n - 1, 0, -1, dtype=np.int64)
+    j = mul_high(stream_u64(seed, n - 1), i + 1).astype(np.int64)
+    reserved = np.empty(n, dtype=np.int64)
+    while i.size:
+        # Overwrite both slots of every pending step, so no entry left by an
+        # earlier round can block a slot.
+        reserved[j] = -1
+        reserved[i] = i
+        np.maximum.at(reserved, j, i)
+        won = (reserved[i] == i) & (reserved[j] == i)
+        wi, wj = i[won], j[won]
+        perm[wi], perm[wj] = perm[wj], perm[wi]
+        lost = ~won
+        i, j = i[lost], j[lost]
+    return perm

@@ -236,7 +236,16 @@ def test_module_entry_point(tmp_path, synthetic_object):
       "--diffuser-seed", "-1"], 2),
     (["sim4f", "--input", "{pattern}", "--output", "{tmp}/s.bin", "--aperture-radius", "0"], 2),
     (["ssim", "--input", "{image}", "--reference", "{image}"], 1),
-], ids=["alpha", "alpha-zero", "wavelength", "pitch", "diffuser-seed", "aperture-radius", "ssim-8x8"])
+    (["hologram", "--input", "{image}", "--output", "{tmp}/h.bin", "--wavelength", "520e-9",
+      "--distance", "nan", "--pitch", "7.56e-6", "--superpixels", "8x8"], 2),
+    (["reconstruct", "--input", "{field}", "--output", "{tmp}/r.pgm", "--wavelength", "nan",
+      "--distance", "0.05", "--pitch", "7.56e-6"], 2),
+    (["reconstruct", "--input", "{field}", "--output", "{tmp}/r.pgm", "--wavelength", "520e-9",
+      "--distance", "0.05", "--pitch", "inf"], 2),
+    (["sim4f", "--input", "{pattern}", "--output", "{tmp}/s.bin", "--aperture-radius", "nan"], 2),
+    (["sim4f", "--input", "{pattern}", "--output", "{tmp}/s.bin", "--aperture-center", "nan,0.25"], 2),
+], ids=["alpha", "alpha-zero", "wavelength", "pitch", "diffuser-seed", "aperture-radius", "ssim-8x8",
+        "distance-nan", "wavelength-nan", "pitch-inf", "aperture-radius-nan", "aperture-center-nan"])
 def test_bad_values_exit_without_traceback(tmp_path, argv, code):
     files = {"tmp": tmp_path, "field": tmp_path / "f.bin", "image": tmp_path / "i.pgm",
              "pattern": tmp_path / "p.pbm"}

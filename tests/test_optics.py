@@ -44,6 +44,11 @@ def test_params_validation():
     with pytest.raises(ValueError):
         PropagationParams(wavelength=500e-9, distance=1, pitch=0)
     PropagationParams(wavelength=500e-9, distance=-2, pitch=1e-6)  # backwards is fine
+    nan, inf = float("nan"), float("inf")
+    for bad in (dict(wavelength=nan), dict(wavelength=inf), dict(pitch=nan), dict(pitch=-inf),
+                dict(distance=nan), dict(distance=inf), dict(distance=-inf)):
+        with pytest.raises(ValueError):
+            PropagationParams(**{"wavelength": 500e-9, "distance": 1, "pitch": 1e-6, **bad})
 
 
 def test_alias_free_distance_formula():
@@ -210,8 +215,10 @@ def test_aperture_defaults():
     spec = ApertureSpec()
     assert spec.center == (1 / 16, 1 / 4)
     assert spec.radius == pytest.approx(0.45)
-    with pytest.raises(ValueError):
-        ApertureSpec(radius=0.0)
+    for bad in (dict(radius=0.0), dict(radius=float("nan")), dict(radius=float("inf")),
+                dict(center=(float("nan"), 0.25)), dict(center=(0.0, float("inf")))):
+        with pytest.raises(ValueError):
+            ApertureSpec(**bad)
 
 
 def test_sim4f_shape_and_validation():

@@ -19,6 +19,12 @@ def reference_next(state):
     return state, (z ^ (z >> 31)) & MASK
 
 
+def _shuffled(n, seed):
+    items = list(range(n))
+    SplitMix64(seed).shuffle(items)
+    return items
+
+
 def test_known_first_output():
     assert SplitMix64(0).next_u64() == 0xE220A8397B1DCDAF
 
@@ -74,11 +80,25 @@ def test_below_in_range(seed, bound):
 
 
 def test_mul_high_matches_python_ints():
-    xs = stream_u64(9, 200)
-    bounds = np.arange(1, 201, dtype=np.uint64)
-    got = mul_high(xs, bounds)
-    for x, b, g in zip(xs.tolist(), bounds.tolist(), got.tolist()):
-        assert g == (x * b) >> 64
+    edges_x = [MASK, MASK - 1, 1 << 63, (1 << 63) - 1, (1 << 32) - 1, 1 << 32, 0]
+    edges_b = [1, 2, 255, 256, (1 << 31) + 1, (1 << 32) - 2, (1 << 32) - 1]
+    cases = [
+        (stream_u64(9, 200), np.arange(1, 201, dtype=np.uint64)),
+        (np.array(edges_x * len(edges_b), dtype=np.uint64),
+         np.repeat(np.array(edges_b, dtype=np.uint64), len(edges_x))),
+        (stream_u64(11, 1000), (stream_u64(12, 1000) >> np.uint64(32)) | np.uint64(1)),
+    ]
+    for xs, bounds in cases:
+        got = mul_high(xs, bounds)
+        for x, b, g in zip(xs.tolist(), bounds.tolist(), got.tolist()):
+            assert g == (x * b) >> 64
+
+
+def test_mul_high_rejects_wide_bounds():
+    for b in (1 << 32, MASK):
+        with pytest.raises(ValueError):
+            mul_high(np.array([1], dtype=np.uint64), np.array([b], dtype=np.uint64))
+    assert mul_high(np.array([], dtype=np.uint64), np.array([], dtype=np.uint64)).size == 0
 
 
 def test_permutation_is_bijection():
@@ -88,9 +108,20 @@ def test_permutation_is_bijection():
 
 def test_permutation_matches_shuffle_method():
     for n, seed in [(1, 0), (2, 3), (17, 99), (256, 0xABCDEF)]:
-        items = list(range(n))
-        SplitMix64(seed).shuffle(items)
-        assert permutation(n, seed).tolist() == items
+        assert permutation(n, seed).tolist() == _shuffled(n, seed)
+
+
+@pytest.mark.parametrize("n", [1000, 4097, 50_000, 200_000])
+@pytest.mark.parametrize("seed", [0, MASK, 0x5EED_1234_ABCD_0042])
+def test_permutation_matches_shuffle_large(n, seed):
+    got = permutation(n, seed)
+    assert got.dtype == np.int64
+    assert got.tolist() == _shuffled(n, seed)
+
+
+@given(st.integers(min_value=0, max_value=300), st.integers(min_value=0, max_value=MASK))
+def test_permutation_matches_shuffle_any_seed(n, seed):
+    assert permutation(n, seed).tolist() == _shuffled(n, seed)
 
 
 def test_permutation_smallest_sizes():
