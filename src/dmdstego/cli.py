@@ -118,6 +118,13 @@ def _collect_warnings(caught) -> list[str]:
     return [str(w.message) for w in caught if issubclass(w.category, AliasingGuardWarning)]
 
 
+def _quantize(field: np.ndarray, args):
+    """Codebook of --assignment, and the plan and scale of `field` normalized by --alpha."""
+    codebook = build_codebook(args.assignment)
+    scaled, scale = normalize_field(field, NormalizationParams(peak_fraction=args.alpha))
+    return codebook, quantize_field(scaled, codebook), scale
+
+
 def cmd_hologram(args) -> int:
     obj = read_image(args.input)
     width, height = args.superpixels
@@ -155,9 +162,7 @@ def cmd_encode(args) -> int:
 def cmd_embed(args) -> int:
     field = read_field(args.input)
     payload = Path(args.payload).read_bytes()
-    codebook = build_codebook(args.assignment)
-    scaled, scale = normalize_field(field, NormalizationParams(peak_fraction=args.alpha))
-    plan = quantize_field(scaled, codebook)
+    codebook, plan, scale = _quantize(field, args)
     mirrors = embed(plan, bytes_to_bits(payload), args.key, codebook, fill=args.fill)
     write_pattern(args.output, mirrors)
     _emit({
@@ -187,10 +192,7 @@ def cmd_decode(args) -> int:
 
 
 def cmd_capacity(args) -> int:
-    field = read_field(args.input)
-    codebook = build_codebook(args.assignment)
-    scaled, _ = normalize_field(field, NormalizationParams(peak_fraction=args.alpha))
-    plan = quantize_field(scaled, codebook)
+    codebook, plan, _ = _quantize(read_field(args.input), args)
     _emit({"capacity_bits": capacity_of_plan(plan, codebook)})
     return 0
 

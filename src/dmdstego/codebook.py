@@ -80,11 +80,13 @@ class Codebook:
     def nearest_values(self, targets: np.ndarray) -> np.ndarray:
         """Vectorized nearest_value over an arbitrary-shape complex array.
 
-        A kd-tree accelerates the search; any query whose two nearest values
-        lie within 1e-9 of each other falls back to the linear scan so ties
-        keep the smallest-canonical-index resolution.  The pairwise gap
-        between distinct values is >= 0.019, so the fallback only ever fires
-        for targets sitting essentially on a Voronoi boundary.
+        A kd-tree finds the two nearest values.  Where they lie within 1e-9
+        of each other (a target essentially on a Voronoi boundary; distinct
+        values are >= 0.019 apart), the query widens to 4, 8, ... candidates
+        until the last one is more than 1e-9 farther than the first, so it
+        holds every tied value.  The candidates are then ranked in index
+        order with nearest_value's arithmetic, which keeps its
+        smallest-canonical-index tie rule.
         """
         t = np.asarray(targets, dtype=np.complex128)
         if not np.all(np.isfinite(t)):
@@ -92,11 +94,19 @@ class Codebook:
         flat = t.ravel()
         if self._tree is None:
             self._tree = cKDTree(np.column_stack([self.values.real, self.values.imag]))
-        dist, idx = self._tree.query(np.column_stack([flat.real, flat.imag]), k=2, workers=-1)
+        points = np.column_stack([flat.real, flat.imag])
+        dist, idx = self._tree.query(points, k=2, workers=-1)
         out = idx[:, 0].astype(np.int64)
-        near_tie = np.nonzero(dist[:, 1] - dist[:, 0] <= 1e-9)[0]
-        for i in near_tie:
-            out[i] = np.argmin(np.abs(self.values - flat[i]))
+        rows = np.nonzero(dist[:, 1] - dist[:, 0] <= 1e-9)[0]
+        k = 2
+        while rows.size:
+            k = min(2 * k, self.values.size)
+            dist, cand = self._tree.query(points[rows], k=k, workers=-1)
+            held = (dist[:, -1] - dist[:, 0] > 1e-9) | (k == self.values.size)
+            cand = np.sort(cand[held], axis=1)
+            first = np.argmin(np.abs(self.values[cand] - flat[rows[held], None]), axis=1)
+            out[rows[held]] = cand[np.arange(cand.shape[0]), first]
+            rows = rows[~held]
         return out.reshape(t.shape)
 
 

@@ -168,10 +168,6 @@ class ApertureSpec:
             raise ValueError("aperture center must be finite")
 
 
-def _block_mask(assignment: PhaseAssignment) -> np.ndarray:
-    return np.exp(1j * assignment.block_phases)
-
-
 def simulate_4f(mirrors: np.ndarray, aperture: ApertureSpec | None = None,
                 assignment: PhaseAssignment | None = None) -> np.ndarray:
     """Band-filtered readout of a mirror array, one complex value per superpixel.
@@ -180,30 +176,54 @@ def simulate_4f(mirrors: np.ndarray, aperture: ApertureSpec | None = None,
     demodulated against the conjugate of the periodic block phase mask, and
     averaged over each 4x4 block.  Up to a global complex constant the
     result tracks the codebook values of the blocks; the aperture bandwidth
-    sets how much neighbouring blocks ring into each other.
+    sets how much neighbouring blocks ring into each other.  The default
+    aperture passes every quarter-cycle harmonic of the block mask, not a
+    single diffraction order (see ApertureSpec).
+
+    The demodulation and the block mean are applied in the frequency domain:
+    with N1 = 4H and N2 = 4W mirrors, the block mean h of g * conj(mask)
+    (g the filtered field, mask tiled over the blocks) is
+
+        h = ifft2_HxW(fold(G * P * Wt)) / 256,
+        Wt[k1, k2] = sum_ab conj(mask[a, b]) exp(2 pi i (k1 a / N1 + k2 b / N2)),
+
+    where G is the mirror spectrum, P the passband and fold sums the 4x4
+    aliases of each (H, W) frequency.  The readout is conj(h), so one
+    (H, W) inverse transform replaces the full-size one.
     """
     assignment = assignment or DEFAULT_ASSIGNMENT
     aperture = aperture or ApertureSpec()
     m = np.asarray(mirrors)
     if m.ndim != 2 or m.shape[0] % BLOCK or m.shape[1] % BLOCK:
         raise ValueError("mirror array must be 2-D with multiples-of-4 dimensions")
-    b = (m != 0).astype(np.float64)
-    ny, nx = b.shape
+    n1, n2 = m.shape
 
-    fx = np.fft.fftfreq(nx)
-    fy = np.fft.fftfreq(ny)
+    # Spectrum of the real mirror array: rfft2 gives columns 0..n2/2, and
+    # G[k1, k2] = conj(G[-k1, -k2]) gives the rest.
+    half = np.fft.rfft2((m != 0).astype(np.float64))
+    spectrum = np.empty((n1, n2), dtype=np.complex128)
+    spectrum[:, :n2 // 2 + 1] = half
+    np.conjugate(half[-np.arange(n1) % n1, n2 // 2 - 1:0:-1], out=spectrum[:, n2 // 2 + 1:])
+    del half  # lowers the peak before the full-size weight is built
+
+    # Wt = Ey @ conj(mask) @ Ex.T, rank <= 4
+    step = np.arange(BLOCK)
+    ey = np.exp(2j * np.pi * np.outer(np.arange(n1), step) / n1)
+    ex = np.exp(2j * np.pi * np.outer(np.arange(n2), step) / n2)
+    spectrum *= (ey @ np.exp(-1j * assignment.block_phases)) @ ex.T
+
+    fx = np.fft.fftfreq(n2)
+    fy = np.fft.fftfreq(n1)
     cx, cy = aperture.center
     # shortest wrapped distance on the frequency torus
     dx = (fx - cx + 0.5) % 1.0 - 0.5
     dy = (fy - cy + 0.5) % 1.0 - 0.5
-    passband = dx[None, :] ** 2 + dy[:, None] ** 2 <= aperture.radius ** 2
-    filtered = np.fft.ifft2(np.fft.fft2(b) * passband)
+    spectrum *= dx[None, :] ** 2 + dy[:, None] ** 2 <= aperture.radius ** 2
 
-    tiles = np.tile(_block_mask(assignment), (ny // BLOCK, nx // BLOCK))
+    folded = spectrum.reshape(BLOCK, n1 // BLOCK, BLOCK, n2 // BLOCK).sum(axis=(0, 2))
     # The filtered sideband of a real pattern carries conjugated block
-    # phases; conjugating it before applying the mask recovers them.
-    demod = np.conj(filtered) * tiles
-    return demod.reshape(ny // BLOCK, BLOCK, nx // BLOCK, BLOCK).mean(axis=(1, 3))
+    # phases; conjugating h recovers them.
+    return np.conj(np.fft.ifft2(folded)) / BLOCK ** 4
 
 
 def field_correlation(a: np.ndarray, b: np.ndarray) -> float:

@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.spatial import cKDTree
+from scipy.spatial import Voronoi, cKDTree
 
-from dmdstego.codebook import STRATEGIES, build_codebook, pick_in_groups
+from dmdstego.codebook import STRATEGIES, Codebook, build_codebook, pick_in_groups
 from dmdstego.rng import SplitMix64
 from dmdstego.superpixel import (
     MAX_MODULUS,
@@ -135,16 +135,39 @@ def test_nearest_values_matches_scan_oracle(codebook):
 
 
 def test_nearest_value_ties_take_smallest_index(codebook):
-    # midpoints of nearest-neighbour value pairs are as close to a tie
-    # as the grid allows; vectorized and scalar paths must still agree
-    # with the first-argmin rule
+    # Midpoints of nearest-neighbour value pairs are 2-way ties and
+    # Voronoi vertices 3-way or wider ones (some values are cocircular);
+    # both kinds inside the working disk must follow the first-argmin rule.
     pts = np.column_stack([codebook.values.real, codebook.values.imag])
-    _, nn = cKDTree(pts).query(pts[:200], k=2, workers=-1)
-    mids = (codebook.values[:200] + codebook.values[nn[:, 1]]) / 2
-    expected = np.array([scan_nearest(codebook, t) for t in mids])
-    assert np.array_equal(codebook.nearest_values(mids), expected)
-    for t, e in zip(mids, expected):
+    _, nn = cKDTree(pts).query(pts, k=2, workers=-1)
+    mids = (codebook.values + codebook.values[nn[:, 1]]) / 2
+    vertices = Voronoi(pts).vertices
+    targets = np.concatenate([mids, vertices[:, 0] + 1j * vertices[:, 1]])
+    targets = targets[np.abs(targets) <= 0.8 * MAX_MODULUS]
+    expected = np.concatenate([
+        np.argmin(np.abs(codebook.values[None, :] - chunk[:, None]), axis=1)
+        for chunk in np.array_split(targets, targets.size // 256 + 1)
+    ])
+    assert np.array_equal(codebook.nearest_values(targets), expected)
+    for t, e in zip(targets[::97], expected[::97]):
         assert codebook.nearest_value(t) == e
+
+
+def test_nearest_values_exact_ties_beyond_the_first_query():
+    # The codebook's own near-ties are not exact in floating point, so exact
+    # ones come from lattice points: twelve at distance exactly 5 from the
+    # origin, plus forty on a circle of radius 20 so that the kd-tree splits
+    # and returns tied values in an order unrelated to their indices.
+    ring = np.array([5, 5j, -5, -5j, 3 + 4j, 4 + 3j, -3 + 4j, -4 + 3j,
+                     3 - 4j, 4 - 3j, -3 - 4j, -4 - 3j])
+    far = 20 * np.exp(2j * np.pi * np.arange(40) / 40)
+    targets = np.array([0j, 3.5 + 3.5j, 4 + 3j])
+    rng = np.random.default_rng(21)
+    books = [ring] + [np.concatenate([ring, far])[rng.permutation(52)] for _ in range(10)]
+    for values in books:
+        book = Codebook(None, values, None, None, np.zeros(1, dtype=np.int64), None, None, None)
+        expected = [int(np.argmin(np.abs(values - t))) for t in targets]
+        assert book.nearest_values(targets).tolist() == expected
 
 
 @functools.lru_cache(maxsize=1)
