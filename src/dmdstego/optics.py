@@ -197,30 +197,36 @@ def simulate_4f(mirrors: np.ndarray, aperture: ApertureSpec | None = None,
     if m.ndim != 2 or m.shape[0] % BLOCK or m.shape[1] % BLOCK:
         raise ValueError("mirror array must be 2-D with multiples-of-4 dimensions")
     n1, n2 = m.shape
+    h, w = n1 // BLOCK, n2 // BLOCK
 
-    # Spectrum of the real mirror array: rfft2 gives columns 0..n2/2, and
-    # G[k1, k2] = conj(G[-k1, -k2]) gives the rest.
+    # Spectrum of the real mirror array over columns 0..n2/2; the other
+    # columns follow from G[k1, k2] = conj(G[-k1, -k2]).
     half = np.fft.rfft2((m != 0).astype(np.float64))
-    spectrum = np.empty((n1, n2), dtype=np.complex128)
-    spectrum[:, :n2 // 2 + 1] = half
-    np.conjugate(half[-np.arange(n1) % n1, n2 // 2 - 1:0:-1], out=spectrum[:, n2 // 2 + 1:])
-    del half  # lowers the peak before the full-size weight is built
 
-    # Wt = Ey @ conj(mask) @ Ex.T, rank <= 4
-    step = np.arange(BLOCK)
-    ey = np.exp(2j * np.pi * np.outer(np.arange(n1), step) / n1)
-    ex = np.exp(2j * np.pi * np.outer(np.arange(n2), step) / n2)
-    spectrum *= (ey @ np.exp(-1j * assignment.block_phases)) @ ex.T
-
-    fx = np.fft.fftfreq(n2)
-    fy = np.fft.fftfreq(n1)
     cx, cy = aperture.center
     # shortest wrapped distance on the frequency torus
-    dx = (fx - cx + 0.5) % 1.0 - 0.5
-    dy = (fy - cy + 0.5) % 1.0 - 0.5
-    spectrum *= dx[None, :] ** 2 + dy[:, None] ** 2 <= aperture.radius ** 2
+    dx2 = ((np.fft.fftfreq(n2) - cx + 0.5) % 1.0 - 0.5) ** 2
+    dy2 = ((np.fft.fftfreq(n1) - cy + 0.5) % 1.0 - 0.5) ** 2
+    k1, k2 = np.arange(n1), np.arange(n2)
+    step = np.arange(BLOCK)
+    # Wt = Ey @ conj(mask) @ Ex.T has rank <= 4
+    ey_mask = np.exp(2j * np.pi * np.outer(k1, step) / n1) @ np.exp(-1j * assignment.block_phases)
+    ex = np.exp(2j * np.pi * np.outer(k2, step) / n2)
 
-    folded = spectrum.reshape(BLOCK, n1 // BLOCK, BLOCK, n2 // BLOCK).sum(axis=(0, 2))
+    # fold one (H, W) alias block at a time, so no full-size array is built
+    folded = np.zeros((h, w), dtype=np.complex128)
+    for p in range(BLOCK):
+        rows = k1[p * h:(p + 1) * h]
+        for q in range(BLOCK):
+            cols = k2[q * w:(q + 1) * w]
+            if 2 * q < BLOCK:
+                block = half[p * h:(p + 1) * h, q * w:(q + 1) * w]
+            else:  # columns n2/2 and up, by the Hermitian symmetry
+                block = np.conj(half[np.ix_(-rows % n1, n2 - cols)])
+            weight = ey_mask[rows] @ ex[cols].T
+            weight *= dx2[cols] + dy2[rows, None] <= aperture.radius ** 2
+            weight *= block
+            folded += weight
     # The filtered sideband of a real pattern carries conjugated block
     # phases; conjugating h recovers them.
     return np.conj(np.fft.ifft2(folded)) / BLOCK ** 4
