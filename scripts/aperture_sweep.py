@@ -12,6 +12,7 @@ import argparse
 import numpy as np
 
 from dmdstego.codebook import build_codebook
+from dmdstego.modulator import decode_field
 from dmdstego.optics import ApertureSpec, field_correlation, simulate_4f
 from dmdstego.superpixel import codes_to_mirrors
 
@@ -28,9 +29,8 @@ def main():
     rng = np.random.default_rng(0)
     patterns = []
     for _ in range(args.trials):
-        codes = rng.integers(0, 65536, (args.size, args.size)).astype(np.uint16)
-        ref = codebook.values[codebook.group_of_pattern[codes]]
-        patterns.append((codes_to_mirrors(codes), ref))
+        mirrors = codes_to_mirrors(rng.integers(0, 65536, (args.size, args.size)).astype(np.uint16))
+        patterns.append((mirrors, decode_field(mirrors, codebook)[1]))
 
     print(f"{'radius':>8}  {'mean corr':>9}  {'min corr':>9}")
     for radius in args.radii:

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .rng import mul_high, stream_u64
 from .superpixel import (
@@ -93,6 +92,9 @@ class Codebook:
             raise ValueError("quantization targets must be finite")
         flat = t.ravel()
         if self._tree is None:
+            # imported here, so only the commands that quantize pay for loading scipy
+            from scipy.spatial import cKDTree
+
             self._tree = cKDTree(np.column_stack([self.values.real, self.values.imag]))
         points = np.column_stack([flat.real, flat.imag])
         dist, idx = self._tree.query(points, k=2, workers=-1)

@@ -12,7 +12,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.ndimage import gaussian_filter, map_coordinates
 
 from .rng import stream_u64
 from .superpixel import BLOCK, DEFAULT_ASSIGNMENT, PhaseAssignment
@@ -82,6 +81,36 @@ def fresnel_propagate(field: np.ndarray, params: PropagationParams) -> np.ndarra
     return np.fft.ifft2(np.fft.fft2(f) * transfer)
 
 
+def _bilinear(a: np.ndarray, yy: np.ndarray, xx: np.ndarray) -> np.ndarray:
+    """Bilinear samples of the real array `a` on the grid of rows yy and columns xx.
+
+    Bit for bit what scipy.ndimage.map_coordinates(order=1, mode="constant",
+    cval=0) returns: a sample with a coordinate outside [0, n-1] is 0, a
+    neighbour outside the array counts as 0, and the corner terms
+    (d * wy) * wx are added from 0.0 in the order (0,0), (0,1), (1,0), (1,1).
+    scipy weights the upper neighbour by 1 - (1 - t), not t; the two agree on
+    the grids resample_bilinear builds, whose fractional parts t are
+    multiples of 2**-53.
+    """
+    h, w = a.shape
+    padded = np.zeros((h + 1, w + 1))
+    padded[:h, :w] = a
+
+    def axis(c, n):
+        inside = (c >= 0) & (c <= n - 1)
+        lo = np.floor(c)
+        t = c - lo
+        return np.where(inside, lo, 0).astype(np.intp), (1.0 - t, t), inside
+
+    iy, wy, in_y = axis(yy, h)
+    ix, wx, in_x = axis(xx, w)
+    total = 0.0
+    for dy in (0, 1):
+        for dx in (0, 1):
+            total = total + padded[np.ix_(iy + dy, ix + dx)] * wy[dy][:, None] * wx[dx]
+    return np.where(in_y[:, None] & in_x, total, 0.0)
+
+
 def resample_bilinear(array: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     """Resize onto `shape` preserving aspect ratio; uncovered rows/columns
     stay zero (letterboxing).  Complex input is interpolated per component."""
@@ -98,16 +127,11 @@ def resample_bilinear(array: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
 
     yy = (np.arange(h_fit) + 0.5) * (h_in / h_fit) - 0.5
     xx = (np.arange(w_fit) + 0.5) * (w_in / w_fit) - 0.5
-    coords = np.meshgrid(yy, xx, indexing="ij")
-
-    def interp(component):
-        return map_coordinates(component, coords, order=1, mode="constant", cval=0.0)
-
     if np.iscomplexobj(a):
-        fitted = interp(a.real) + 1j * interp(a.imag)
+        fitted = _bilinear(a.real, yy, xx) + 1j * _bilinear(a.imag, yy, xx)
         out = np.zeros(shape, dtype=np.complex128)
     else:
-        fitted = interp(a.astype(np.float64))
+        fitted = _bilinear(a, yy, xx)
         out = np.zeros(shape, dtype=np.float64)
     out[y0:y0 + h_fit, x0:x0 + w_fit] = fitted
     return out
@@ -245,6 +269,45 @@ def field_correlation(a: np.ndarray, b: np.ndarray) -> float:
     return float(abs(np.vdot(x, y)) / (na * nb))
 
 
+# 11-tap Gaussian window (sigma 1.5, radius 5), normalized to unit sum
+_WINDOW = np.exp(-0.5 / 1.5 ** 2 * np.arange(-5, 6) ** 2)
+_WINDOW /= _WINDOW.sum()
+_WINDOW_ROWS = 64  # output rows per block, so the temporaries stay in cache
+
+
+def _correlate_valid(v: np.ndarray, axis: int, out: np.ndarray, tmp: np.ndarray) -> None:
+    """11-tap _WINDOW correlation of `v` along `axis` at fully interior positions.
+
+    Each symmetric pair of taps is summed and weighted, outermost pair first,
+    in the order scipy.ndimage.correlate1d adds them.
+    """
+    n = out.shape[axis]
+    tap = (lambda k: v[k:k + n]) if axis == 0 else (lambda k: v[:, k:k + n])
+    np.multiply(tap(5), _WINDOW[5], out=out)
+    for j in range(5, 0, -1):
+        np.add(tap(5 - j), tap(5 + j), out=tmp)
+        tmp *= _WINDOW[5 + j]
+        out += tmp
+
+
+def _window_mean(v: np.ndarray) -> np.ndarray:
+    """Gaussian window mean of `v` wherever the 11x11 window fits inside it.
+
+    Bit for bit scipy.ndimage.gaussian_filter(v, 1.5, truncate=5 / 1.5)[5:-5, 5:-5]:
+    the separable filter runs along axis 0 first, then axis 1, over the valid
+    region only, one block of output rows at a time.
+    """
+    h, w = v.shape
+    out = np.empty((h - 10, w - 10))
+    rows = min(_WINDOW_ROWS, h - 10)
+    mid, tmp_mid, tmp_out = np.empty((rows, w)), np.empty((rows, w)), np.empty((rows, w - 10))
+    for r0 in range(0, h - 10, rows):
+        r = min(rows, h - 10 - r0)
+        _correlate_valid(v[r0:r0 + r + 10], 0, mid[:r], tmp_mid[:r])
+        _correlate_valid(mid[:r], 1, out[r0:r0 + r], tmp_out[:r])
+    return out
+
+
 def ssim(a: np.ndarray, b: np.ndarray) -> float:
     """Mean structural similarity over valid 11x11 Gaussian windows.
 
@@ -260,9 +323,7 @@ def ssim(a: np.ndarray, b: np.ndarray) -> float:
         raise ValueError("images must be 2-D and at least 11x11")
     c1 = (0.01 * 255.0) ** 2
     c2 = (0.03 * 255.0) ** 2
-    # 11x11 Gaussian window (radius 5), kept only where it fits inside the image
-    mu_x, mu_y, xx, yy, xy = (gaussian_filter(v, 1.5, truncate=5 / 1.5)[5:-5, 5:-5]
-                              for v in (x, y, x * x, y * y, x * y))
+    mu_x, mu_y, xx, yy, xy = (_window_mean(v) for v in (x, y, x * x, y * y, x * y))
     var_x = xx - mu_x * mu_x
     var_y = yy - mu_y * mu_y
     cov = xy - mu_x * mu_y

@@ -19,7 +19,7 @@ from dmdstego.formats import (
     write_image,
     write_pattern,
 )
-from dmdstego.modulator import encode_field, normalize_field, quantize_field
+from dmdstego.modulator import decode_field, encode_field, normalize_field, quantize_field
 from dmdstego.optics import (
     PropagationParams,
     field_correlation,
@@ -185,8 +185,7 @@ def _pipeline_ssims(obj, grid, params, key, payload_fraction=0.9):
     for strategy in ("random", "min", "max"):
         result = encode_field(holo, codebook, strategy=strategy,
                               key=key if strategy == "random" else None)
-        codes = mirrors_to_codes(result.mirrors)
-        values = codebook.values[codebook.group_of_pattern[codes]]
+        _, values = decode_field(result.mirrors, codebook)
         scores[strategy] = ssim(reconstruct(values, params), target)
 
     cap = capacity_of_plan(plan, codebook)
@@ -194,7 +193,7 @@ def _pipeline_ssims(obj, grid, params, key, payload_fraction=0.9):
     bits = rng.integers(0, 2, int((cap - 32) * payload_fraction), dtype=np.uint8)
     mirrors = embed(plan, bits, key, codebook, fill="random")
     assert np.array_equal(extract(mirrors, key, codebook), bits)
-    values = codebook.values[codebook.group_of_pattern[mirrors_to_codes(mirrors)]]
+    _, values = decode_field(mirrors, codebook)
     scores["embedded"] = ssim(reconstruct(values, params), target)
     return scores
 

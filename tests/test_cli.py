@@ -14,6 +14,7 @@ from dmdstego.formats import (
     write_image,
     write_pattern,
 )
+from dmdstego.stego import StegoKey, embed
 
 GEO = ["--wavelength", "520e-9", "--distance", "0.05", "--pitch", "7.56e-6"]
 KEY = "00000000deadbeef"
@@ -186,6 +187,48 @@ def test_sim4f_correlates_with_decode(capsys, workspace):
               "--compare", str(dec))
     report = json.loads(out)
     assert report["correlation"] >= 0.95
+
+
+@pytest.mark.parametrize("compare", ["missing", "wrong-shape"])
+def test_sim4f_bad_compare_leaves_no_output(capsys, tmp_path, compare):
+    pattern, reference, out = tmp_path / "p.pbm", tmp_path / "c.cfld", tmp_path / "s.cfld"
+    write_pattern(pattern, np.zeros((32, 32), dtype=np.uint8))
+    if compare == "wrong-shape":
+        write_field(reference, np.ones((4, 16), dtype=complex))  # 8x8 values, other shape
+    rc = main(["sim4f", "--input", str(pattern), "--output", str(out), "--compare", str(reference)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert sum("error:" in line for line in err.splitlines()) == 1
+    assert not out.exists()
+
+
+def test_commands_that_do_not_quantize_load_no_scipy(tmp_path, codebook, synthetic_object):
+    # scipy.spatial (the quantizer's kd-tree) is the only scipy module the
+    # package uses; encode, embed and capacity load it, no other command does.
+    plan = np.random.default_rng(3).integers(0, 6561, (16, 16))
+    mirrors = embed(plan, np.ones(64, dtype=np.uint8), StegoKey.from_hex(KEY), codebook)
+    write_pattern(tmp_path / "p.pbm", mirrors)
+    write_image(tmp_path / "obj.pgm", synthetic_object)
+    commands = [
+        ["hologram", "--input", "{}/obj.pgm", "--output", "{}/h.cfld", *GEO, "--superpixels", "16x16"],
+        ["extract", "--input", "{}/p.pbm", "--output", "{}/x.bin", "--key", KEY],
+        ["decode", "--input", "{}/p.pbm", "--output", "{}/d.cfld"],
+        ["reconstruct", "--input", "{}/d.cfld", "--output", "{}/r.pgm", *GEO],
+        ["sim4f", "--input", "{}/p.pbm", "--output", "{}/s.cfld", "--compare", "{}/d.cfld"],
+        ["ssim", "--input", "{}/r.pgm", "--reference", "{}/r.pgm"],
+    ]
+    commands = [[arg.format(tmp_path) for arg in argv] for argv in commands]
+    code = ("import json, sys\n"
+            "from dmdstego.cli import main\n"
+            "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+            "print(json.dumps([codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n")
+    r = subprocess.run([sys.executable, "-c", code, json.dumps(commands)],
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    codes, scipy_modules = json.loads(r.stdout.splitlines()[-1])
+    assert codes == [0] * len(commands)
+    assert scipy_modules == []
+    assert (tmp_path / "x.bin").read_bytes() == b"\xff" * 8
 
 
 def test_reruns_are_bit_identical(capsys, workspace):

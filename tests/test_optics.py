@@ -2,7 +2,9 @@
 
 Independent oracles: plane waves give the transfer function in closed
 form, the 4f readout is cross-checked against its spatial-domain
-definition, and the SSIM score against a naive per-window double loop.
+definition, the bilinear resampling against scipy.ndimage.map_coordinates,
+and the SSIM score against a naive per-window double loop and against
+scipy.ndimage.gaussian_filter window means.
 """
 
 import subprocess
@@ -11,6 +13,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.ndimage import gaussian_filter, map_coordinates
 
 from dmdstego.codebook import build_codebook
 from dmdstego.optics import (
@@ -148,6 +151,46 @@ def test_resample_linear_ramp_exact_interior():
     interior = (src_x >= 0) & (src_x <= 15) & (src_y >= 0) & (src_y <= 15)
     expected = 2.0 * src_x + 3.0 * src_y
     assert np.abs(out[interior] - expected[interior]).max() < 1e-10
+
+
+def reference_resample(array, shape):
+    """resample_bilinear's letterbox geometry, interpolated by scipy.ndimage."""
+    a = np.asarray(array)
+    h_out, w_out = shape
+    h_in, w_in = a.shape
+    scale = min(h_out / h_in, w_out / w_in)
+    h_fit = max(1, round(h_in * scale))
+    w_fit = max(1, round(w_in * scale))
+    y0 = (h_out - h_fit) // 2
+    x0 = (w_out - w_fit) // 2
+    yy = (np.arange(h_fit) + 0.5) * (h_in / h_fit) - 0.5
+    xx = (np.arange(w_fit) + 0.5) * (w_in / w_fit) - 0.5
+    coords = np.meshgrid(yy, xx, indexing="ij")
+
+    def interp(component):
+        return map_coordinates(component, coords, order=1, mode="constant", cval=0.0)
+
+    if np.iscomplexobj(a):
+        fitted = interp(a.real) + 1j * interp(a.imag)
+    else:
+        fitted = interp(a.astype(np.float64))
+    out = np.zeros(shape, dtype=fitted.dtype)
+    out[y0:y0 + h_fit, x0:x0 + w_fit] = fitted
+    return out
+
+
+def test_resample_matches_map_coordinates():
+    rng = np.random.default_rng(17)
+    cases = [((1, 1), (1, 1)), ((1, 1), (9, 6)), ((1, 12), (5, 40)), ((12, 1), (40, 5)),
+             ((1, 30), (1, 7)), ((30, 1), (7, 1)), ((7, 7), (7, 7)), ((540, 960), (270, 480))]
+    cases += [(tuple(rng.integers(1, 60, 2)), tuple(rng.integers(1, 150, 2))) for _ in range(150)]
+    for in_shape, out_shape in cases:
+        real = rng.normal(size=in_shape)
+        for a in (real, real + 1j * rng.normal(size=in_shape)):
+            expected = reference_resample(a, out_shape)
+            got = resample_bilinear(a, out_shape)
+            assert got.dtype == expected.dtype
+            assert np.array_equal(got, expected), (in_shape, out_shape, a.dtype)
 
 
 def test_hologram_deterministic():
@@ -332,6 +375,31 @@ def test_ssim_matches_naive_oracle():
     assert ssim(a, a) == pytest.approx(1.0, abs=1e-12)
 
 
+def reference_ssim(a, b):
+    """ssim with its window means from scipy.ndimage.gaussian_filter."""
+    x = np.asarray(a, dtype=np.float64)
+    y = np.asarray(b, dtype=np.float64)
+    c1 = (0.01 * 255.0) ** 2
+    c2 = (0.03 * 255.0) ** 2
+    mu_x, mu_y, xx, yy, xy = (gaussian_filter(v, 1.5, truncate=5 / 1.5)[5:-5, 5:-5]
+                              for v in (x, y, x * x, y * y, x * y))
+    var_x = xx - mu_x * mu_x
+    var_y = yy - mu_y * mu_y
+    cov = xy - mu_x * mu_y
+    num = (2.0 * mu_x * mu_y + c1) * (2.0 * cov + c2)
+    den = (mu_x ** 2 + mu_y ** 2 + c1) * (var_x + var_y + c2)
+    return float(np.mean(num / den))
+
+
+@pytest.mark.parametrize("shape", [(11, 11), (11, 40), (37, 11), (64, 64), (129, 75), (270, 480)])
+def test_ssim_matches_gaussian_filter(shape):
+    rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+    a = rng.integers(0, 256, shape, dtype=np.uint8)
+    b = np.clip(a.astype(int) + rng.integers(-40, 41, shape), 0, 255).astype(np.uint8)
+    for x, y in ((a, b), (a, 255 - a), (a, a)):
+        assert ssim(x, y) == pytest.approx(reference_ssim(x, y), abs=1e-12)
+
+
 def test_ssim_symmetric():
     rng = np.random.default_rng(15)
     a = rng.integers(0, 256, (20, 20), dtype=np.uint8)
@@ -354,9 +422,10 @@ def test_ssim_validation():
 
 
 def test_cli_import_needs_no_second_fft_library():
-    # np.fft is the package's only FFT; scipy.signal alone costs about half a
-    # second of every CLI start, and scipy.fft adds 25-35 ms more.
-    code = "import sys, dmdstego.cli; print(sorted({'scipy.signal', 'scipy.fft'} & set(sys.modules)))"
+    # np.fft is the package's only FFT and scipy is loaded only by the
+    # quantizer's kd-tree: scipy.signal alone costs about half a second of
+    # every CLI start, scipy.spatial and scipy.ndimage about 450 ms together.
+    code = "import sys, dmdstego.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "[]"
