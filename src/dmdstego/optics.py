@@ -257,11 +257,12 @@ def simulate_4f(mirrors: np.ndarray, aperture: ApertureSpec | None = None,
 
 
 def field_correlation(a: np.ndarray, b: np.ndarray) -> float:
-    """|<a, b>| / (||a|| ||b||) over flattened complex arrays; 0 if either is null."""
-    x = np.asarray(a, dtype=np.complex128).ravel()
-    y = np.asarray(b, dtype=np.complex128).ravel()
+    """|<a, b>| / (||a|| ||b||) over two complex arrays of one shape; 0 if either is null."""
+    x = np.asarray(a, dtype=np.complex128)
+    y = np.asarray(b, dtype=np.complex128)
     if x.shape != y.shape:
-        raise ValueError("arrays must have matching shapes")
+        raise ValueError(f"cannot correlate arrays of shapes {x.shape} and {y.shape}")
+    x, y = x.ravel(), y.ravel()
     na = np.linalg.norm(x)
     nb = np.linalg.norm(y)
     if na == 0.0 or nb == 0.0:

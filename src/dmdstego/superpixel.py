@@ -160,9 +160,13 @@ def codes_to_mirrors(codes: np.ndarray) -> np.ndarray:
     if codes.ndim != 2:
         raise ValueError("block code array must be 2-D")
     h, w = codes.shape
-    bits = (codes.astype(np.uint32)[..., None] >> np.arange(PHASES, dtype=np.uint32)) & 1
-    blocks = bits.reshape(h, w, BLOCK, BLOCK)
-    return blocks.transpose(0, 2, 1, 3).reshape(BLOCK * h, BLOCK * w).astype(np.uint8)
+    # Nibble r of a code is row r of its block; two blocks side by side
+    # share one byte of a mirror row, the left one in the low nibble.
+    nibbles = np.zeros((h, BLOCK, w + w % 2), dtype=np.uint8)
+    shifts = np.arange(0, PHASES, BLOCK, dtype=np.uint32)[:, None]
+    nibbles[:, :, :w] = (codes.astype(np.uint32)[:, None, :] >> shifts) & 0xF
+    packed = nibbles[:, :, 0::2] | (nibbles[:, :, 1::2] << 4)
+    return np.unpackbits(packed.reshape(BLOCK * h, (w + 1) // 2), axis=1, count=BLOCK * w, bitorder="little")
 
 
 def mirrors_to_codes(mirrors: np.ndarray) -> np.ndarray:
@@ -173,6 +177,7 @@ def mirrors_to_codes(mirrors: np.ndarray) -> np.ndarray:
     if m.shape[0] % BLOCK or m.shape[1] % BLOCK:
         raise ValueError(f"mirror array shape {m.shape} is not a multiple of 4")
     h, w = m.shape[0] // BLOCK, m.shape[1] // BLOCK
-    blocks = (m.reshape(h, BLOCK, w, BLOCK).transpose(0, 2, 1, 3) != 0).astype(np.uint32)
-    weights = (np.uint32(1) << np.arange(PHASES, dtype=np.uint32)).reshape(BLOCK, BLOCK)
-    return (blocks * weights).sum(axis=(2, 3)).astype(np.uint16)
+    packed = np.packbits(m != 0, axis=1, bitorder="little")
+    nibbles = np.stack([packed & 0xF, packed >> 4], axis=-1).reshape(h, BLOCK, w + w % 2)[:, :, :w]
+    rows = nibbles.astype(np.uint16)
+    return rows[:, 0] | (rows[:, 1] << 4) | (rows[:, 2] << 8) | (rows[:, 3] << 12)

@@ -231,6 +231,52 @@ def test_commands_that_do_not_quantize_load_no_scipy(tmp_path, codebook, synthet
     assert (tmp_path / "x.bin").read_bytes() == b"\xff" * 8
 
 
+def test_quantizing_commands_run_without_scipy(capsys, tmp_path, synthetic_object):
+    # The quantizer is numpy alone: with every scipy import made to fail,
+    # encode, embed and capacity still exit 0 and write what they write
+    # in this process, where scipy is importable.
+    write_image(tmp_path / "obj.pgm", synthetic_object)
+    run(capsys, "hologram", "--input", str(tmp_path / "obj.pgm"), "--output",
+        str(tmp_path / "h.cfld"), *GEO, "--superpixels", "24x20")
+    (tmp_path / "payload.bin").write_bytes(bytes(range(40)))
+    commands = [
+        ["encode", "--input", "{}/h.cfld", "--output", "{}/e-min.pbm", "--strategy", "min"],
+        ["encode", "--input", "{}/h.cfld", "--output", "{}/e-max.pbm", "--strategy", "max"],
+        ["encode", "--input", "{}/h.cfld", "--output", "{}/e-random.pbm", "--strategy", "random",
+         "--key", KEY],
+        ["embed", "--input", "{}/h.cfld", "--payload", "{}/payload.bin", "--output", "{}/s.pbm",
+         "--key", KEY, "--alpha", "1"],
+        ["capacity", "--input", "{}/h.cfld"],
+    ]
+    outputs = ["e-min.pbm", "e-max.pbm", "e-random.pbm", "s.pbm"]
+    sub, local = tmp_path / "sub", tmp_path / "local"
+    for d in (sub, local):
+        d.mkdir()
+        for name in ("h.cfld", "payload.bin"):
+            (d / name).write_bytes((tmp_path / name).read_bytes())
+    code = ("import contextlib, io, json, sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from dmdstego.cli import main\n"
+            "results = []\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    out = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out):\n"
+            "        results.append([main(argv), out.getvalue()])\n"
+            "loaded = sorted(m for m, mod in sys.modules.items() if m.split('.')[0] == 'scipy' and mod)\n"
+            "print(json.dumps([results, loaded]))\n")
+    argvs = [[arg.format(sub) for arg in argv] for argv in commands]
+    r = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    results, loaded = json.loads(r.stdout.splitlines()[-1])
+    assert loaded == []
+    assert r.stderr == ""
+    for (rc, stdout), argv in zip(results, commands):
+        assert rc == 0
+        assert stdout == run(capsys, *[arg.format(local) for arg in argv])
+    for name in outputs:
+        assert (sub / name).read_bytes() == (local / name).read_bytes()
+
+
 def test_reruns_are_bit_identical(capsys, workspace):
     tmp_path, obj = workspace
     h1 = make_hologram(capsys, tmp_path, obj, "h1.bin")

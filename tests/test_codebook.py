@@ -13,7 +13,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import Voronoi, cKDTree
 
-from dmdstego.codebook import STRATEGIES, Codebook, build_codebook, pick_in_groups
+from dmdstego.codebook import (
+    GRID_CELLS,
+    GRID_HALF_CELLS,
+    GRID_STEP,
+    GRID_TOLERANCE,
+    NEAR_REACH,
+    QUERY_CHUNK,
+    RIM_REACH,
+    STRATEGIES,
+    Codebook,
+    build_codebook,
+    pick_in_groups,
+)
 from dmdstego.rng import SplitMix64
 from dmdstego.superpixel import (
     MAX_MODULUS,
@@ -26,8 +38,29 @@ from dmdstego.superpixel import (
 )
 
 
+# Most candidates any cell of the default codebook's grid may list; every
+# target then costs at most this many distances.  The build gives 22.
+MAX_CANDIDATES = 24
+
+
 def scan_nearest(codebook, t):
     return int(np.argmin(np.abs(codebook.values - t)))
+
+
+def scan_nearest_all(values, targets):
+    return np.concatenate([
+        np.argmin(np.abs(values[None, :] - chunk[:, None]), axis=1)
+        for chunk in np.array_split(targets, targets.size // 256 + 1)
+    ])
+
+
+def grid_cells():
+    """Centre of every grid cell and the modulus of its point nearest the origin, in table order."""
+    lo = (np.arange(GRID_CELLS) - GRID_HALF_CELLS) * GRID_STEP
+    centre = lo + GRID_STEP / 2
+    gap = np.maximum(0.0, np.maximum(lo, -(lo + GRID_STEP)))
+    centres = (centre[:, None] + 1j * centre[None, :]).ravel()
+    return centres, np.hypot(gap[:, None], gap[None, :]).ravel()
 
 
 def test_census(codebook):
@@ -156,8 +189,8 @@ def test_nearest_value_ties_take_smallest_index(codebook):
 def test_nearest_values_exact_ties_beyond_the_first_query():
     # The codebook's own near-ties are not exact in floating point, so exact
     # ones come from lattice points: twelve at distance exactly 5 from the
-    # origin, plus forty on a circle of radius 20 so that the kd-tree splits
-    # and returns tied values in an order unrelated to their indices.
+    # origin, plus forty on a circle of radius 20, shuffled so that tied
+    # values come in an order unrelated to their indices.
     ring = np.array([5, 5j, -5, -5j, 3 + 4j, 4 + 3j, -3 + 4j, -4 + 3j,
                      3 - 4j, 4 - 3j, -3 - 4j, -4 - 3j])
     far = 20 * np.exp(2j * np.pi * np.arange(40) / 40)
@@ -168,6 +201,74 @@ def test_nearest_values_exact_ties_beyond_the_first_query():
         book = Codebook(None, values, None, None, np.zeros(1, dtype=np.int64), None, None, None)
         expected = [int(np.argmin(np.abs(values - t))) for t in targets]
         assert book.nearest_values(targets).tolist() == expected
+
+
+def test_grid_resolves_the_whole_disk(codebook):
+    # Every cell a normalized field can reach (alpha <= 1) has its candidate
+    # list, so CLI input never falls back to the linear scan, and no cell
+    # lists more than MAX_CANDIDATES values.
+    codebook.nearest_values(np.zeros(1, dtype=np.complex128))
+    table = codebook._grid
+    _, nearest_point = grid_cells()
+    assert table.shape[0] == GRID_CELLS ** 2
+    assert table.shape[1] <= MAX_CANDIDATES
+    assert np.all(table[nearest_point <= MAX_MODULUS, 0] >= 0)
+
+
+def test_grid_reach_constants_by_brute_force(codebook):
+    # From each cell centre c, every value that can be nearest to a point of
+    # the cell lies within U + 2r (U: distance to the nearest value, r: half
+    # diagonal).  That bound must fit NEAR_REACH on the working disk (pass 1
+    # alone) and RIM_REACH on the whole alpha = 1 disk, and exceed
+    # NEAR_REACH somewhere on it, so the rim pass is needed.
+    centres, nearest_point = grid_cells()
+    points = np.column_stack([codebook.values.real, codebook.values.imag])
+    tree = cKDTree(points)
+    u, _ = tree.query(np.column_stack([centres.real, centres.imag]), workers=-1)
+    bound = u + GRID_STEP * np.sqrt(2) + GRID_TOLERANCE
+    disk = nearest_point <= MAX_MODULUS
+    assert bound[nearest_point <= 0.8 * MAX_MODULUS].max() <= NEAR_REACH
+    assert NEAR_REACH < bound[disk].max() <= RIM_REACH
+    # Each resolved cell lists exactly the values within its bound.
+    codebook.nearest_values(np.zeros(1, dtype=np.complex128))
+    table = codebook._grid
+    resolved = np.flatnonzero(table[:, 0] >= 0)
+    within = tree.query_ball_point(np.column_stack([centres.real, centres.imag])[resolved],
+                                   bound[resolved], return_sorted=True)
+    for cell, expected in zip(resolved, within):
+        assert np.unique(table[cell]).tolist() == expected
+
+
+def test_nearest_values_ties_on_the_whole_disk(codebook):
+    # Nearest-pair midpoints (2-way ties), Voronoi vertices (3-way or wider)
+    # and a sample of the corners and edge midpoints of the grid cells, over
+    # the whole alpha = 1 disk where the rim cells are.
+    pts = np.column_stack([codebook.values.real, codebook.values.imag])
+    _, nn = cKDTree(pts).query(pts, k=2, workers=-1)
+    mids = (codebook.values + codebook.values[nn[:, 1]]) / 2
+    vertices = Voronoi(pts).vertices
+    edges = (np.arange(2 * GRID_CELLS + 1) / 2 - GRID_HALF_CELLS) * GRID_STEP
+    lattice = np.random.default_rng(9).choice((edges[:, None] + 1j * edges[None, :]).ravel(), 4000)
+    targets = np.concatenate([mids, vertices[:, 0] + 1j * vertices[:, 1], lattice])
+    targets = targets[np.abs(targets) <= MAX_MODULUS]
+    assert targets.size > 2 * QUERY_CHUNK
+    assert np.array_equal(codebook.nearest_values(targets), scan_nearest_all(codebook.values, targets))
+
+
+def test_nearest_values_outside_the_grid(codebook):
+    # Targets off the grid take the linear scan, alone and mixed with grid
+    # targets in one batch; targets on the grid's border may take either.
+    rng = np.random.default_rng(8)
+    half = GRID_HALF_CELLS * GRID_STEP
+    far = np.sqrt(2) * half * rng.uniform(1, 8, 2000) * np.exp(2j * np.pi * rng.uniform(size=2000))
+    side = np.linspace(-half, half, 101)
+    edge = np.concatenate([half + 1j * side, side + 1j * half, -half + 1j * side, side - 1j * half])
+    outside = np.concatenate([far, edge])
+    assert np.array_equal(codebook.nearest_values(outside), scan_nearest_all(codebook.values, outside))
+    inside = 4 * (rng.uniform(-1, 1, QUERY_CHUNK) + 1j * rng.uniform(-1, 1, QUERY_CHUNK))
+    mixed = rng.permutation(np.concatenate([outside, inside])).reshape(-1, 2)
+    expected = scan_nearest_all(codebook.values, mixed.ravel()).reshape(mixed.shape)
+    assert np.array_equal(codebook.nearest_values(mixed), expected)
 
 
 @functools.lru_cache(maxsize=1)

@@ -341,6 +341,8 @@ def test_field_correlation_properties():
     assert field_correlation(a, np.zeros_like(a)) == 0.0
     with pytest.raises(ValueError):
         field_correlation(a, a[:10])
+    with pytest.raises(ValueError, match=r"\(20, 20\) and \(40, 10\)"):
+        field_correlation(a, a.reshape(40, 10))  # same size, other shape
 
 
 def naive_ssim(a, b):
@@ -422,9 +424,9 @@ def test_ssim_validation():
 
 
 def test_cli_import_needs_no_second_fft_library():
-    # np.fft is the package's only FFT and scipy is loaded only by the
-    # quantizer's kd-tree: scipy.signal alone costs about half a second of
-    # every CLI start, scipy.spatial and scipy.ndimage about 450 ms together.
+    # np.fft is the package's only FFT and the package loads no scipy at
+    # all: scipy.signal alone costs about half a second of every CLI start,
+    # scipy.spatial and scipy.ndimage about 450 ms together.
     code = "import sys, dmdstego.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr

@@ -141,6 +141,44 @@ def test_mirror_code_round_trip():
     assert np.array_equal(back, codes)
 
 
+def reference_codes_to_mirrors(codes):
+    """Bit by bit: bit 4r + c of each code to mirror (r, c) of its block."""
+    codes = np.asarray(codes)
+    h, w = codes.shape
+    bits = (codes.astype(np.uint32)[..., None] >> np.arange(16, dtype=np.uint32)) & 1
+    return bits.reshape(h, w, 4, 4).transpose(0, 2, 1, 3).reshape(4 * h, 4 * w).astype(np.uint8)
+
+
+def reference_mirrors_to_codes(mirrors):
+    """Weighted sum of each block's nonzero mirrors, weight 2**(4r + c)."""
+    m = np.asarray(mirrors)
+    h, w = m.shape[0] // 4, m.shape[1] // 4
+    blocks = (m.reshape(h, 4, w, 4).transpose(0, 2, 1, 3) != 0).astype(np.uint32)
+    weights = (np.uint32(1) << np.arange(16, dtype=np.uint32)).reshape(4, 4)
+    return (blocks * weights).sum(axis=(2, 3)).astype(np.uint16)
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 8, 9])
+def test_packed_codes_match_reference(width):
+    # Two blocks share one packed byte per mirror row, so odd widths leave a
+    # padding nibble; every mirror dtype counts a nonzero entry as ON.
+    rng = np.random.default_rng(width)
+    for height in (1, 2, 5):
+        on = rng.integers(0, 2, (4 * height, 4 * width))
+        inputs = [on.astype(np.uint8), on.astype(bool), on * rng.integers(1, 256, on.shape).astype(np.uint8),
+                  on * rng.normal(size=on.shape), (on * 255).astype(np.int64)[:, ::-1]]
+        for mirrors in inputs:
+            got, want = mirrors_to_codes(mirrors), reference_mirrors_to_codes(mirrors)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        for dtype in (np.uint16, np.uint8, np.int32, np.int64):
+            info = np.iinfo(dtype)
+            codes = rng.integers(max(info.min, -2 ** 31), min(info.max, 2 ** 31 - 1), (height, width),
+                                 endpoint=True).astype(dtype)
+            for c in (codes, codes[::-1]):
+                got, want = codes_to_mirrors(c), reference_codes_to_mirrors(c)
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 def test_mirrors_to_codes_validates_shape():
     with pytest.raises(ValueError):
         mirrors_to_codes(np.zeros((5, 8), dtype=np.uint8))
