@@ -88,26 +88,53 @@ def mul_high(x: np.ndarray, bound: np.ndarray) -> np.ndarray:
     return ((x >> s) * bound + ((x & np.uint64(_MASK32)) * bound >> s)) >> s
 
 
+# Each round of `permutation` reserves among a window of the highest pending
+# steps: 1/WINDOW_DIVISOR of them, and never fewer than WINDOW_FLOOR.
+WINDOW_FLOOR = 1024
+WINDOW_DIVISOR = 32
+
+
 def permutation(n: int, seed: int) -> np.ndarray:
     """Fisher-Yates permutation of range(n) driven by SplitMix64(seed).
 
     Identical to SplitMix64(seed).shuffle(list(range(n))), computed in rounds
-    of independent swaps ("deterministic reservations", Shun et al., SODA
-    2015).  Step i swaps slots i and j[i], and the sequential order runs from
-    i = n-1 down.  Each round every pending step reserves both of its slots
-    with priority i; a step holding both reservations conflicts with no
-    earlier pending step, so all such steps swap at once.  The highest
-    pending step always wins, and the pending set shrinks geometrically:
-    about 45 rounds at n = 400k.
+    of independent swaps: the prefix variant of deterministic reservations
+    (Blelloch, Fineman, Gibbons & Shun, PPoPP 2012; Shun et al., SODA 2015).
+    Step i swaps slots i and j[i] <= i, and the sequential order runs from
+    i = n-1 down, so step i must wait only for higher steps that touch slot
+    i or slot j[i].
+
+    Each round takes a window of the highest pending steps: the previous
+    round's losers, then the next slice of the untouched descending tail,
+    max(WINDOW_FLOOR, pending // WINDOW_DIVISOR) steps in all, or just the
+    losers if they are more.  The tail is read through a cursor and never
+    copied.  Every window step reserves both of its slots with priority i,
+    and a step holding the top reservation on both swaps this round.  The
+    window is a prefix of the pending steps, so every higher pending step is
+    in it and a winner conflicts with none of them; steps below the window
+    come later in the sequential order anyway.  The highest pending step
+    always wins, so every round makes progress.  Reserving among all pending
+    steps at once would commit only a third of them in the first round and
+    gather the rest again in every later one; a window of 1/32 of them loses
+    few steps per round.  At n = 379,541 this takes 133-144 rounds (median
+    137) over 200 seeds.
     """
     perm = np.arange(n, dtype=np.int64)
     if n < 2:
         return perm
-    i = np.arange(n - 1, 0, -1, dtype=np.int64)
-    j = mul_high(stream_u64(seed, n - 1), i + 1).astype(np.int64)
+    tail_i = np.arange(n - 1, 0, -1, dtype=np.int64)
+    tail_j = mul_high(stream_u64(seed, n - 1), tail_i + 1).astype(np.int64)
     reserved = np.empty(n, dtype=np.int64)
-    while i.size:
-        # Overwrite both slots of every pending step, so no entry left by an
+    i = j = tail_i[:0]
+    cursor = 0
+    while i.size or cursor < tail_i.size:
+        pending = i.size + tail_i.size - cursor
+        window = max(WINDOW_FLOOR, pending // WINDOW_DIVISOR)
+        take = min(max(window - i.size, 0), tail_i.size - cursor)
+        i = np.concatenate([i, tail_i[cursor:cursor + take]])
+        j = np.concatenate([j, tail_j[cursor:cursor + take]])
+        cursor += take
+        # Overwrite both slots of every window step, so no entry left by an
         # earlier round can block a slot.
         reserved[j] = -1
         reserved[i] = i

@@ -129,24 +129,31 @@ def embed(plan: np.ndarray, payload_bits: np.ndarray, key: StegoKey,
     return codes_to_mirrors(codes)
 
 
+def _stream_prefix(codes: np.ndarray, caps: np.ndarray, ends: np.ndarray,
+                   codebook: Codebook, count: int) -> np.ndarray:
+    """First `count` stream bits, read from only the superpixels that hold them."""
+    # Stream bit k is bit `shift` of the in-group position of the superpixel
+    # that owns it, counted MSB-first within that superpixel's window.
+    used = int(np.searchsorted(ends, count)) + 1
+    owner = np.repeat(np.arange(used), caps[:used])[:count]
+    shift = ends[owner] - 1 - np.arange(count)
+    pos = codebook.position_of_pattern[codes[:used]]
+    return ((pos[owner] >> shift) & 1).astype(np.uint8)
+
+
 def extract(mirrors: np.ndarray, key: StegoKey, codebook: Codebook) -> np.ndarray:
     """Recover the payload bits hidden in a mirror array."""
     codes = mirrors_to_codes(mirrors).ravel().astype(np.int64)
-    groups = codebook.group_of_pattern[codes]
-    pos = codebook.position_of_pattern[codes]
-    caps = codebook.capacities[groups]
+    caps = codebook.capacities[codebook.group_of_pattern[codes]]
+    ends = np.cumsum(caps)
     total = int(caps.sum())
     if total < HEADER_BITS:
         raise BadHeaderError(f"stream holds {total} bits, shorter than the {HEADER_BITS}-bit header")
-    # Stream bit k is bit `shift` of the in-group position of the superpixel
-    # that owns it, counted MSB-first within that superpixel's window.
-    owner = np.repeat(np.arange(caps.size), caps)
-    shift = np.cumsum(caps)[owner] - 1 - np.arange(total)
-    bits = ((pos[owner] >> shift) & 1).astype(np.uint8)
-
-    length = struct.unpack(">I", bits_to_bytes(bits[:HEADER_BITS]))[0]
+    header = _stream_prefix(codes, caps, ends, codebook, HEADER_BITS)
+    length = struct.unpack(">I", bits_to_bytes(header))[0]
     if length > total - HEADER_BITS:
         raise BadHeaderError(
             f"header declares {length} payload bits but only {total - HEADER_BITS} were embedded"
         )
-    return inverse_permute_bits(bits[HEADER_BITS:HEADER_BITS + length], key)
+    bits = _stream_prefix(codes, caps, ends, codebook, HEADER_BITS + length)
+    return inverse_permute_bits(bits[HEADER_BITS:], key)

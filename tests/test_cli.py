@@ -203,8 +203,8 @@ def test_sim4f_bad_compare_leaves_no_output(capsys, tmp_path, compare):
 
 
 def test_commands_that_do_not_quantize_load_no_scipy(tmp_path, codebook, synthetic_object):
-    # scipy.spatial (the quantizer's kd-tree) is the only scipy module the
-    # package uses; encode, embed and capacity load it, no other command does.
+    # The package imports no scipy module; the commands that quantize are
+    # checked with scipy made unimportable in the next test.
     plan = np.random.default_rng(3).integers(0, 6561, (16, 16))
     mirrors = embed(plan, np.ones(64, dtype=np.uint8), StegoKey.from_hex(KEY), codebook)
     write_pattern(tmp_path / "p.pbm", mirrors)

@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dmdstego.rng import SplitMix64, mul_high, permutation, stream_u64
+from dmdstego import rng
+from dmdstego.rng import WINDOW_FLOOR, SplitMix64, mul_high, permutation, stream_u64
 
 MASK = (1 << 64) - 1
 
@@ -111,7 +112,10 @@ def test_permutation_matches_shuffle_method():
         assert permutation(n, seed).tolist() == _shuffled(n, seed)
 
 
-@pytest.mark.parametrize("n", [1000, 4097, 50_000, 200_000])
+# Sizes straddling the window floor: one round holds every step, or the
+# tail needs a second or third slice.
+@pytest.mark.parametrize("n", [1000, WINDOW_FLOOR - 1, WINDOW_FLOOR, WINDOW_FLOOR + 1,
+                               2 * WINDOW_FLOOR + 1, 4097, 50_000, 200_000])
 @pytest.mark.parametrize("seed", [0, MASK, 0x5EED_1234_ABCD_0042])
 def test_permutation_matches_shuffle_large(n, seed):
     got = permutation(n, seed)
@@ -122,6 +126,20 @@ def test_permutation_matches_shuffle_large(n, seed):
 @given(st.integers(min_value=0, max_value=300), st.integers(min_value=0, max_value=MASK))
 def test_permutation_matches_shuffle_any_seed(n, seed):
     assert permutation(n, seed).tolist() == _shuffled(n, seed)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=300), st.integers(min_value=0, max_value=MASK),
+       st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=8))
+def test_permutation_tiny_windows(n, seed, floor, divisor):
+    # Windows of a few steps run many rounds even at small n, so losers are
+    # carried into window after window and the tail is refilled each round.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rng, "WINDOW_FLOOR", floor)
+        mp.setattr(rng, "WINDOW_DIVISOR", divisor)
+        got = permutation(n, seed)
+    assert got.dtype == np.int64
+    assert got.tolist() == _shuffled(n, seed)
 
 
 def test_permutation_smallest_sizes():

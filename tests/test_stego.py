@@ -243,6 +243,50 @@ def test_bad_header_on_oversized_length(codebook):
         extract(codes_to_mirrors(codes.reshape(3, 3)), StegoKey(seed=0), codebook)
 
 
+def test_extract_reads_a_short_stream_from_a_large_plan(codebook):
+    # The stream ends long before the plan does; in the second plan the
+    # header starts after a run of capacity-0 superpixels and ends part-way
+    # through the fifth 7-bit one.
+    rng = np.random.default_rng(10)
+    zero_cap = int(np.flatnonzero(codebook.capacities == 0)[0])
+    plans = [random_plan(rng, (120, 160)), random_plan(rng, (120, 160))]
+    plans[1].flat[:7] = zero_cap
+    plans[1].flat[7:12] = int(np.flatnonzero(codebook.capacities == 7)[0])
+    for plan in plans:
+        for length in (0, 1, 13, 200):
+            bits = rng.integers(0, 2, length, dtype=np.uint8)
+            key = StegoKey(seed=int(rng.integers(0, 1 << 63)))
+            mirrors = embed(plan, bits, key, codebook, fill="random")
+            got = extract(mirrors, key, codebook)
+            assert np.array_equal(got, reference_extract(mirrors, key, codebook))
+            assert np.array_equal(got, bits)
+
+
+def test_bad_header_cases_in_a_large_plan(codebook):
+    zero_cap = int(np.flatnonzero(codebook.capacities == 0)[0])
+    one_bit = int(np.flatnonzero(codebook.capacities == 1)[0])
+    plan = np.full((100, 100), zero_cap, dtype=np.int64)
+    plan.flat[5000:5031] = one_bit
+    codes = codebook.patterns_sorted[codebook.group_starts[plan]]
+    with pytest.raises(BadHeaderError, match="stream holds 31 bits, shorter than the 32-bit header"):
+        extract(codes_to_mirrors(codes), StegoKey(seed=1), codebook)
+    # An all-8-bit plan of 100x100 holds 80,000 bits: the header may declare
+    # 79,968 payload bits and no more.
+    lo = int(codebook.group_starts[3280])
+
+    def all_8_bit(length):
+        codes = np.full((100, 100), codebook.patterns_sorted[lo], dtype=np.uint16)
+        header = np.frombuffer(length.to_bytes(4, "big"), np.uint8).astype(np.int64)
+        codes.flat[:4] = codebook.patterns_sorted[lo + header]
+        return codes_to_mirrors(codes)
+
+    key = StegoKey(seed=3)
+    full = all_8_bit(79_968)
+    assert np.array_equal(extract(full, key, codebook), reference_extract(full, key, codebook))
+    with pytest.raises(BadHeaderError, match="header declares 79969 payload bits but only 79968 were embedded"):
+        extract(all_8_bit(79_969), key, codebook)
+
+
 def test_wrong_key_scrambles_but_preserves_length(codebook):
     rng = np.random.default_rng(7)
     plan = random_plan(rng, (12, 12))
