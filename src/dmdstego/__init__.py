@@ -1,17 +1,12 @@
 """Superpixel DMD modulation with redundancy-based data hiding."""
 
-from .codebook import Codebook, STRATEGIES, ValueGroup, build_codebook
+from .codebook import Codebook, STRATEGIES, build_codebook
 from .superpixel import (
     DEFAULT_ASSIGNMENT,
     MAX_MODULUS,
     PhaseAssignment,
-    canonical_index,
-    coeffs_from_index,
-    coeffs_to_value,
     codes_to_mirrors,
     mirrors_to_codes,
-    pattern_to_coeffs,
-    pattern_to_value,
 )
 
 __all__ = [
@@ -20,13 +15,7 @@ __all__ = [
     "MAX_MODULUS",
     "PhaseAssignment",
     "STRATEGIES",
-    "ValueGroup",
     "build_codebook",
-    "canonical_index",
-    "coeffs_from_index",
-    "coeffs_to_value",
     "codes_to_mirrors",
     "mirrors_to_codes",
-    "pattern_to_coeffs",
-    "pattern_to_value",
 ]

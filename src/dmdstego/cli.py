@@ -325,7 +325,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (PayloadTooLargeError, UsageError) as exc:
+    # A MemoryError comes from an array sized by a flag, such as a huge --superpixels grid.
+    except (PayloadTooLargeError, UsageError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (OSError, ValueError) as exc:

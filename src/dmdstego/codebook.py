@@ -10,8 +10,6 @@ pattern first and the most-ON pattern last.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .rng import mul_high, stream_u64
@@ -47,74 +45,40 @@ QUERY_CHUNK = 8192          # targets per grid query; temporaries stay at a few 
 SCAN_ELEMENTS = 1 << 18     # targets x values per chunk of the linear scan
 
 
-@dataclass(frozen=True)
-class ValueGroup:
-    """All block patterns sharing one complex value."""
-
-    index: int                 # canonical coefficient-vector index, 0..6560
-    coeffs: tuple[int, ...]
-    value: complex
-    patterns: np.ndarray       # uint16 codes, ascending
-    capacity_bits: int
-
-
 class Codebook:
     """Lookup tables over the full pattern space for one phase assignment."""
 
-    def __init__(self, assignment, values, capacities, patterns_sorted,
-                 group_starts, group_of_pattern, position_of_pattern, coeff_table):
-        self.assignment = assignment
+    def __init__(self, values, capacities, patterns_sorted, group_starts,
+                 group_of_pattern, position_of_pattern):
         self.values = values                        # (6561,) complex128
         self.capacities = capacities                # (6561,) int64
         self.patterns_sorted = patterns_sorted      # (65536,) uint16, grouped
         self.group_starts = group_starts            # (6562,) int64 prefix offsets
         self.group_of_pattern = group_of_pattern    # (65536,) int64
         self.position_of_pattern = position_of_pattern  # (65536,) int64
-        self._coeff_table = coeff_table             # (6561, 8) int8
         self.group_sizes = np.diff(group_starts)
         self._grid = None                           # (cells, K) candidate table, built on first use
 
-    def group(self, index: int) -> ValueGroup:
-        if not 0 <= index < VALUE_COUNT:
-            raise ValueError(f"group index {index} outside 0..6560")
-        lo, hi = self.group_starts[index], self.group_starts[index + 1]
-        return ValueGroup(
-            index=index,
-            coeffs=tuple(int(c) for c in self._coeff_table[index]),
-            value=complex(self.values[index]),
-            patterns=self.patterns_sorted[lo:hi],
-            capacity_bits=int(self.capacities[index]),
-        )
-
-    def nearest_value(self, target: complex) -> int:
-        """Index of the group value closest to `target` (exact linear scan).
-
-        Ties resolve to the smallest canonical index; argmin returns the
-        first minimum, which is exactly that.
-        """
-        if not np.isfinite(target):
-            raise ValueError("quantization target must be finite")
-        return int(np.argmin(np.abs(self.values - target)))
-
     def nearest_values(self, targets: np.ndarray) -> np.ndarray:
-        """Vectorized nearest_value over an arbitrary-shape complex array.
+        """Index of the nearest value to each target of an arbitrary-shape complex array.
 
-        Exact: the result, ties included, is nearest_value's for every
-        target.  A bucket grid, built on the first call (_candidate_grid),
-        lists for each square cell every value that can be nearest to a
-        point of the cell.  With c the cell centre, r its half diagonal and
+        Exact: the result, ties included, is _scan_nearest's for every
+        target, the first argmin of np.abs(values - t), so ties resolve to
+        the smallest canonical index.  A bucket grid, built on the first
+        call (_candidate_grid), lists for each square cell every value that
+        can be nearest to a point of the cell.  With c the cell centre, r its half diagonal and
         U the distance from c to its nearest value u, the nearest value v to
         a target t in the cell has |v - t| <= |u - t| <= U + r, so
         |v - c| <= U + 2r.  The cell lists every value within U + 2r + 1e-9
         of c; any other value is more than 1e-9 farther from t than u, which
         no rounding can close.  The candidates, sorted by index, are ranked
-        with nearest_value's own arithmetic, np.abs(values - t), and the
+        with _scan_nearest's own arithmetic, np.abs(values - t), and the
         first minimum wins, so the smallest-canonical-index tie rule holds.
         Every target costs the same K distances (22 for the default
         codebook), near-ties included.
 
         A target outside the grid, or in a cell the build left unresolved,
-        is ranked against every value by a chunked linear scan:
+        is ranked against every value by _scan_nearest:
         len(values) distances each, about 60 times a grid query (for the
         default codebook about 30 us against 0.5 us per target on a 2-core
         x86 host).  For the default codebook every cell meeting
@@ -288,12 +252,10 @@ def build_codebook(assignment: PhaseAssignment | None = None) -> Codebook:
     capacities = np.count_nonzero(coeff_table == 0, axis=1).astype(np.int64)
 
     return Codebook(
-        assignment=assignment,
         values=values,
         capacities=capacities,
         patterns_sorted=patterns_sorted,
         group_starts=group_starts,
         group_of_pattern=group_idx,
         position_of_pattern=position,
-        coeff_table=coeff_table,
     )

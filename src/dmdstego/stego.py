@@ -19,7 +19,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .codebook import Codebook, pick_in_groups
-from .rng import permutation
+from .rng import check_seed, permutation
 from .superpixel import codes_to_mirrors, mirrors_to_codes
 
 HEADER_BITS = 32
@@ -48,8 +48,7 @@ class StegoKey:
     seed: int
 
     def __post_init__(self):
-        if not 0 <= self.seed < 1 << 64:
-            raise ValueError("key seed must fit in 64 bits")
+        check_seed(self.seed)
 
     @classmethod
     def from_hex(cls, text: str) -> "StegoKey":
@@ -57,9 +56,6 @@ class StegoKey:
         if not re.fullmatch(r"[0-9a-fA-F]{16}", text):
             raise ValueError("key must be exactly 16 hex digits")
         return cls(int(text, 16))
-
-    def to_hex(self) -> str:
-        return f"{self.seed:016x}"
 
 
 def bytes_to_bits(data: bytes) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""4x4 mirror-block algebra: binary patterns, phase assignment, complex values.
+"""4x4 mirror-block algebra: phase assignment, block constants, mirror/code layout.
 
 A superpixel is a 4x4 block of binary DMD mirrors.  Each mirror position
 carries a fixed phase k*pi/8 with k in 1..16; an ON mirror contributes the
@@ -58,18 +58,6 @@ class PhaseAssignment:
             raise ValueError(f"unparseable assignment {text!r}") from exc
         return cls(indices)
 
-    def to_string(self) -> str:
-        return ",".join(str(k) for k in self.indices)
-
-    def phase_index(self, row: int, col: int) -> int:
-        if not (0 <= row < BLOCK and 0 <= col < BLOCK):
-            raise ValueError(f"mirror position ({row}, {col}) outside the 4x4 block")
-        return self.indices[BLOCK * row + col]
-
-    def phase_of(self, row: int, col: int) -> float:
-        """Phase in radians carried by the mirror at (row, col)."""
-        return self.phase_index(row, col) * np.pi / 8.0
-
     @cached_property
     def index_by_bit(self) -> np.ndarray:
         """Phase index per pattern bit; bit b addresses mirror (b // 4, b % 4)."""
@@ -89,65 +77,6 @@ class PhaseAssignment:
 
 
 DEFAULT_ASSIGNMENT = PhaseAssignment.default()
-
-
-def _check_pattern_code(code: int) -> None:
-    if not 0 <= code < PATTERN_COUNT:
-        raise ValueError(f"pattern code {code} outside 0..65535")
-
-
-def _check_coeffs(coeffs) -> None:
-    if len(coeffs) != PAIRS or any(c not in (-1, 0, 1) for c in coeffs):
-        raise ValueError("coefficients must be 8 values from {-1, 0, +1}")
-
-
-def pattern_to_coeffs(code: int, assignment: PhaseAssignment | None = None) -> tuple[int, ...]:
-    """Reduce a 16-bit block pattern to its 8 pair coefficients.
-
-    Coefficient j is on(k=j) - on(k=j+8): +1 if only the phase-j mirror is
-    ON, -1 if only its opposite is, 0 if neither or both are.
-    """
-    assignment = assignment or DEFAULT_ASSIGNMENT
-    _check_pattern_code(code)
-    on = [0] * (PHASES + 1)
-    for bit in range(PHASES):
-        if (code >> bit) & 1:
-            on[assignment.indices[bit]] = 1
-    return tuple(on[j] - on[j + PAIRS] for j in range(1, PAIRS + 1))
-
-
-def coeffs_to_value(coeffs) -> complex:
-    """Complex value of a coefficient vector: sum of c_j * exp(i*j*pi/8)."""
-    _check_coeffs(coeffs)
-    return complex(np.dot(np.asarray(coeffs, dtype=np.float64), PAIR_PHASORS))
-
-
-def pattern_to_value(code: int, assignment: PhaseAssignment | None = None) -> complex:
-    """Complex value of a block pattern via the direct 16-term phasor sum."""
-    assignment = assignment or DEFAULT_ASSIGNMENT
-    _check_pattern_code(code)
-    total = 0j
-    for bit in range(PHASES):
-        if (code >> bit) & 1:
-            total += np.exp(1j * assignment.indices[bit] * np.pi / 8.0)
-    return complex(total)
-
-
-def canonical_index(coeffs) -> int:
-    """Index of a coefficient vector in 0..6560 (base-3 digits c_j + 1)."""
-    _check_coeffs(coeffs)
-    return sum((c + 1) * 3 ** j for j, c in enumerate(coeffs))
-
-
-def coeffs_from_index(index: int) -> tuple[int, ...]:
-    """Inverse of :func:`canonical_index`."""
-    if not 0 <= index < VALUE_COUNT:
-        raise ValueError(f"canonical index {index} outside 0..6560")
-    out = []
-    for _ in range(PAIRS):
-        out.append(index % 3 - 1)
-        index //= 3
-    return tuple(out)
 
 
 def codes_to_mirrors(codes: np.ndarray) -> np.ndarray:

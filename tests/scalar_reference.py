@@ -1,0 +1,73 @@
+"""Scalar oracles for the 4x4 block algebra and the nearest-value search.
+
+The library builds its codebook tables with whole-array numpy code; these
+are the plain per-pattern and per-target definitions the tests check those
+tables against.
+"""
+
+import numpy as np
+
+from dmdstego.superpixel import BLOCK, DEFAULT_ASSIGNMENT, PAIR_PHASORS, PAIRS, PHASES
+
+
+def phase_index(assignment, row, col):
+    """Phase index k (1..16) of the mirror in row `row`, column `col`."""
+    return assignment.indices[BLOCK * row + col]
+
+
+def to_string(assignment):
+    """The comma-separated form that PhaseAssignment.from_string parses."""
+    return ",".join(str(k) for k in assignment.indices)
+
+
+def pattern_to_coeffs(code, assignment=None):
+    """Reduce a 16-bit block pattern to its 8 pair coefficients.
+
+    Coefficient j is on(k=j) - on(k=j+8): +1 if only the phase-j mirror is
+    ON, -1 if only its opposite is, 0 if neither or both are.
+    """
+    assignment = assignment or DEFAULT_ASSIGNMENT
+    on = [0] * (PHASES + 1)
+    for bit in range(PHASES):
+        if (code >> bit) & 1:
+            on[assignment.indices[bit]] = 1
+    return tuple(on[j] - on[j + PAIRS] for j in range(1, PAIRS + 1))
+
+
+def coeffs_to_value(coeffs):
+    """Complex value of a coefficient vector: sum of c_j * exp(i*j*pi/8)."""
+    return complex(np.dot(np.asarray(coeffs, dtype=np.float64), PAIR_PHASORS))
+
+
+def pattern_to_value(code, assignment=None):
+    """Complex value of a block pattern via the direct 16-term phasor sum."""
+    assignment = assignment or DEFAULT_ASSIGNMENT
+    total = 0j
+    for bit in range(PHASES):
+        if (code >> bit) & 1:
+            total += np.exp(1j * assignment.indices[bit] * np.pi / 8.0)
+    return complex(total)
+
+
+def canonical_index(coeffs):
+    """Index of a coefficient vector in 0..6560 (base-3 digits c_j + 1)."""
+    return sum((c + 1) * 3 ** j for j, c in enumerate(coeffs))
+
+
+def coeffs_from_index(index):
+    """Inverse of :func:`canonical_index`."""
+    out = []
+    for _ in range(PAIRS):
+        out.append(index % 3 - 1)
+        index //= 3
+    return tuple(out)
+
+
+def group_patterns(codebook, index):
+    """Codes of the patterns in value group `index`, in the codebook's order."""
+    return codebook.patterns_sorted[codebook.group_starts[index]:codebook.group_starts[index + 1]]
+
+
+def scan_nearest(codebook, t):
+    """Index of the codebook value nearest to `t`: the first argmin of a full scan."""
+    return int(np.argmin(np.abs(codebook.values - t)))

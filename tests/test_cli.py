@@ -333,8 +333,11 @@ def test_module_entry_point(tmp_path, synthetic_object):
       "--distance", "0.05", "--pitch", "inf"], 2),
     (["sim4f", "--input", "{pattern}", "--output", "{tmp}/s.bin", "--aperture-radius", "nan"], 2),
     (["sim4f", "--input", "{pattern}", "--output", "{tmp}/s.bin", "--aperture-center", "nan,0.25"], 2),
+    # A 7.28 TiB resample, refused at once by the allocator rather than touched.
+    (["hologram", "--input", "{image}", "--output", "{tmp}/h.bin", *GEO, "--superpixels", "1000000x1000000"], 2),
 ], ids=["alpha", "alpha-zero", "wavelength", "pitch", "diffuser-seed", "aperture-radius", "ssim-8x8",
-        "distance-nan", "wavelength-nan", "pitch-inf", "aperture-radius-nan", "aperture-center-nan"])
+        "distance-nan", "wavelength-nan", "pitch-inf", "aperture-radius-nan", "aperture-center-nan",
+        "superpixels-oversized"])
 def test_bad_values_exit_without_traceback(tmp_path, argv, code):
     files = {"tmp": tmp_path, "field": tmp_path / "f.bin", "image": tmp_path / "i.pgm",
              "pattern": tmp_path / "p.pbm"}

@@ -32,19 +32,22 @@ from dmdstego.superpixel import (
     PATTERN_COUNT,
     VALUE_COUNT,
     PhaseAssignment,
+)
+
+from scalar_reference import (
     canonical_index,
+    coeffs_from_index,
+    coeffs_to_value,
+    group_patterns,
     pattern_to_coeffs,
     pattern_to_value,
+    scan_nearest,
 )
 
 
 # Most candidates any cell of the default codebook's grid may list; every
 # target then costs at most this many distances.  The build gives 22.
 MAX_CANDIDATES = 24
-
-
-def scan_nearest(codebook, t):
-    return int(np.argmin(np.abs(codebook.values - t)))
 
 
 def scan_nearest_all(values, targets):
@@ -67,7 +70,7 @@ def test_census(codebook):
     assert codebook.values.shape == (VALUE_COUNT,)
     sizes = codebook.group_sizes
     assert sizes.sum() == PATTERN_COUNT
-    zeros = np.array([8 - np.count_nonzero(c) for c in codebook._coeff_table], dtype=np.int64)
+    zeros = np.array([8 - np.count_nonzero(coeffs_from_index(i)) for i in range(VALUE_COUNT)], dtype=np.int64)
     assert np.array_equal(sizes, 1 << zeros)
     assert np.array_equal(codebook.capacities, zeros)
 
@@ -81,9 +84,9 @@ def test_values_pairwise_distinct(codebook):
 def test_values_indexed_by_canonical_index(codebook):
     rng = np.random.default_rng(3)
     for idx in rng.integers(0, VALUE_COUNT, 50):
-        g = codebook.group(int(idx))
-        assert canonical_index(g.coeffs) == idx
-        assert codebook.values[idx] == pytest.approx(g.value, abs=1e-12)
+        coeffs = coeffs_from_index(int(idx))
+        assert canonical_index(coeffs) == idx
+        assert codebook.values[idx] == pytest.approx(coeffs_to_value(coeffs), abs=1e-12)
 
 
 def test_groups_partition_patterns(codebook):
@@ -107,30 +110,29 @@ def test_group_membership_consistent(codebook):
 
 def test_patterns_ascending_within_group(codebook):
     for idx in (0, 3280, 6560, 1234):
-        pats = codebook.group(idx).patterns
+        pats = group_patterns(codebook, idx)
         assert np.all(np.diff(pats.astype(np.int64)) > 0)
 
 
 def test_zero_group(codebook):
     idx = scan_nearest(codebook, 0j)
     assert idx == 3280
-    g = codebook.group(idx)
-    assert g.patterns.size == 256
-    assert g.capacity_bits == 8
-    assert abs(g.value) < 1e-12
+    assert group_patterns(codebook, idx).size == 256
+    assert codebook.capacities[idx] == 8
+    assert abs(codebook.values[idx]) < 1e-12
 
 
 def test_famous_32_pattern_group(codebook):
     target = (1 + np.sqrt(2)) * np.exp(1j * np.pi / 4)
-    idx = codebook.nearest_value(target)
-    g = codebook.group(idx)
-    assert g.value == pytest.approx(target, abs=1e-9)
-    assert g.patterns.size == 32
-    assert g.capacity_bits == 5
+    idx = scan_nearest(codebook, target)
+    patterns = group_patterns(codebook, idx)
+    assert codebook.values[idx] == pytest.approx(target, abs=1e-9)
+    assert patterns.size == 32
+    assert codebook.capacities[idx] == 5
     for phases in ({2, 4, 16}, {2, 4, 6, 14, 16}):
         code = sum(1 << (k - 1) for k in phases)
-        assert code in g.patterns
-    pops = [bin(int(p)).count("1") for p in g.patterns]
+        assert code in patterns
+    pops = [bin(int(p)).count("1") for p in patterns]
     assert min(pops) == 3 and max(pops) == 13
 
 
@@ -154,7 +156,7 @@ def test_nearest_value_idempotent_on_exact_values(codebook):
     rng = np.random.default_rng(5)
     idxs = rng.integers(0, VALUE_COUNT, 300)
     for idx in idxs:
-        assert codebook.nearest_value(codebook.values[idx]) == idx
+        assert codebook.nearest_values(codebook.values[idx]) == idx
     assert np.array_equal(codebook.nearest_values(codebook.values[idxs]), idxs)
 
 
@@ -164,7 +166,7 @@ def test_nearest_values_matches_scan_oracle(codebook):
     expected = np.array([scan_nearest(codebook, t) for t in pts])
     assert np.array_equal(codebook.nearest_values(pts), expected)
     for t, e in zip(pts[:50], expected[:50]):
-        assert codebook.nearest_value(t) == e
+        assert codebook.nearest_values(t) == e
 
 
 def test_nearest_value_ties_take_smallest_index(codebook):
@@ -183,7 +185,7 @@ def test_nearest_value_ties_take_smallest_index(codebook):
     ])
     assert np.array_equal(codebook.nearest_values(targets), expected)
     for t, e in zip(targets[::97], expected[::97]):
-        assert codebook.nearest_value(t) == e
+        assert codebook.nearest_values(t) == e
 
 
 def test_nearest_values_exact_ties_beyond_the_first_query():
@@ -198,7 +200,7 @@ def test_nearest_values_exact_ties_beyond_the_first_query():
     rng = np.random.default_rng(21)
     books = [ring] + [np.concatenate([ring, far])[rng.permutation(52)] for _ in range(10)]
     for values in books:
-        book = Codebook(None, values, None, None, np.zeros(1, dtype=np.int64), None, None, None)
+        book = Codebook(values, None, None, np.zeros(1, dtype=np.int64), None, None)
         expected = [int(np.argmin(np.abs(values - t))) for t in targets]
         assert book.nearest_values(targets).tolist() == expected
 
@@ -271,6 +273,12 @@ def test_nearest_values_outside_the_grid(codebook):
     assert np.array_equal(codebook.nearest_values(mixed), expected)
 
 
+def test_nearest_values_rejects_non_finite_targets(codebook):
+    for bad in (complex(np.nan, 0), complex(0, np.inf), np.array([0j, complex(-np.inf, 1)])):
+        with pytest.raises(ValueError):
+            codebook.nearest_values(bad)
+
+
 @functools.lru_cache(maxsize=1)
 def _shared_codebook():
     return build_codebook()
@@ -280,7 +288,7 @@ def _shared_codebook():
 @given(st.complex_numbers(max_magnitude=6.0, allow_nan=False, allow_infinity=False))
 def test_nearest_agrees_with_scan_anywhere(t):
     cb = _shared_codebook()
-    assert cb.nearest_value(t) == scan_nearest(cb, t)
+    assert cb.nearest_values(t) == scan_nearest(cb, t)
     assert cb.nearest_values(np.array([t]))[0] == scan_nearest(cb, t)
 
 
