@@ -33,12 +33,17 @@ STRATEGIES = ("random", "min", "max")
 GRID_STEP = 0.05
 GRID_HALF_CELLS = int(np.ceil(MAX_MODULUS / GRID_STEP))
 GRID_CELLS = 2 * GRID_HALF_CELLS
-# Pass 1 pairs every value with the cells whose centre lies within NEAR_REACH
-# of it; pass 2 pairs the values near the rim with the cells pass 1 left
-# open, within RIM_REACH.  Both are pinned for the default codebook by a
-# brute-force test.
+# A cell is resolved at the first reach R within which every value that can
+# be nearest to a point of the cell lies: FIRST_REACH settles most cells of
+# the working disk, NEAR_REACH all of it, RIM_REACH the whole alpha = 1 disk.
+# Each reach pairs only the values within R of the cells still open.  All
+# three are pinned for the default codebook by a brute-force test.
+FIRST_REACH = 0.15
 NEAR_REACH = 0.3
 RIM_REACH = 0.6
+# Column 0 of a grid row: UNBUILT until a query first touches the cell, -1
+# (the whole row) if no reach resolves it, else its first candidate.
+UNBUILT = -2
 # Margin over float rounding in every distance of the build and the query.
 GRID_TOLERANCE = 1e-9
 QUERY_CHUNK = 8192          # targets per grid query; temporaries stay at a few MB
@@ -57,58 +62,91 @@ class Codebook:
         self.group_of_pattern = group_of_pattern    # (65536,) int64
         self.position_of_pattern = position_of_pattern  # (65536,) int64
         self.group_sizes = np.diff(group_starts)
-        self._grid = None                           # (cells, K) candidate table, built on first use
+        # (cells, K) candidate table; each row is built when a query first touches its cell.
+        self._grid = np.full((GRID_CELLS * GRID_CELLS, 1), UNBUILT, dtype=np.min_scalar_type(-values.size))
 
     def nearest_values(self, targets: np.ndarray) -> np.ndarray:
         """Index of the nearest value to each target of an arbitrary-shape complex array.
 
         Exact: the result, ties included, is _scan_nearest's for every
         target, the first argmin of np.abs(values - t), so ties resolve to
-        the smallest canonical index.  A bucket grid, built on the first
-        call (_candidate_grid), lists for each square cell every value that
-        can be nearest to a point of the cell.  With c the cell centre, r its half diagonal and
-        U the distance from c to its nearest value u, the nearest value v to
-        a target t in the cell has |v - t| <= |u - t| <= U + r, so
-        |v - c| <= U + 2r.  The cell lists every value within U + 2r + 1e-9
-        of c; any other value is more than 1e-9 farther from t than u, which
-        no rounding can close.  The candidates, sorted by index, are ranked
-        with _scan_nearest's own arithmetic, np.abs(values - t), and the
-        first minimum wins, so the smallest-canonical-index tie rule holds.
-        Every target costs the same K distances (22 for the default
-        codebook), near-ties included.
+        the smallest canonical index.  A bucket grid lists for each square
+        cell every value that can be nearest to a point of the cell.  With c
+        the cell centre, r its half diagonal and U the distance from c to
+        its nearest value u, the nearest value v to a target t in the cell
+        has |v - t| <= |u - t| <= U + r, so |v - c| <= U + 2r.  The cell
+        lists every value within U + 2r + 1e-9 of c; any other value is
+        more than 1e-9 farther from t than u, which no rounding can close.
+        The candidates, sorted by index, are ranked with _scan_nearest's own
+        arithmetic, np.abs(values - t), and the first minimum wins, so the
+        smallest-canonical-index tie rule holds.  Every target costs the
+        same K distances (at most 22 for the default codebook), near-ties
+        included.
 
-        A target outside the grid, or in a cell the build left unresolved,
-        is ranked against every value by _scan_nearest:
-        len(values) distances each, about 60 times a grid query (for the
-        default codebook about 30 us against 0.5 us per target on a 2-core
-        x86 host).  For the default codebook every cell meeting
-        |t| <= MAX_MODULUS is resolved, so normalized fields never take it.
+        A cell's row is built the first time a query lands in it, so a
+        field pays only for the cells it touches: a 128x128 desk hologram
+        touches about 2,700 of the 42,436 cells.  A chunk of targets that
+        gathers an UNBUILT row builds, in one _build_cells call, every
+        unbuilt cell the rest of the query touches; a query that finds its
+        rows built does no extra work.  Once built, a row never changes.
+
+        A target outside the grid, or in a cell no reach resolves, is ranked
+        against every value by _scan_nearest: len(values) distances each,
+        about 60 times a grid query (for the default codebook about 30 us
+        against 0.5 us per target on a 2-core x86 host).  For the default
+        codebook every cell meeting |t| <= MAX_MODULUS is resolved, so
+        normalized fields never take it.
         """
         t = np.asarray(targets, dtype=np.complex128)
         if not np.all(np.isfinite(t)):
             raise ValueError("quantization targets must be finite")
-        if self._grid is None:
-            self._grid = _candidate_grid(self.values)
         flat = t.ravel()
         out = np.empty(flat.size, dtype=np.int64)
         for lo in range(0, flat.size, QUERY_CHUNK):
-            out[lo:lo + QUERY_CHUNK] = self._nearest_in_grid(flat[lo:lo + QUERY_CHUNK])
+            chunk = flat[lo:lo + QUERY_CHUNK]
+            found = self._nearest_in_grid(chunk)
+            if found is None:
+                self._build_touched(flat[lo:])
+                found = self._nearest_in_grid(chunk)
+            out[lo:lo + QUERY_CHUNK] = found
         return out.reshape(t.shape)
 
-    def _nearest_in_grid(self, t: np.ndarray) -> np.ndarray:
-        x = t.real / GRID_STEP + GRID_HALF_CELLS
-        y = t.imag / GRID_STEP + GRID_HALF_CELLS
-        inside = (x >= 0) & (x < GRID_CELLS) & (y >= 0) & (y < GRID_CELLS)
-        cell = np.where(inside, x, 0).astype(np.int64) * GRID_CELLS + np.where(inside, y, 0).astype(np.int64)
-        cand = self._grid[cell].astype(np.intp)  # an intp index gathers about 3x faster
-        ok = inside & (cand[:, 0] >= 0)
+    def _nearest_in_grid(self, t: np.ndarray) -> np.ndarray | None:
+        """Nearest value index of each target, or None if one lands in an unbuilt cell."""
+        inside, cell = _grid_cells(t)
+        rows = self._grid[cell]
+        ok = inside & (rows[:, 0] >= 0)
         if not ok.all():
+            if np.any(inside & (rows[:, 0] == UNBUILT)):
+                return None
             out = np.empty(t.size, dtype=np.int64)
             out[~ok] = _scan_nearest(self.values, t[~ok])
             out[ok] = self._nearest_in_grid(t[ok])
             return out
-        first = np.argmin(np.abs(self.values[cand] - t[:, None]), axis=1)
-        return cand[np.arange(t.size), first]
+        d = self.values[rows.astype(np.intp)]  # an intp index gathers about 3x faster
+        # In place: a chunk's temporaries then peak under twice the largest of
+        # them, glibc's dynamic trim threshold, so the heap is not handed back
+        # and faulted in again for every chunk.
+        d -= t[:, None]
+        first = np.argmin(np.abs(d), axis=1)
+        return rows[np.arange(t.size), first].astype(np.int64)
+
+    def _build_touched(self, t: np.ndarray) -> None:
+        """Build, in one _build_cells call, the row of every unbuilt cell a target of t lands in."""
+        touched = np.zeros(GRID_CELLS * GRID_CELLS, dtype=bool)
+        for lo in range(0, t.size, QUERY_CHUNK):
+            inside, cell = _grid_cells(t[lo:lo + QUERY_CHUNK])
+            touched[cell[inside]] = True
+        self._grid = _build_cells(self._grid, self.values, touched & (self._grid[:, 0] == UNBUILT))
+
+
+def _grid_cells(t: np.ndarray):
+    """Whether each target lies on the grid, and its cell (cell 0 stands in for one off the grid)."""
+    x = t.real / GRID_STEP + GRID_HALF_CELLS
+    y = t.imag / GRID_STEP + GRID_HALF_CELLS
+    inside = (x >= 0) & (x < GRID_CELLS) & (y >= 0) & (y < GRID_CELLS)
+    cell = np.where(inside, x, 0).astype(np.int64) * GRID_CELLS + np.where(inside, y, 0).astype(np.int64)
+    return inside, cell
 
 
 def _scan_nearest(values: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -137,61 +175,90 @@ def _cell_pairs(v: np.ndarray, reach: float):
     dy2 = ((jj + 0.5 - y[:, None]) * GRID_STEP) ** 2
     dx2[(ii < 0) | (ii >= GRID_CELLS)] = np.inf
     dy2[(jj < 0) | (jj >= GRID_CELLS)] = np.inf
-    jflat = jj.ravel()
+    corner = ii[:, 0] * GRID_CELLS + jj[:, 0]    # cell at window offset (-w, -w); off-grid cells never hit
     for a in range(offsets.size):
         d2 = (dx2[:, a, None] + dy2).ravel()
         hit = np.flatnonzero(d2 <= reach * reach)
-        pos = hit // offsets.size
-        yield ii[pos, a] * GRID_CELLS + jflat[hit], pos, d2[hit]
+        pos, b = np.divmod(hit, offsets.size)
+        yield corner[pos] + (a * GRID_CELLS + b), pos, d2[hit]
 
 
 def _resolve(v: np.ndarray, reach: float, open_cells: np.ndarray):
     """Cells of open_cells whose candidates all lie within reach, and those (cell, position) pairs.
 
-    U is the distance from the cell centre to its nearest value in v.  Every
+    v must hold every value within reach of each open cell's centre.  U is
+    the distance from the cell centre to its nearest value in v.  Every
     value that can be nearest to a point of the cell lies within U + 2r of
     the centre (r: the half diagonal), so a cell is resolved when that bound
-    plus GRID_TOLERANCE stays within reach and every value of v it covers
-    has been seen.
+    plus GRID_TOLERANCE stays within reach.  The (cell, value) pairs are
+    made once and scanned twice: once for U, once for the candidates.
     """
+    pairs = list(_cell_pairs(v, reach))
     nearest2 = np.full(GRID_CELLS * GRID_CELLS, np.inf)
-    for cell, _, d2 in _cell_pairs(v, reach):
+    for cell, _, d2 in pairs:
         np.minimum.at(nearest2, cell, d2)
     bound = np.sqrt(nearest2) + GRID_STEP * np.sqrt(2) + GRID_TOLERANCE
     resolved = open_cells & (bound <= reach)
     limit2 = np.where(resolved, bound * bound, -1.0)
     cells, positions = [], []
-    for cell, pos, d2 in _cell_pairs(v, reach):
+    for cell, pos, d2 in pairs:
         keep = d2 <= limit2[cell]
         cells.append(cell[keep])
         positions.append(pos[keep])
     return resolved, np.concatenate(cells), np.concatenate(positions)
 
 
-def _candidate_grid(values: np.ndarray) -> np.ndarray:
-    """(GRID_CELLS**2, K) table: each cell's candidate value indices, ascending.
+def _values_near(values: np.ndarray, open_cells: np.ndarray, reach: float) -> np.ndarray:
+    """Indices of the values whose _cell_pairs window at `reach` meets an open cell.
 
-    Rows are padded with their last (largest) index, which leaves the first
-    argmin unchanged; a row of -1 marks a cell neither pass resolved.  Pass 2
-    takes only the values with |v| >= min |c| - RIM_REACH over the open
-    cells c, so any other value is farther than RIM_REACH from each of them.
+    The window is the (2w+1)^2 cells around the value's own cell; a 2-D
+    prefix sum of open_cells counts the open ones in it.
+    """
+    w = int(np.ceil(reach / GRID_STEP))
+    count = np.zeros((GRID_CELLS + 1, GRID_CELLS + 1), dtype=np.int32)
+    np.cumsum(np.cumsum(open_cells.reshape(GRID_CELLS, GRID_CELLS), axis=0, dtype=np.int32),
+              axis=1, out=count[1:, 1:])
+    i = np.floor(values.real / GRID_STEP + GRID_HALF_CELLS).astype(np.int64)
+    j = np.floor(values.imag / GRID_STEP + GRID_HALF_CELLS).astype(np.int64)
+    i0, i1 = np.clip(i - w, 0, GRID_CELLS), np.clip(i + w + 1, 0, GRID_CELLS)
+    j0, j1 = np.clip(j - w, 0, GRID_CELLS), np.clip(j + w + 1, 0, GRID_CELLS)
+    return np.flatnonzero(count[i1, j1] - count[i0, j1] - count[i1, j0] + count[i0, j0])
+
+
+def _build_cells(table: np.ndarray, values: np.ndarray, wanted: np.ndarray) -> np.ndarray:
+    """Build the rows of the cells marked in the boolean mask `wanted`; returns the table.
+
+    A row lists its cell's candidate value indices, ascending, padded with
+    the last (largest), which leaves the first argmin unchanged; a row of
+    -1 marks a cell no reach resolves.  The table is widened, each row
+    padded the same way, when a row needs more columns.  Each reach pairs
+    only the values within it of the cells still open, and a cell resolved
+    at any reach gets the same row, so rows do not depend on which cells
+    are built together.
     """
     n = GRID_CELLS * GRID_CELLS
-    resolved, cells, index = _resolve(values, NEAR_REACH, np.ones(n, dtype=bool))
-    if not resolved.all():
-        centre = (np.arange(GRID_CELLS) - GRID_HALF_CELLS + 0.5) * GRID_STEP
-        modulus = np.hypot(centre[:, None], centre[None, :]).ravel()
-        rim = np.flatnonzero(np.abs(values) >= modulus[~resolved].min() - RIM_REACH)
-        rim_resolved, rim_cells, rim_pos = _resolve(values[rim], RIM_REACH, ~resolved)
-        resolved |= rim_resolved
-        cells = np.concatenate([cells, rim_cells])
-        index = np.concatenate([index, rim[rim_pos]])
-    key = np.sort(cells * values.size + index)
+    open_cells = wanted.copy()
+    found_cells, found_index = [], []
+    for reach in (FIRST_REACH, NEAR_REACH, RIM_REACH):
+        near = _values_near(values, open_cells, reach)
+        resolved, pair_cells, pos = _resolve(values[near], reach, open_cells)
+        found_cells.append(pair_cells)
+        found_index.append(near[pos])
+        open_cells &= ~resolved
+        if not open_cells.any():
+            break
+    table[open_cells] = -1
+    key = np.sort(np.concatenate(found_cells) * values.size + np.concatenate(found_index))
     cells, index = key // values.size, key % values.size
     counts = np.bincount(cells, minlength=n)
+    if counts.max() > table.shape[1]:
+        wider = np.empty((n, counts.max()), dtype=table.dtype)
+        wider[:, :table.shape[1]] = table
+        wider[:, table.shape[1]:] = table[:, -1:]
+        table = wider
     starts = np.cumsum(counts) - counts
-    table = np.full((n, max(1, counts.max())), -1, dtype=np.min_scalar_type(-values.size))
-    table[resolved] = index[(starts + counts - 1)[resolved], None]
+    built = counts > 0
+    table[built] = index[(starts + counts - 1)[built], None]
     table[cells, np.arange(cells.size) - starts[cells]] = index
     return table
 
@@ -218,23 +285,25 @@ def pick_in_groups(sizes: np.ndarray, strategy: str, seed: int | None = None) ->
 def build_codebook(assignment: PhaseAssignment | None = None) -> Codebook:
     """Enumerate all 65536 patterns into their 6561 value groups.
 
-    Fully vectorized; runs in well under a second so no cache is kept
-    between runs.
+    A pattern's group index, sum_j (on[j] - on[j+8] + 1) * 3**j over the
+    phases j = 1..8, is linear in its 16 bits: phase k adds 3**(k-1) when
+    k <= 8 and takes 3**(k-9) away otherwise.  So the index of every code
+    is the sum of two 256-entry tables, one per byte, and a stable sort of
+    the indices as uint16 keys (a radix sort in numpy) orders the patterns
+    by group, in ascending code order inside each.  A few milliseconds, so
+    no cache is kept between runs.
     """
     assignment = assignment or DEFAULT_ASSIGNMENT
 
-    codes = np.arange(PATTERN_COUNT, dtype=np.uint32)
-    bits = ((codes[:, None] >> np.arange(16, dtype=np.uint32)) & 1).astype(np.int8)
-    # Column j of on_by_pair is the ON state of phase j+1; +8 columns follow.
-    order = assignment.bit_by_index[1:]          # bit position of each phase 1..16
-    on_by_phase = bits[:, order]
-    trits = on_by_phase[:, :PAIRS] - on_by_phase[:, PAIRS:]
-    powers = 3 ** np.arange(PAIRS, dtype=np.int64)
-    group_idx = ((trits.astype(np.int64) + 1) * powers).sum(axis=1)
+    phase = assignment.index_by_bit
+    weight = np.where(phase <= PAIRS, 1, -1) * 3 ** ((phase - 1) % PAIRS)
+    byte_bits = (np.arange(256)[:, None] >> np.arange(8)) & 1
+    low = byte_bits @ weight[:8] + (VALUE_COUNT - 1) // 2   # all-OFF is the all-zero group
+    high = byte_bits @ weight[8:]
+    group_idx = (high[:, None] + low).ravel()               # code = 256 * high byte + low byte
 
-    # Stable sort keeps ascending code order inside each group.
-    order_by_group = np.argsort(group_idx, kind="stable")
-    patterns_sorted = codes[order_by_group].astype(np.uint16)
+    order_by_group = np.argsort(group_idx.astype(np.uint16), kind="stable")
+    patterns_sorted = order_by_group.astype(np.uint16)
     counts = np.bincount(group_idx, minlength=VALUE_COUNT)
     group_starts = np.zeros(VALUE_COUNT + 1, dtype=np.int64)
     np.cumsum(counts, out=group_starts[1:])

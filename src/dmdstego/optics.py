@@ -161,7 +161,9 @@ def generate_hologram(obj: np.ndarray, params: PropagationParams,
 
 
 def reconstruct(field: np.ndarray, params: PropagationParams) -> np.ndarray:
-    """Back-propagate a hologram field and return the 8-bit modulus image."""
+    """Back-propagate a finite hologram field and return the 8-bit modulus image."""
+    if not np.all(np.isfinite(field)):
+        raise ValueError("field must be finite")
     back = fresnel_propagate(field, replace(params, distance=-params.distance))
     amp = np.abs(back)
     peak = amp.max()
@@ -257,11 +259,13 @@ def simulate_4f(mirrors: np.ndarray, aperture: ApertureSpec | None = None,
 
 
 def field_correlation(a: np.ndarray, b: np.ndarray) -> float:
-    """|<a, b>| / (||a|| ||b||) over two complex arrays of one shape; 0 if either is null."""
+    """|<a, b>| / (||a|| ||b||) over two finite complex arrays of one shape; 0 if either is null."""
     x = np.asarray(a, dtype=np.complex128)
     y = np.asarray(b, dtype=np.complex128)
     if x.shape != y.shape:
         raise ValueError(f"cannot correlate arrays of shapes {x.shape} and {y.shape}")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise ValueError("cannot correlate non-finite fields")
     x, y = x.ravel(), y.ravel()
     na = np.linalg.norm(x)
     nb = np.linalg.norm(y)

@@ -7,7 +7,15 @@ tables against.
 
 import numpy as np
 
-from dmdstego.superpixel import BLOCK, DEFAULT_ASSIGNMENT, PAIR_PHASORS, PAIRS, PHASES
+from dmdstego.superpixel import (
+    BLOCK,
+    DEFAULT_ASSIGNMENT,
+    PAIR_PHASORS,
+    PAIRS,
+    PATTERN_COUNT,
+    PHASES,
+    VALUE_COUNT,
+)
 
 
 def phase_index(assignment, row, col):
@@ -71,3 +79,41 @@ def group_patterns(codebook, index):
 def scan_nearest(codebook, t):
     """Index of the codebook value nearest to `t`: the first argmin of a full scan."""
     return int(np.argmin(np.abs(codebook.values - t)))
+
+
+def codebook_tables(assignment=None):
+    """The six codebook tables by name, from the 65536 x 16 bit matrix of every pattern.
+
+    Each pattern's on/off state per phase is read off its bits, the eight
+    pair coefficients give its group index, and a stable argsort of the
+    int64 indices orders the patterns by group.
+    """
+    assignment = assignment or DEFAULT_ASSIGNMENT
+    codes = np.arange(PATTERN_COUNT, dtype=np.uint32)
+    bits = ((codes[:, None] >> np.arange(16, dtype=np.uint32)) & 1).astype(np.int8)
+    # Column j of on_by_phase is the ON state of phase j+1; +8 columns follow.
+    on_by_phase = bits[:, assignment.bit_by_index[1:]]
+    trits = on_by_phase[:, :PAIRS] - on_by_phase[:, PAIRS:]
+    powers = 3 ** np.arange(PAIRS, dtype=np.int64)
+    group_idx = ((trits.astype(np.int64) + 1) * powers).sum(axis=1)
+
+    order_by_group = np.argsort(group_idx, kind="stable")
+    counts = np.bincount(group_idx, minlength=VALUE_COUNT)
+    group_starts = np.zeros(VALUE_COUNT + 1, dtype=np.int64)
+    np.cumsum(counts, out=group_starts[1:])
+    position = np.empty(PATTERN_COUNT, dtype=np.int64)
+    position[order_by_group] = np.arange(PATTERN_COUNT) - np.repeat(group_starts[:-1], counts)
+
+    digits = np.arange(VALUE_COUNT, dtype=np.int64)
+    coeff_table = np.empty((VALUE_COUNT, PAIRS), dtype=np.int8)
+    for j in range(PAIRS):
+        coeff_table[:, j] = digits % 3 - 1
+        digits //= 3
+    return {
+        "values": coeff_table.astype(np.float64) @ PAIR_PHASORS,
+        "capacities": np.count_nonzero(coeff_table == 0, axis=1).astype(np.int64),
+        "patterns_sorted": codes[order_by_group].astype(np.uint16),
+        "group_starts": group_starts,
+        "group_of_pattern": group_idx,
+        "position_of_pattern": position,
+    }

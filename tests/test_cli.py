@@ -234,7 +234,9 @@ def test_commands_that_do_not_quantize_load_no_scipy(tmp_path, codebook, synthet
 def test_quantizing_commands_run_without_scipy(capsys, tmp_path, synthetic_object):
     # The quantizer is numpy alone: with every scipy import made to fail,
     # encode, embed and capacity still exit 0 and write what they write
-    # in this process, where scipy is importable.
+    # in this process, where scipy is importable.  Nor do they load
+    # numpy.ma, which numpy 2 imports on first use (np.unique, for one) at
+    # a cost of about 30 ms; numpy 1 imports it with numpy itself.
     write_image(tmp_path / "obj.pgm", synthetic_object)
     run(capsys, "hologram", "--input", str(tmp_path / "obj.pgm"), "--output",
         str(tmp_path / "h.cfld"), *GEO, "--superpixels", "24x20")
@@ -255,6 +257,8 @@ def test_quantizing_commands_run_without_scipy(capsys, tmp_path, synthetic_objec
         for name in ("h.cfld", "payload.bin"):
             (d / name).write_bytes((tmp_path / name).read_bytes())
     code = ("import contextlib, io, json, sys\n"
+            "import numpy\n"
+            "before = set(sys.modules)\n"
             "sys.modules['scipy'] = None\n"
             "from dmdstego.cli import main\n"
             "results = []\n"
@@ -263,6 +267,7 @@ def test_quantizing_commands_run_without_scipy(capsys, tmp_path, synthetic_objec
             "    with contextlib.redirect_stdout(out):\n"
             "        results.append([main(argv), out.getvalue()])\n"
             "loaded = sorted(m for m, mod in sys.modules.items() if m.split('.')[0] == 'scipy' and mod)\n"
+            "loaded += sorted(m for m in set(sys.modules) - before if m.split('.')[:2] == ['numpy', 'ma'])\n"
             "print(json.dumps([results, loaded]))\n")
     argvs = [[arg.format(sub) for arg in argv] for argv in commands]
     r = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], capture_output=True, text=True)
@@ -335,17 +340,31 @@ def test_module_entry_point(tmp_path, synthetic_object):
     (["sim4f", "--input", "{pattern}", "--output", "{tmp}/s.bin", "--aperture-center", "nan,0.25"], 2),
     # A 7.28 TiB resample, refused at once by the allocator rather than touched.
     (["hologram", "--input", "{image}", "--output", "{tmp}/h.bin", *GEO, "--superpixels", "1000000x1000000"], 2),
+    (["embed", "--input", "{nan}", "--payload", "{image}", "--output", "{tmp}/e.pbm", "--key", KEY], 1),
+    (["capacity", "--input", "{inf}"], 1),
+    (["reconstruct", "--input", "{nan}", "--output", "{tmp}/r.pgm", *GEO], 1),
+    (["reconstruct", "--input", "{inf}", "--output", "{tmp}/r.pgm", *GEO], 1),
+    (["sim4f", "--input", "{pattern}", "--output", "{tmp}/s.bin", "--compare", "{nan}"], 1),
+    (["sim4f", "--input", "{pattern}", "--output", "{tmp}/s.bin", "--compare", "{inf}"], 1),
 ], ids=["alpha", "alpha-zero", "wavelength", "pitch", "diffuser-seed", "aperture-radius", "ssim-8x8",
         "distance-nan", "wavelength-nan", "pitch-inf", "aperture-radius-nan", "aperture-center-nan",
-        "superpixels-oversized"])
+        "superpixels-oversized", "embed-field-nan", "capacity-field-inf", "reconstruct-field-nan",
+        "reconstruct-field-inf", "sim4f-compare-nan", "sim4f-compare-inf"])
 def test_bad_values_exit_without_traceback(tmp_path, argv, code):
     files = {"tmp": tmp_path, "field": tmp_path / "f.bin", "image": tmp_path / "i.pgm",
-             "pattern": tmp_path / "p.pbm"}
+             "pattern": tmp_path / "p.pbm", "nan": tmp_path / "nan.bin", "inf": tmp_path / "inf.bin"}
     write_field(files["field"], np.ones((8, 8), dtype=complex))
     write_image(files["image"], np.full((8, 8), 100, dtype=np.uint8))
     write_pattern(files["pattern"], np.zeros((32, 32), dtype=np.uint8))
+    for name, bad in (("nan", complex(np.nan, 0)), ("inf", complex(1, np.inf))):
+        field = np.ones((8, 8), dtype=complex)
+        field[2, 5] = bad
+        write_field(files[name], field)
+    inputs = sorted(tmp_path.iterdir())
     r = subprocess.run([sys.executable, "-m", "dmdstego", *(a.format(**files) for a in argv)],
                        capture_output=True, text=True)
     assert r.returncode == code, r.stderr
     assert "Traceback" not in r.stderr
     assert sum("error:" in line for line in r.stderr.splitlines()) == 1
+    assert r.stdout == ""
+    assert sorted(tmp_path.iterdir()) == inputs  # no output file

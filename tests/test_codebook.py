@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from scipy.spatial import Voronoi, cKDTree
 
 from dmdstego.codebook import (
+    FIRST_REACH,
     GRID_CELLS,
     GRID_HALF_CELLS,
     GRID_STEP,
@@ -36,6 +37,7 @@ from dmdstego.superpixel import (
 
 from scalar_reference import (
     canonical_index,
+    codebook_tables,
     coeffs_from_index,
     coeffs_to_value,
     group_patterns,
@@ -209,9 +211,9 @@ def test_grid_resolves_the_whole_disk(codebook):
     # Every cell a normalized field can reach (alpha <= 1) has its candidate
     # list, so CLI input never falls back to the linear scan, and no cell
     # lists more than MAX_CANDIDATES values.
-    codebook.nearest_values(np.zeros(1, dtype=np.complex128))
+    centres, nearest_point = grid_cells()
+    codebook.nearest_values(centres)
     table = codebook._grid
-    _, nearest_point = grid_cells()
     assert table.shape[0] == GRID_CELLS ** 2
     assert table.shape[1] <= MAX_CANDIDATES
     assert np.all(table[nearest_point <= MAX_MODULUS, 0] >= 0)
@@ -220,25 +222,47 @@ def test_grid_resolves_the_whole_disk(codebook):
 def test_grid_reach_constants_by_brute_force(codebook):
     # From each cell centre c, every value that can be nearest to a point of
     # the cell lies within U + 2r (U: distance to the nearest value, r: half
-    # diagonal).  That bound must fit NEAR_REACH on the working disk (pass 1
-    # alone) and RIM_REACH on the whole alpha = 1 disk, and exceed
-    # NEAR_REACH somewhere on it, so the rim pass is needed.
+    # diagonal).  That bound must fit NEAR_REACH on the working disk and
+    # RIM_REACH on the whole alpha = 1 disk, and exceed NEAR_REACH somewhere
+    # on it, so the rim reach is needed.  FIRST_REACH alone fits more than
+    # three quarters of the working disk, though not all of it, so most
+    # cells are built from the smallest windows and NEAR_REACH is needed.
     centres, nearest_point = grid_cells()
     points = np.column_stack([codebook.values.real, codebook.values.imag])
     tree = cKDTree(points)
     u, _ = tree.query(np.column_stack([centres.real, centres.imag]), workers=-1)
     bound = u + GRID_STEP * np.sqrt(2) + GRID_TOLERANCE
     disk = nearest_point <= MAX_MODULUS
-    assert bound[nearest_point <= 0.8 * MAX_MODULUS].max() <= NEAR_REACH
+    working = nearest_point <= 0.8 * MAX_MODULUS
+    assert 0.75 < np.mean(bound[working] <= FIRST_REACH) < 1
+    assert bound[working].max() <= NEAR_REACH
     assert NEAR_REACH < bound[disk].max() <= RIM_REACH
     # Each resolved cell lists exactly the values within its bound.
-    codebook.nearest_values(np.zeros(1, dtype=np.complex128))
+    codebook.nearest_values(centres)
     table = codebook._grid
     resolved = np.flatnonzero(table[:, 0] >= 0)
     within = tree.query_ball_point(np.column_stack([centres.real, centres.imag])[resolved],
                                    bound[resolved], return_sorted=True)
     for cell, expected in zip(resolved, within):
         assert np.unique(table[cell]).tolist() == expected
+
+
+def test_grid_rows_do_not_depend_on_the_query_order():
+    # A row is built when a query first lands in its cell.  Cell centres
+    # queried in shuffled batches of uneven size, a cell or two to
+    # thousands, each batch with cells its predecessors built, must leave
+    # the table one query of every centre leaves, width included.
+    centres, _ = grid_cells()
+    whole = build_codebook()
+    whole.nearest_values(centres)
+    pieces = build_codebook()
+    rng = np.random.default_rng(12)
+    order = rng.permutation(centres.size)
+    cuts = np.sort(rng.choice(np.arange(1, centres.size), 8, replace=False))
+    for batch in [order[:1], order[:2], *np.split(order, cuts)]:
+        pieces.nearest_values(centres[batch])
+    assert pieces._grid.dtype == whole._grid.dtype
+    assert np.array_equal(pieces._grid, whole._grid)
 
 
 def test_nearest_values_ties_on_the_whole_disk(codebook):
@@ -312,6 +336,17 @@ def test_pick_in_groups_validation():
 
 def test_strategy_names():
     assert STRATEGIES == ("random", "min", "max")
+
+
+@pytest.mark.parametrize("text", [None, "16,15,14,13,12,11,10,9,8,7,6,5,4,3,2,1",
+                                  "3,9,1,16,5,12,7,2,14,10,4,8,11,6,15,13"])
+def test_tables_match_the_bit_matrix_oracle(text):
+    assignment = PhaseAssignment.from_string(text) if text else None
+    cb = build_codebook(assignment)
+    for name, expected in codebook_tables(assignment).items():
+        got = getattr(cb, name)
+        assert got.dtype == expected.dtype, name
+        assert np.array_equal(got, expected), name
 
 
 def test_build_respects_assignment():

@@ -246,6 +246,14 @@ def test_reconstruct_zero_field():
     assert np.all(img == 0)
 
 
+def test_reconstruct_rejects_non_finite_fields():
+    for bad in (np.nan, np.inf, complex(0, -np.inf)):
+        field = np.ones((16, 16), dtype=complex)
+        field[3, 5] = bad
+        with pytest.raises(ValueError, match="finite"):
+            reconstruct(field, SHORT)
+
+
 def test_reconstruct_inverts_hologram(synthetic_object):
     field = generate_hologram(synthetic_object, PARAMS, (128, 128), diffuser_seed=None)
     img = reconstruct(field, PARAMS)
@@ -343,6 +351,12 @@ def test_field_correlation_properties():
         field_correlation(a, a[:10])
     with pytest.raises(ValueError, match=r"\(20, 20\) and \(40, 10\)"):
         field_correlation(a, a.reshape(40, 10))  # same size, other shape
+    for bad in (np.nan, np.inf, complex(-np.inf, 0)):
+        b = a.copy()
+        b[7, 2] = bad
+        for pair in ((a, b), (b, a)):
+            with pytest.raises(ValueError, match="non-finite"):
+                field_correlation(*pair)
 
 
 def naive_ssim(a, b):
