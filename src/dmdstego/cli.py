@@ -50,7 +50,6 @@ from .optics import (
 )
 from .rng import check_seed
 from .stego import (
-    FILL_STRATEGIES,
     PayloadTooLargeError,
     StegoKey,
     bits_to_bytes,
@@ -109,9 +108,8 @@ def _emit(report: dict) -> None:
     print(write_report(report))
 
 
-def _propagation(args, block_field: bool) -> PropagationParams:
-    pitch = args.pitch * BLOCK if block_field else args.pitch
-    return PropagationParams(wavelength=args.wavelength, distance=args.distance, pitch=pitch)
+def _propagation(args) -> PropagationParams:
+    return PropagationParams(wavelength=args.wavelength, distance=args.distance, pitch=args.pitch * BLOCK)
 
 
 def _collect_warnings(caught) -> list[str]:
@@ -128,7 +126,7 @@ def _quantize(field: np.ndarray, args):
 def cmd_hologram(args) -> int:
     obj = read_image(args.input)
     width, height = args.superpixels
-    params = _propagation(args, block_field=True)
+    params = _propagation(args)
     seed = None if args.no_diffuser else args.diffuser_seed
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", AliasingGuardWarning)
@@ -199,7 +197,7 @@ def cmd_capacity(args) -> int:
 
 def cmd_reconstruct(args) -> int:
     field = read_field(args.input)
-    params = _propagation(args, block_field=True)
+    params = _propagation(args)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", AliasingGuardWarning)
         image = reconstruct(field, params)
@@ -272,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True, help="output pattern (PBM)")
     p.add_argument("--key", type=_key_type, required=True, help="16 hex digits")
     p.add_argument("--alpha", type=_alpha_type, default=0.8, help="peak modulus fraction (default 0.8)")
-    p.add_argument("--fill", choices=FILL_STRATEGIES, default="min", help="pattern choice after the payload ends")
+    p.add_argument("--fill", choices=STRATEGIES, default="min", help="pattern choice after the payload ends")
     _add_assignment(p)
     p.set_defaults(func=cmd_embed)
 

@@ -2,14 +2,16 @@
 complex fields, and deterministic JSON reports.
 
 Pattern files use binary PBM (P4) with bit 1 = black = mirror ON and rows
-padded to whole bytes.  Complex fields use a little-endian container:
-magic "CFLD", version byte, width and height u32, four reserved zero bytes,
-then row-major float64 (re, im) pairs; total size is 17 + 16*w*h bytes.
+padded to whole bytes.  Netpbm headers accept whitespace and "#" comments.
+Complex fields use a little-endian container: magic "CFLD", version byte,
+width and height u32, four reserved zero bytes, then the row-major "<c16"
+(complex128) raster, read and written bit for bit; 17 + 16*w*h bytes in all.
 """
 
 from __future__ import annotations
 
 import json
+import re
 import struct
 from pathlib import Path
 
@@ -24,28 +26,16 @@ class FormatError(ValueError):
     pass
 
 
-def _skip_space_and_comments(data: bytes, pos: int) -> int:
-    while pos < len(data):
-        ch = data[pos:pos + 1]
-        if ch.isspace():
-            pos += 1
-        elif ch == b"#":
-            while pos < len(data) and data[pos:pos + 1] != b"\n":
-                pos += 1
-        else:
-            break
-    return pos
+# The whitespace and "#" comments (each up to its newline) before a token, then the token.
+_TOKEN = re.compile(rb"\s*(?:#[^\n]*\s*)*(\S*)")
 
 
 def _read_token(data: bytes, pos: int, what: str) -> tuple[int, int]:
-    pos = _skip_space_and_comments(data, pos)
-    start = pos
-    while pos < len(data) and not data[pos:pos + 1].isspace():
-        pos += 1
-    token = data[start:pos]
+    match = _TOKEN.match(data, pos)
+    token = match[1]
     if not token.isdigit():
-        raise FormatError(f"expected {what} at byte {start}, found {token[:16]!r}")
-    return int(token), pos
+        raise FormatError(f"expected {what} at byte {match.start(1)}, found {token[:16]!r}")
+    return int(token), match.end(1)
 
 
 def _read_netpbm_header(data: bytes, magic: bytes, with_maxval: bool):
@@ -59,7 +49,7 @@ def _read_netpbm_header(data: bytes, magic: bytes, with_maxval: bool):
         maxval, pos = _read_token(data, pos, "maxval")
         if maxval != 255:
             raise FormatError(f"unsupported maxval {maxval}, only 255 is handled")
-    if pos >= len(data) or not data[pos:pos + 1].isspace():
+    if not data[pos:pos + 1].isspace():
         raise FormatError(f"expected single whitespace before raster at byte {pos}")
     return width, height, pos + 1
 
@@ -93,7 +83,7 @@ def read_pattern(path) -> np.ndarray:
     if width % 4 or height % 4:
         raise FormatError(f"pattern dimensions {width}x{height} are not multiples of 4")
     rows = np.frombuffer(data, dtype=np.uint8, offset=pos).reshape(height, row_bytes)
-    return np.unpackbits(rows, axis=1)[:, :width]
+    return np.unpackbits(rows, axis=1, count=width)
 
 
 def write_pattern(path, mirrors: np.ndarray) -> None:
@@ -101,7 +91,7 @@ def write_pattern(path, mirrors: np.ndarray) -> None:
     if m.ndim != 2 or m.size == 0:
         raise ValueError("pattern must be a non-empty 2-D array")
     height, width = m.shape
-    packed = np.packbits((m != 0).astype(np.uint8), axis=1)
+    packed = np.packbits(m != 0, axis=1)
     Path(path).write_bytes(f"P4\n{width} {height}\n".encode() + packed.tobytes())
 
 
@@ -120,20 +110,15 @@ def read_field(path) -> np.ndarray:
     expected = _FIELD_HEADER.size + 16 * width * height
     if len(data) != expected:
         raise FormatError(f"expected {expected} bytes for {width}x{height}, got {len(data)}")
-    parts = np.frombuffer(data, dtype="<f8", offset=_FIELD_HEADER.size).reshape(height, width, 2)
-    return (parts[..., 0] + 1j * parts[..., 1]).astype(np.complex128)
+    return np.frombuffer(data, "<c16", offset=_FIELD_HEADER.size).reshape(height, width).astype(np.complex128)
 
 
 def write_field(path, field: np.ndarray) -> None:
-    f = np.asarray(field, dtype=np.complex128)
+    f = np.asarray(field, dtype="<c16")
     if f.ndim != 2 or f.size == 0:
         raise ValueError("field must be a non-empty 2-D array")
     height, width = f.shape
-    parts = np.empty((height, width, 2), dtype="<f8")
-    parts[..., 0] = f.real
-    parts[..., 1] = f.imag
-    header = _FIELD_HEADER.pack(FIELD_MAGIC, FIELD_VERSION, width, height)
-    Path(path).write_bytes(header + parts.tobytes())
+    Path(path).write_bytes(_FIELD_HEADER.pack(FIELD_MAGIC, FIELD_VERSION, width, height) + f.tobytes())
 
 
 def write_report(metrics: dict) -> str:

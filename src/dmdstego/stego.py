@@ -18,13 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .codebook import Codebook, pick_in_groups
+from .codebook import STRATEGIES, Codebook, pick_in_groups
 from .rng import check_seed, permutation
 from .superpixel import codes_to_mirrors, mirrors_to_codes
 
 HEADER_BITS = 32
 FILL_SEED_XOR = 0xA5A5A5A5A5A5A5A5
-FILL_STRATEGIES = ("min", "max", "random")
 
 
 class PayloadTooLargeError(ValueError):
@@ -97,8 +96,8 @@ def embed(plan: np.ndarray, payload_bits: np.ndarray, key: StegoKey,
     superpixel is untouched: only the pattern choice inside each group
     encodes data, so decoding the modulation is unaffected.
     """
-    if fill not in FILL_STRATEGIES:
-        raise ValueError(f"fill must be one of {FILL_STRATEGIES}")
+    if fill not in STRATEGIES:
+        raise ValueError(f"fill must be one of {STRATEGIES}")
     plan = np.asarray(plan)
     payload_bits = np.asarray(payload_bits, dtype=np.uint8)
     caps = codebook.capacities[plan].ravel()

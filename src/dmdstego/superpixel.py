@@ -64,13 +64,6 @@ class PhaseAssignment:
         return np.asarray(self.indices, dtype=np.int64)
 
     @cached_property
-    def bit_by_index(self) -> np.ndarray:
-        """Inverse map: ``bit_by_index[k]`` is the bit position of phase k (1..16)."""
-        out = np.zeros(PHASES + 1, dtype=np.int64)
-        out[self.index_by_bit] = np.arange(PHASES)
-        return out
-
-    @cached_property
     def block_phases(self) -> np.ndarray:
         """4x4 array of mirror phases in radians."""
         return self.index_by_bit.reshape(BLOCK, BLOCK) * np.pi / 8.0

@@ -92,7 +92,9 @@ def codebook_tables(assignment=None):
     codes = np.arange(PATTERN_COUNT, dtype=np.uint32)
     bits = ((codes[:, None] >> np.arange(16, dtype=np.uint32)) & 1).astype(np.int8)
     # Column j of on_by_phase is the ON state of phase j+1; +8 columns follow.
-    on_by_phase = bits[:, assignment.bit_by_index[1:]]
+    bit_of_phase = np.empty(PHASES, dtype=np.int64)
+    bit_of_phase[assignment.index_by_bit - 1] = np.arange(PHASES)
+    on_by_phase = bits[:, bit_of_phase]
     trits = on_by_phase[:, :PAIRS] - on_by_phase[:, PAIRS:]
     powers = 3 ** np.arange(PAIRS, dtype=np.int64)
     group_idx = ((trits.astype(np.int64) + 1) * powers).sum(axis=1)

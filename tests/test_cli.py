@@ -365,6 +365,7 @@ def test_bad_values_exit_without_traceback(tmp_path, argv, code):
                        capture_output=True, text=True)
     assert r.returncode == code, r.stderr
     assert "Traceback" not in r.stderr
+    assert "Warning" not in r.stderr
     assert sum("error:" in line for line in r.stderr.splitlines()) == 1
     assert r.stdout == ""
     assert sorted(tmp_path.iterdir()) == inputs  # no output file

@@ -6,6 +6,7 @@ vectorized path must agree with it exactly.
 """
 
 import functools
+import hashlib
 
 import numpy as np
 import pytest
@@ -89,6 +90,13 @@ def test_values_indexed_by_canonical_index(codebook):
         coeffs = coeffs_from_index(int(idx))
         assert canonical_index(coeffs) == idx
         assert codebook.values[idx] == pytest.approx(coeffs_to_value(coeffs), abs=1e-12)
+
+
+def test_values_table_digest(codebook):
+    # SHA-256 of the table as `coeff_table @ PAIR_PHASORS` built it through
+    # numpy 2.4's bundled OpenBLAS, before an explicit sum in that order replaced it.
+    digest = hashlib.sha256(codebook.values.astype("<c16").tobytes()).hexdigest()
+    assert digest == "37cd4ff513cf2d5aa3e8f1a8b87742b3dab5275836a16a3d97285fafe1ecc785"
 
 
 def test_groups_partition_patterns(codebook):

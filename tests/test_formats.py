@@ -1,3 +1,6 @@
+import re
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -39,6 +42,37 @@ def test_image_comments_tolerated(tmp_path):
     img = read_image(p)
     assert img.shape == (2, 3)
     assert img.tobytes() == raster
+
+
+RASTER_8X4 = bytes([0b10000001, 0, 0xFF, 0b01010101])
+
+
+@pytest.mark.parametrize("header", [
+    b"P4\n#" + b"x" * 2**20 + b"\n8 4\n",          # one 1 MB comment
+    b"P4" + b"\n# c" * 100_000 + b"\n8 4\n",        # 100k one-line comments
+    b"P4" + b" \t\r\n\v\f" * (2**20 // 6) + b"8 4\n",  # 1 MB of whitespace
+    b"P4# glued to the magic\n8\n#\n#\n4\r",          # a comment glued to the magic, empty ones
+], ids=["long-comment", "many-comments", "long-whitespace", "short-comments"])
+def test_header_whitespace_and_comments(tmp_path, header):
+    p = tmp_path / "h.pbm"
+    p.write_bytes(header + RASTER_8X4)
+    m = read_pattern(p)
+    assert m.shape == (4, 8)
+    assert np.packbits(m, axis=1).tobytes() == RASTER_8X4
+
+
+@pytest.mark.parametrize("data, message", [
+    (b"P4\n8 4# c\n" + RASTER_8X4, "expected height at byte 5, found b'4#'"),
+    (b"P4\n8 # comment to the end", "expected height at byte 25, found b''"),
+    (b"P4\n#" + b"x" * 2**20, f"expected width at byte {4 + 2**20}, found b''"),
+    (b"P4\n8 4 # c\n" + RASTER_8X4, "expected 11 bytes, got 15"),
+    (b"P4\n8 4#", "expected height at byte 5, found b'4#'"),
+])
+def test_header_errors_keep_their_byte_offsets(tmp_path, data, message):
+    p = tmp_path / "bad.pbm"
+    p.write_bytes(data)
+    with pytest.raises(FormatError, match=re.escape(message)):
+        read_pattern(p)
 
 
 def test_image_errors_name_byte_offsets(tmp_path):
@@ -129,6 +163,22 @@ def test_field_layout(tmp_path):
     assert int.from_bytes(data[9:13], "little") == 1  # height
     assert data[13:17] == b"\0\0\0\0"
     assert np.frombuffer(data, dtype="<f8", offset=17).tolist() == [1.5, -2.5]
+
+
+def test_field_raster_is_read_and_written_bit_for_bit(tmp_path):
+    # Every (re, im) pairing of signed zeros, infinities, NaNs with sign and payload, and finite values.
+    special = np.array([0x0000000000000000, 0x8000000000000000, 0x7FF0000000000000, 0xFFF0000000000000,
+                        0x7FF8000000000000, 0xFFF800000000ABCD, 0x3FF8000000000000, 0x8000000000000001],
+                       dtype="<u8")
+    pairs = np.stack(np.meshgrid(special, special, indexing="ij"), axis=-1)
+    data = b"CFLD\x01" + struct.pack("<II", 8, 8) + bytes(4) + pairs.tobytes()
+    p, q = tmp_path / "in.bin", tmp_path / "out.bin"
+    p.write_bytes(data)
+    f = read_field(p)
+    assert f.dtype == np.complex128
+    assert np.array_equal(f.view("<u8").reshape(8, 8, 2), pairs)
+    write_field(q, f)
+    assert q.read_bytes() == data
 
 
 def test_field_size_formula(tmp_path):

@@ -1,4 +1,6 @@
 import importlib
+import re
+from pathlib import Path
 
 import pytest
 
@@ -38,8 +40,16 @@ def test_scalar_helpers_left_the_library(module, names):
 
 
 def test_removed_methods_and_attributes(codebook):
-    for name in ("phase_index", "phase_of", "to_string"):
+    for name in ("phase_index", "phase_of", "to_string", "bit_by_index"):
         assert not hasattr(DEFAULT_ASSIGNMENT, name)
     for name in ("group", "nearest_value", "assignment", "_coeff_table"):
         assert not hasattr(codebook, name)
     assert not hasattr(StegoKey(0), "to_hex")
+
+
+def test_readme_python_quick_start_runs():
+    # The block asserts its own claims, so a README that drifts from the code fails here.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})

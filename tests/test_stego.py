@@ -14,11 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dmdstego.codebook import build_codebook
+from dmdstego.codebook import STRATEGIES, build_codebook
 from dmdstego.rng import SplitMix64
 from dmdstego.stego import (
     FILL_SEED_XOR,
-    FILL_STRATEGIES,
     HEADER_BITS,
     BadHeaderError,
     PayloadTooLargeError,
@@ -151,7 +150,7 @@ def test_embed_matches_reference(codebook):
     ends = np.cumsum(codebook.capacities[edge_plan.ravel()])
     assert ends[40] > HEADER_BITS
     edge_lengths = (0, int(ends[-1]) - HEADER_BITS, int(ends[40]) - HEADER_BITS)
-    for fill in FILL_STRATEGIES:
+    for fill in STRATEGIES:
         for trial in range(4 + len(edge_lengths)):
             if trial < 4:
                 plan = random_plan(rng, (8, 11))
@@ -195,7 +194,7 @@ def test_round_trip_partial_payloads(codebook):
     key = StegoKey(seed=123456789)
     for length in (0, 1, 7, cap // 3, cap - HEADER_BITS):
         bits = rng.integers(0, 2, length, dtype=np.uint8)
-        for fill in FILL_STRATEGIES:
+        for fill in STRATEGIES:
             out = extract(embed(plan, bits, key, codebook, fill=fill), key, codebook)
             assert np.array_equal(out, bits), f"length={length} fill={fill}"
 
@@ -316,7 +315,7 @@ def test_fill_strategies_differ_only_after_stream(codebook):
     plan = random_plan(rng, (10, 10))
     bits = rng.integers(0, 2, 40, dtype=np.uint8)
     key = StegoKey(seed=2718)
-    outs = {fill: embed(plan, bits, key, codebook, fill=fill) for fill in FILL_STRATEGIES}
+    outs = {fill: embed(plan, bits, key, codebook, fill=fill) for fill in STRATEGIES}
     caps = codebook.capacities[plan.ravel()]
     boundary = int(np.searchsorted(np.cumsum(caps), HEADER_BITS + bits.size))
     for fill, mirrors in outs.items():
