@@ -15,6 +15,7 @@ sampled at one value per 4x4 block scale it internally.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import warnings
 from pathlib import Path
@@ -50,6 +51,7 @@ from .optics import (
 )
 from .rng import check_seed
 from .stego import (
+    HEADER_BITS,
     PayloadTooLargeError,
     StegoKey,
     bits_to_bytes,
@@ -159,12 +161,18 @@ def cmd_encode(args) -> int:
 
 def cmd_embed(args) -> int:
     field = read_field(args.input)
-    payload = Path(args.payload).read_bytes()
-    codebook, plan, scale = _quantize(field, args)
+    with open(args.payload, "rb") as payload_file:
+        codebook, plan, scale = _quantize(field, args)
+        capacity = capacity_of_plan(plan, codebook)
+        # Refuse an oversized payload by its file size, before it is read and unpacked.
+        size_bits = 8 * os.fstat(payload_file.fileno()).st_size
+        if HEADER_BITS + size_bits > capacity:
+            raise PayloadTooLargeError(size_bits, capacity)
+        payload = payload_file.read()
     mirrors = embed(plan, bytes_to_bits(payload), args.key, codebook, fill=args.fill)
     write_pattern(args.output, mirrors)
     _emit({
-        "capacity_bits": capacity_of_plan(plan, codebook),
+        "capacity_bits": capacity,
         "payload_bits": 8 * len(payload),
         "scale": scale,
     })

@@ -35,7 +35,13 @@ def _read_token(data: bytes, pos: int, what: str) -> tuple[int, int]:
     token = match[1]
     if not token.isdigit():
         raise FormatError(f"expected {what} at byte {match.start(1)}, found {token[:16]!r}")
-    return int(token), match.end(1)
+    # No header value can exceed the 8 pixels a byte holds times the file
+    # length, so a longer number is refused before int() parses it.
+    digits = token.lstrip(b"0")
+    if len(digits) > len(str(8 * len(data))):
+        raise FormatError(f"{what} at byte {match.start(1)} has {len(digits)} digits, "
+                          f"too many for a {len(data)}-byte file")
+    return int(digits or b"0"), match.end(1)
 
 
 def _read_netpbm_header(data: bytes, magic: bytes, with_maxval: bool):

@@ -58,8 +58,43 @@ class PropagationParams:
         return samples * self.pitch ** 2 / self.wavelength
 
 
+_FFT_ROWS = 16     # rows per first-pass strip of _fft2
+_FFT_COLUMNS = 32  # columns per second-pass strip of _fft2
+
+
+def _fft2(a: np.ndarray, row_transform, column_transform) -> np.ndarray:
+    """2-D transform of `a`, a strip of rows or columns at a time.
+
+    row_transform(rows) transforms a block of rows of `a` along the last
+    axis; column_transform(columns, axis=0) a complex block of columns along
+    axis 0.  Rows go first, then columns: the 1-D calls np.fft.rfft2, fft2
+    and ifft2 make, in their order, so the result is theirs bit for bit.
+    Only the output is full size; the temporaries are a strip each.
+    """
+    first = row_transform(a[:_FFT_ROWS])
+    out = np.empty((a.shape[0], first.shape[1]), dtype=np.complex128)
+    out[:_FFT_ROWS] = first
+    for r0 in range(_FFT_ROWS, a.shape[0], _FFT_ROWS):
+        out[r0:r0 + _FFT_ROWS] = row_transform(a[r0:r0 + _FFT_ROWS])
+    for c0 in range(0, out.shape[1], _FFT_COLUMNS):
+        columns = out[:, c0:c0 + _FFT_COLUMNS]
+        columns[...] = column_transform(columns, axis=0)
+    return out
+
+
+def _mirror_rfft(rows: np.ndarray) -> np.ndarray:
+    """rfft along the last axis of mirror rows, taken as 0.0 (off) and 1.0 (on)."""
+    return np.fft.rfft((rows != 0).astype(np.float64))
+
+
 def fresnel_propagate(field: np.ndarray, params: PropagationParams) -> np.ndarray:
-    """Propagate a sampled complex field by the transfer-function method."""
+    """Propagate a sampled complex field by the transfer-function method.
+
+    Both 2-D transforms run in strips of rows, then of columns (_fft2), and
+    the result is np.fft.ifft2(np.fft.fft2(field) * transfer) bit for bit.
+    The working set is the field plus field-sized temporaries: the transfer
+    function and the two spectra.
+    """
     f = np.asarray(field, dtype=np.complex128)
     if f.ndim != 2 or f.size == 0:
         raise ValueError("field must be a non-empty 2-D array")
@@ -78,7 +113,9 @@ def fresnel_propagate(field: np.ndarray, params: PropagationParams) -> np.ndarra
         -1j * np.pi * params.wavelength * params.distance
         * (fx[None, :] ** 2 + fy[:, None] ** 2)
     )
-    return np.fft.ifft2(np.fft.fft2(f) * transfer)
+    spectrum = _fft2(f, np.fft.fft, np.fft.fft)
+    spectrum *= transfer
+    return _fft2(spectrum, np.fft.ifft, np.fft.ifft)
 
 
 def _bilinear(a: np.ndarray, yy: np.ndarray, xx: np.ndarray) -> np.ndarray:
@@ -216,6 +253,11 @@ def simulate_4f(mirrors: np.ndarray, aperture: ApertureSpec | None = None,
     where G is the mirror spectrum, P the passband and fold sums the 4x4
     aliases of each (H, W) frequency.  The readout is conj(h), so one
     (H, W) inverse transform replaces the full-size one.
+
+    Both transforms run in strips of rows, then of columns (_fft2), and
+    give whole-array np.fft's result bit for bit.  The working set is the
+    half spectrum, (N1, N2/2 + 1) complex, plus (H, W)-sized temporaries;
+    no full-size float plane of the mirrors is built.
     """
     assignment = assignment or DEFAULT_ASSIGNMENT
     aperture = aperture or ApertureSpec()
@@ -227,7 +269,7 @@ def simulate_4f(mirrors: np.ndarray, aperture: ApertureSpec | None = None,
 
     # Spectrum of the real mirror array over columns 0..n2/2; the other
     # columns follow from G[k1, k2] = conj(G[-k1, -k2]).
-    half = np.fft.rfft2((m != 0).astype(np.float64))
+    half = _fft2(m, _mirror_rfft, np.fft.fft)
 
     cx, cy = aperture.center
     # shortest wrapped distance on the frequency torus
@@ -242,20 +284,20 @@ def simulate_4f(mirrors: np.ndarray, aperture: ApertureSpec | None = None,
     # fold one (H, W) alias block at a time, so no full-size array is built
     folded = np.zeros((h, w), dtype=np.complex128)
     for p in range(BLOCK):
-        rows = k1[p * h:(p + 1) * h]
+        rows = slice(p * h, (p + 1) * h)
         for q in range(BLOCK):
-            cols = k2[q * w:(q + 1) * w]
+            cols = slice(q * w, (q + 1) * w)
             if 2 * q < BLOCK:
-                block = half[p * h:(p + 1) * h, q * w:(q + 1) * w]
+                block = half[rows, cols]
             else:  # columns n2/2 and up, by the Hermitian symmetry
-                block = np.conj(half[np.ix_(-rows % n1, n2 - cols)])
+                block = np.conj(half[-k1[rows] % n1, n2 - q * w:n2 - (q + 1) * w:-1])
             weight = ey_mask[rows] @ ex[cols].T
             weight *= dx2[cols] + dy2[rows, None] <= aperture.radius ** 2
             weight *= block
             folded += weight
     # The filtered sideband of a real pattern carries conjugated block
     # phases; conjugating h recovers them.
-    return np.conj(np.fft.ifft2(folded)) / BLOCK ** 4
+    return np.conj(_fft2(folded, np.fft.ifft, np.fft.ifft)) / BLOCK ** 4
 
 
 def field_correlation(a: np.ndarray, b: np.ndarray) -> float:

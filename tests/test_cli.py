@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -147,6 +148,31 @@ def test_embed_over_capacity_exits_2(capsys, workspace):
     captured = capsys.readouterr()
     assert rc == 2
     assert str(cap) in captured.err
+
+
+def test_oversized_payload_is_refused_before_it_is_read(capsys, tmp_path):
+    field, out = tmp_path / "f.bin", tmp_path / "x.pbm"
+    write_field(field, np.ones((8, 8), dtype=complex))
+    cap = json.loads(run(capsys, "capacity", "--input", str(field)))["capacity_bits"]
+    payload = tmp_path / "big.bin"
+    size = 4 << 20
+    payload.write_bytes(b"\xa5" * size)
+    tracemalloc.start()
+    try:
+        rc = main(["embed", "--input", str(field), "--payload", str(payload),
+                   "--output", str(out), "--key", KEY])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.splitlines() == [
+        f"error: payload of {8 * size} bits does not fit: plan capacity is "
+        f"{cap} bits and 32 are reserved for the header"]
+    assert captured.out == ""
+    assert not out.exists()
+    # Reading the payload takes size bytes, unpacking it 8 * size more.
+    assert peak < size
 
 
 def test_missing_input_exits_1(capsys, tmp_path):
@@ -346,16 +372,23 @@ def test_module_entry_point(tmp_path, synthetic_object):
     (["reconstruct", "--input", "{inf}", "--output", "{tmp}/r.pgm", *GEO], 1),
     (["sim4f", "--input", "{pattern}", "--output", "{tmp}/s.bin", "--compare", "{nan}"], 1),
     (["sim4f", "--input", "{pattern}", "--output", "{tmp}/s.bin", "--compare", "{inf}"], 1),
+    (["hologram", "--input", "{wide_pgm}", "--output", "{tmp}/h.bin", *GEO, "--superpixels", "8x8"], 1),
+    (["decode", "--input", "{wide_pbm}", "--output", "{tmp}/d.bin"], 1),
 ], ids=["alpha", "alpha-zero", "wavelength", "pitch", "diffuser-seed", "aperture-radius", "ssim-8x8",
         "distance-nan", "wavelength-nan", "pitch-inf", "aperture-radius-nan", "aperture-center-nan",
         "superpixels-oversized", "embed-field-nan", "capacity-field-inf", "reconstruct-field-nan",
-        "reconstruct-field-inf", "sim4f-compare-nan", "sim4f-compare-inf"])
+        "reconstruct-field-inf", "sim4f-compare-nan", "sim4f-compare-inf",
+        "pgm-width-5000-digits", "pbm-width-5000-digits"])
 def test_bad_values_exit_without_traceback(tmp_path, argv, code):
     files = {"tmp": tmp_path, "field": tmp_path / "f.bin", "image": tmp_path / "i.pgm",
-             "pattern": tmp_path / "p.pbm", "nan": tmp_path / "nan.bin", "inf": tmp_path / "inf.bin"}
+             "pattern": tmp_path / "p.pbm", "nan": tmp_path / "nan.bin", "inf": tmp_path / "inf.bin",
+             "wide_pgm": tmp_path / "w.pgm", "wide_pbm": tmp_path / "w.pbm"}
     write_field(files["field"], np.ones((8, 8), dtype=complex))
     write_image(files["image"], np.full((8, 8), 100, dtype=np.uint8))
     write_pattern(files["pattern"], np.zeros((32, 32), dtype=np.uint8))
+    # A width of 5,000 nines is past the digit limit of Python's int().
+    files["wide_pgm"].write_bytes(b"P5\n" + b"9" * 5000 + b" 8\n255\n" + bytes(64))
+    files["wide_pbm"].write_bytes(b"P4\n" + b"9" * 5000 + b" 8\n" + bytes(8))
     for name, bad in (("nan", complex(np.nan, 0)), ("inf", complex(1, np.inf))):
         field = np.ones((8, 8), dtype=complex)
         field[2, 5] = bad

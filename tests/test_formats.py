@@ -52,7 +52,8 @@ RASTER_8X4 = bytes([0b10000001, 0, 0xFF, 0b01010101])
     b"P4" + b"\n# c" * 100_000 + b"\n8 4\n",        # 100k one-line comments
     b"P4" + b" \t\r\n\v\f" * (2**20 // 6) + b"8 4\n",  # 1 MB of whitespace
     b"P4# glued to the magic\n8\n#\n#\n4\r",          # a comment glued to the magic, empty ones
-], ids=["long-comment", "many-comments", "long-whitespace", "short-comments"])
+    b"P4\n8 " + b"0" * 5000 + b"4\n",                # leading zeros past int()'s digit limit
+], ids=["long-comment", "many-comments", "long-whitespace", "short-comments", "zero-padded"])
 def test_header_whitespace_and_comments(tmp_path, header):
     p = tmp_path / "h.pbm"
     p.write_bytes(header + RASTER_8X4)
@@ -73,6 +74,20 @@ def test_header_errors_keep_their_byte_offsets(tmp_path, data, message):
     p.write_bytes(data)
     with pytest.raises(FormatError, match=re.escape(message)):
         read_pattern(p)
+
+
+@pytest.mark.parametrize("read, magic, maxval", [(read_image, b"P5", b"255\n"), (read_pattern, b"P4", b"")],
+                         ids=["pgm", "pbm"])
+def test_header_tokens_too_long_for_the_file_are_refused(tmp_path, read, magic, maxval):
+    # 5,000 nines is past the digit limit of Python's int(); leading zeros do
+    # not count, and six digits exceed any dimension a file this size holds.
+    for header, message in [(b"\n" + b"9" * 5000 + b" 4\n", "width at byte 3 has 5000 digits"),
+                            (b"\n8 #\n" + b"0" * 5000 + b"123456\n", "height at byte 7 has 6 digits")]:
+        data = magic + header + maxval + bytes(32)
+        p = tmp_path / "big"
+        p.write_bytes(data)
+        with pytest.raises(FormatError, match=re.escape(f"{message}, too many for a {len(data)}-byte file")):
+            read(p)
 
 
 def test_image_errors_name_byte_offsets(tmp_path):

@@ -9,12 +9,14 @@ scipy.ndimage.gaussian_filter window means.
 
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from scipy.ndimage import gaussian_filter, map_coordinates
 
+from dmdstego import optics
 from dmdstego.codebook import build_codebook
 from dmdstego.optics import (
     AliasingGuardWarning,
@@ -340,6 +342,59 @@ def test_sim4f_matches_spatial_reference(shape, aperture, assignment):
         out = simulate_4f(mirrors, aperture, assignment)
         assert out.shape == expected.shape
         assert np.abs(out - expected).max() <= 1e-12
+
+
+def bits_of(a):
+    # numpy 1.x returns fft2 results as transposed views
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+# 1x1, 1xN and Nx1; sizes that are no multiple of either strip size; sizes
+# past both, with a remainder strip on each axis.
+STRIP_SHAPES = [(1, 1), (1, 7), (1, 100), (5, 1), (100, 1), (17, 33), (45, 97),
+                (optics._FFT_ROWS, optics._FFT_COLUMNS),
+                (3 * optics._FFT_ROWS + 1, 2 * optics._FFT_COLUMNS - 1), (270, 480), (300, 301)]
+
+
+@pytest.mark.parametrize("shape", STRIP_SHAPES)
+def test_strip_transforms_match_whole_array_fft(shape):
+    z = random_field(23, shape)
+    assert np.array_equal(bits_of(optics._fft2(z, np.fft.fft, np.fft.fft)),
+                          bits_of(np.fft.fft2(z)))
+    assert np.array_equal(bits_of(optics._fft2(z, np.fft.ifft, np.fft.ifft)),
+                          bits_of(np.fft.ifft2(z)))
+    bits = np.random.default_rng(29).integers(0, 2, shape)
+    for mirrors in (bits.astype(bool), bits.astype(np.uint8), (255 * bits).astype(np.uint8)):
+        expected = np.fft.rfft2((mirrors != 0).astype(np.float64))
+        out = optics._fft2(mirrors, optics._mirror_rfft, np.fft.fft)
+        assert np.array_equal(bits_of(out), bits_of(expected))
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (5, 1), (17, 33), (270, 480), (300, 301)])
+def test_fresnel_matches_whole_array_fft(shape):
+    f = random_field(31, shape)
+    fx = np.fft.fftfreq(shape[1], d=SHORT.pitch)
+    fy = np.fft.fftfreq(shape[0], d=SHORT.pitch)
+    transfer = np.exp(-1j * np.pi * SHORT.wavelength * SHORT.distance
+                      * (fx[None, :] ** 2 + fy[:, None] ** 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AliasingGuardWarning)
+        out = fresnel_propagate(f, SHORT)
+    assert np.array_equal(bits_of(out), bits_of(np.fft.ifft2(np.fft.fft2(f) * transfer)))
+
+
+def test_sim4f_peak_memory_stays_near_the_half_spectrum():
+    # Whole-array np.fft.rfft2 holds the float mirror plane, the row spectrum
+    # and the result at once, 3.0x the half spectrum at 1080x1920 mirrors.
+    mirrors = np.random.default_rng(37).integers(0, 2, (1080, 1920), dtype=np.uint8)
+    half_bytes = 1080 * (1920 // 2 + 1) * 16
+    tracemalloc.start()
+    try:
+        simulate_4f(mirrors)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * half_bytes
 
 
 def test_field_correlation_properties():
