@@ -168,7 +168,12 @@ def cmd_embed(args) -> int:
         size_bits = 8 * os.fstat(payload_file.fileno()).st_size
         if HEADER_BITS + size_bits > capacity:
             raise PayloadTooLargeError(size_bits, capacity)
-        payload = payload_file.read()
+        # A pipe reports no size: read one byte more than fits, and refuse it if that arrives.
+        fits = (capacity - HEADER_BITS) // 8
+        payload = payload_file.read(fits + 1)
+        if len(payload) > fits:
+            raise UsageError(f"payload of more than {8 * fits} bits does not fit: plan capacity is "
+                             f"{capacity} bits and {HEADER_BITS} are reserved for the header")
     mirrors = embed(plan, bytes_to_bits(payload), args.key, codebook, fill=args.fill)
     write_pattern(args.output, mirrors)
     _emit({

@@ -72,16 +72,18 @@ class Codebook:
         target, the first argmin of np.abs(values - t), so ties resolve to
         the smallest canonical index.  A bucket grid lists for each square
         cell every value that can be nearest to a point of the cell.  With c
-        the cell centre, r its half diagonal and U the distance from c to
-        its nearest value u, the nearest value v to a target t in the cell
-        has |v - t| <= |u - t| <= U + r, so |v - c| <= U + 2r.  The cell
-        lists every value within U + 2r + 1e-9 of c; any other value is
-        more than 1e-9 farther from t than u, which no rounding can close.
-        The candidates, sorted by index, are ranked with _scan_nearest's own
-        arithmetic, np.abs(values - t), and the first minimum wins, so the
-        smallest-canonical-index tie rule holds.  Every target costs the
-        same K distances (at most 22 for the default codebook), near-ties
-        included.
+        the cell centre, h its half side and u the value nearest c, at
+        distance U, the nearest value v to a target t in the cell has
+        |v - t| <= |u - t| <= U + h*sqrt(2), so |v - c| <= U + 2h*sqrt(2).
+        Of the values within that bound the cell lists those that u does not
+        beat everywhere in the cell (see _resolve); any value left out is
+        farther than u from every point of the cell by more than 1e-9 / 1.5,
+        which no rounding can close, so every value that ties the minimum is
+        listed.  The candidates, sorted by index, are ranked with
+        _scan_nearest's own arithmetic, np.abs(values - t), and the first
+        minimum wins, so the smallest-canonical-index tie rule holds.  Every
+        target costs the same K distances (at most 14 for the default
+        codebook), near-ties included.
 
         A cell's row is built the first time a query lands in it, so a
         field pays only for the cells it touches: a 128x128 desk hologram
@@ -186,12 +188,23 @@ def _cell_pairs(v: np.ndarray, reach: float):
 def _resolve(v: np.ndarray, reach: float, open_cells: np.ndarray):
     """Cells of open_cells whose candidates all lie within reach, and those (cell, position) pairs.
 
-    v must hold every value within reach of each open cell's centre.  U is
-    the distance from the cell centre to its nearest value in v.  Every
-    value that can be nearest to a point of the cell lies within U + 2r of
-    the centre (r: the half diagonal), so a cell is resolved when that bound
-    plus GRID_TOLERANCE stays within reach.  The (cell, value) pairs are
-    made once and scanned twice: once for U, once for the candidates.
+    v must hold every value within reach of each open cell's centre c.  U is
+    the distance from c to its nearest value in v.  Every value that can be
+    nearest to a point of the cell lies within U + 2r of c (r: the half
+    diagonal), so a cell is resolved when that bound plus GRID_TOLERANCE
+    stays within reach.  The (cell, value) pairs are made once and scanned
+    twice: once for U, once for the values within the bound.
+
+    Of those, a value x is dropped when the value u nearest c (the first of
+    v among exact ties) beats it at every point p of the cell.  With
+    a = x - c, b = u - c and h = GRID_STEP / 2, |p - x|^2 - |p - u|^2 is
+    affine in p, so its least value over the square is the closed form
+    |a|^2 - |b|^2 - 2h(|a.re - b.re| + |a.im - b.im|), and x is dropped when
+    that exceeds GRID_TOLERANCE.  Distances within the reach are below 0.75,
+    so a dropped x is farther than u from every point of the cell by more
+    than GRID_TOLERANCE / 1.5.  u is found among the same squared distances
+    whichever values v holds beyond the reach, so the rows are the same
+    whichever cells are built together.
     """
     pairs = list(_cell_pairs(v, reach))
     nearest2 = np.full(GRID_CELLS * GRID_CELLS, np.inf)
@@ -200,12 +213,20 @@ def _resolve(v: np.ndarray, reach: float, open_cells: np.ndarray):
     bound = np.sqrt(nearest2) + GRID_STEP * np.sqrt(2) + GRID_TOLERANCE
     resolved = open_cells & (bound <= reach)
     limit2 = np.where(resolved, bound * bound, -1.0)
-    cells, positions = [], []
+    cells, positions, dists = [], [], []
     for cell, pos, d2 in pairs:
-        keep = d2 <= limit2[cell]
+        keep = np.flatnonzero(d2 <= limit2[cell])
         cells.append(cell[keep])
         positions.append(pos[keep])
-    return resolved, np.concatenate(cells), np.concatenate(positions)
+        dists.append(d2[keep])
+    cell, pos = np.concatenate(cells), np.concatenate(positions)
+    gap = np.concatenate(dists) - nearest2[cell]
+    nearest = np.full(nearest2.size, v.size)
+    at_u = gap == 0
+    np.minimum.at(nearest, cell[at_u], pos[at_u])
+    step = v[pos] - v[nearest[cell]]
+    keep = gap - GRID_STEP * (np.abs(step.real) + np.abs(step.imag)) <= GRID_TOLERANCE
+    return resolved, cell[keep], pos[keep]
 
 
 def _values_near(values: np.ndarray, open_cells: np.ndarray, reach: float) -> np.ndarray:
@@ -228,13 +249,14 @@ def _values_near(values: np.ndarray, open_cells: np.ndarray, reach: float) -> np
 def _build_cells(table: np.ndarray, values: np.ndarray, wanted: np.ndarray) -> np.ndarray:
     """Build the rows of the cells marked in the boolean mask `wanted`; returns the table.
 
-    A row lists its cell's candidate value indices, ascending, padded with
-    the last (largest), which leaves the first argmin unchanged; a row of
-    -1 marks a cell no reach resolves.  The table is widened, each row
-    padded the same way, when a row needs more columns.  Each reach pairs
-    only the values within it of the cells still open, and a cell resolved
-    at any reach gets the same row, so rows do not depend on which cells
-    are built together.
+    A row lists its cell's candidate value indices (see _resolve: the
+    values within the cell's bound that its centre's nearest value does not
+    beat everywhere in it), ascending, padded with the last (largest), which
+    leaves the first argmin unchanged; a row of -1 marks a cell no reach
+    resolves.  The table is widened, each row padded the same way, when a
+    row needs more columns.  Each reach pairs only the values within it of
+    the cells still open, and a cell resolved at any reach gets the same
+    row, so rows do not depend on which cells are built together.
     """
     n = GRID_CELLS * GRID_CELLS
     open_cells = wanted.copy()

@@ -264,6 +264,8 @@ def simulate_4f(mirrors: np.ndarray, aperture: ApertureSpec | None = None,
     m = np.asarray(mirrors)
     if m.ndim != 2 or m.shape[0] % BLOCK or m.shape[1] % BLOCK:
         raise ValueError("mirror array must be 2-D with multiples-of-4 dimensions")
+    if m.size == 0:
+        raise ValueError("mirror array must not be empty")
     n1, n2 = m.shape
     h, w = n1 // BLOCK, n2 // BLOCK
 

@@ -62,13 +62,18 @@ def stream_u64(seed: int, count: int) -> np.ndarray:
     makes the whole stream computable without the sequential dependency.
     """
     check_seed(seed)
-    n = np.arange(1, count + 1, dtype=np.uint64)
-    z = np.uint64(seed) + n * np.uint64(_GAMMA)     # wraps mod 2**64
-    z = z ^ (z >> np.uint64(30))
-    z = z * np.uint64(_MIX1)
-    z = z ^ (z >> np.uint64(27))
-    z = z * np.uint64(_MIX2)
-    z = z ^ (z >> np.uint64(31))
+    # In place, in z and one shift buffer; every scalar is an np.uint64, so
+    # numpy 1.x's value-based casting keeps each operation in uint64.
+    z = np.arange(1, count + 1, dtype=np.uint64)
+    z *= np.uint64(_GAMMA)                          # wraps mod 2**64
+    z += np.uint64(seed)
+    shifted = np.empty_like(z)
+    for shift, mix in ((30, _MIX1), (27, _MIX2)):
+        np.right_shift(z, np.uint64(shift), out=shifted)
+        z ^= shifted
+        z *= np.uint64(mix)
+    np.right_shift(z, np.uint64(31), out=shifted)
+    z ^= shifted
     return z
 
 
@@ -84,8 +89,17 @@ def mul_high(x: np.ndarray, bound: np.ndarray) -> np.ndarray:
     bound = np.asarray(bound, dtype=np.uint64)
     if bound.size and bound.max() > _MASK32:
         raise ValueError("bound must be below 2**32")
+    # Two output-sized buffers, worked in place; x and bound are only read.
     s = np.uint64(32)
-    return ((x >> s) * bound + ((x & np.uint64(_MASK32)) * bound >> s)) >> s
+    shape = np.broadcast_shapes(x.shape, bound.shape)
+    high = np.right_shift(x, s, out=np.empty(shape, dtype=np.uint64))
+    low = np.bitwise_and(x, np.uint64(_MASK32), out=np.empty(shape, dtype=np.uint64))
+    high *= bound
+    low *= bound
+    low >>= s
+    high += low
+    high >>= s
+    return high
 
 
 # Each round of `permutation` reserves among a window of the highest pending

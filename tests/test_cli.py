@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -173,6 +175,60 @@ def test_oversized_payload_is_refused_before_it_is_read(capsys, tmp_path):
     assert not out.exists()
     # Reading the payload takes size bytes, unpacking it 8 * size more.
     assert peak < size
+
+
+def _feed_fifo(path, data):
+    """Write data into the FIFO at path from a thread; the reader may close it early."""
+    def feed():
+        try:
+            with open(path, "wb") as fifo:
+                fifo.write(data)
+        except BrokenPipeError:
+            pass
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    return writer
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_piped_payload_is_read_only_as_far_as_it_fits(capsys, tmp_path):
+    # A pipe has no size to check, so embed reads one byte past what fits
+    # and refuses the payload when that byte arrives.
+    field, out = tmp_path / "f.bin", tmp_path / "x.pbm"
+    write_field(field, np.ones((8, 8), dtype=complex))
+    cap = json.loads(run(capsys, "capacity", "--input", str(field)))["capacity_bits"]
+    fits = (cap - 32) // 8
+    pipe = tmp_path / "payload"
+    os.mkfifo(pipe)
+    size = 16 << 20
+    writer = _feed_fifo(pipe, b"\xa5" * size)
+    tracemalloc.start()
+    try:
+        rc = main(["embed", "--input", str(field), "--payload", str(pipe),
+                   "--output", str(out), "--key", KEY])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    writer.join(10)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.splitlines() == [
+        f"error: payload of more than {8 * fits} bits does not fit: plan capacity is "
+        f"{cap} bits and 32 are reserved for the header"]
+    assert captured.out == ""
+    assert not out.exists()
+    # Reading the whole pipe would take size bytes; quantizing the field takes a few MB.
+    assert peak < size // 2
+    # A piped payload that fits, to the last byte, is hidden and comes back whole.
+    payload = bytes(range(256)) * (fits // 256) + bytes(fits % 256)
+    writer = _feed_fifo(pipe, payload)
+    report = json.loads(run(capsys, "embed", "--input", str(field), "--payload", str(pipe),
+                            "--output", str(out), "--key", KEY))
+    writer.join(10)
+    assert report["payload_bits"] == 8 * fits
+    back = tmp_path / "back.bin"
+    run(capsys, "extract", "--input", str(out), "--output", str(back), "--key", KEY)
+    assert back.read_bytes() == payload
 
 
 def test_missing_input_exits_1(capsys, tmp_path):

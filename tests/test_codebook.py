@@ -28,8 +28,11 @@ from dmdstego.codebook import (
     build_codebook,
     pick_in_groups,
 )
+from dmdstego.modulator import normalize_field
+from dmdstego.optics import PropagationParams, generate_hologram
 from dmdstego.rng import SplitMix64
 from dmdstego.superpixel import (
+    BLOCK,
     MAX_MODULUS,
     PATTERN_COUNT,
     VALUE_COUNT,
@@ -49,8 +52,8 @@ from scalar_reference import (
 
 
 # Most candidates any cell of the default codebook's grid may list; every
-# target then costs at most this many distances.  The build gives 22.
-MAX_CANDIDATES = 24
+# target then costs at most this many distances.  The build gives 14.
+MAX_CANDIDATES = 14
 
 
 def scan_nearest_all(values, targets):
@@ -67,6 +70,21 @@ def grid_cells():
     gap = np.maximum(0.0, np.maximum(lo, -(lo + GRID_STEP)))
     centres = (centre[:, None] + 1j * centre[None, :]).ravel()
     return centres, np.hypot(gap[:, None], gap[None, :]).ravel()
+
+
+def beaten_in_cell(values, centre, index, nearest):
+    """Whether values[nearest] beats values[index] at every point of the cell around centre.
+
+    |p - v|^2 - |p - u|^2 is affine in p, so its least value over the
+    square cell is at one of the four corners; u beats v when that least
+    value exceeds GRID_TOLERANCE.
+    """
+    v, u = values[index], values[nearest]
+    beaten = True
+    for corner in (1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j):
+        p = centre + corner * GRID_STEP / 2
+        beaten = beaten & (np.abs(p - v) ** 2 - np.abs(p - u) ** 2 > GRID_TOLERANCE)
+    return beaten
 
 
 def test_census(codebook):
@@ -245,14 +263,33 @@ def test_grid_reach_constants_by_brute_force(codebook):
     assert 0.75 < np.mean(bound[working] <= FIRST_REACH) < 1
     assert bound[working].max() <= NEAR_REACH
     assert NEAR_REACH < bound[disk].max() <= RIM_REACH
-    # Each resolved cell lists exactly the values within its bound.
+    # Each resolved cell lists exactly the values within its bound that the
+    # value u nearest its centre does not beat at every point of the cell.
+    # Where several values tie for nearest, u may be any of them.
     codebook.nearest_values(centres)
     table = codebook._grid
     resolved = np.flatnonzero(table[:, 0] >= 0)
-    within = tree.query_ball_point(np.column_stack([centres.real, centres.imag])[resolved],
-                                   bound[resolved], return_sorted=True)
-    for cell, expected in zip(resolved, within):
-        assert np.unique(table[cell]).tolist() == expected
+    c = np.column_stack([centres.real, centres.imag])[resolved]
+    ties = tree.query_ball_point(c, u[resolved] + 1e-12)
+    within = tree.query_ball_point(c, bound[resolved])
+    single = np.array([len(t) == 1 for t in ties])
+    counts = [len(w) for w in within]
+    cell = np.repeat(resolved, counts)
+    index = np.concatenate(within).astype(np.int64)
+    nearest = np.repeat([t[0] for t in ties], counts)
+    kept = ~beaten_in_cell(codebook.values, centres[cell], index, nearest)
+    key = cell * VALUE_COUNT + index
+    expected = np.unique(key[kept & np.repeat(single, counts)])
+    listed = resolved[single, None] * VALUE_COUNT + table[resolved[single]].astype(np.int64)
+    assert np.array_equal(np.unique(listed), expected)
+    assert 0.2 < 1 - np.mean(kept) < 0.35     # share of the within-bound pairs dropped
+    assert 0 < np.count_nonzero(~single) < 200
+    for tied_cell in np.flatnonzero(~single):
+        candidates = np.array(within[tied_cell])
+        centre = centres[resolved[tied_cell]]
+        rules = [candidates[~beaten_in_cell(codebook.values, centre, candidates, tie)].tolist()
+                 for tie in ties[tied_cell]]
+        assert np.unique(table[resolved[tied_cell]]).tolist() in rules
 
 
 def test_grid_rows_do_not_depend_on_the_query_order():
@@ -286,6 +323,53 @@ def test_nearest_values_ties_on_the_whole_disk(codebook):
     targets = np.concatenate([mids, vertices[:, 0] + 1j * vertices[:, 1], lattice])
     targets = targets[np.abs(targets) <= MAX_MODULUS]
     assert targets.size > 2 * QUERY_CHUNK
+    assert np.array_equal(codebook.nearest_values(targets), scan_nearest_all(codebook.values, targets))
+
+
+def benchmark_fields():
+    """Normalized holograms of the benchmark's two frames, as its workloads make them.
+
+    desk_cli: 128x128 superpixels at 5 cm from an 8-bit object image;
+    full_frame: 270x480 superpixels at 20 cm from the float object.  The
+    object has vertical bars, a bright disk and a gradient patch.
+    """
+    fields = []
+    for (h, w), distance, eight_bit in (((128, 128), 0.05, True), ((270, 480), 0.2, False)):
+        ho, wo = 2 * h, 2 * w
+        y, x = np.mgrid[0:ho, 0:wo]
+        obj = np.where((x // max(wo // 16, 1)) % 2 == 0, 0.35, 0.0)
+        obj[(x - 0.3 * wo) ** 2 + (y - 0.35 * ho) ** 2 < (0.18 * min(ho, wo)) ** 2] = 1.0
+        r0, r1, c0, c1 = int(0.55 * ho), int(0.9 * ho), int(0.55 * wo), int(0.9 * wo)
+        obj[r0:r1, c0:c1] = np.linspace(0.2, 0.9, c1 - c0)
+        if eight_bit:
+            obj = np.clip(np.rint(obj * (255.0 / obj.max())), 0, 255).astype(np.uint8)
+        params = PropagationParams(520e-9, distance, BLOCK * 7.56e-6)
+        fields.append(normalize_field(generate_hologram(obj, params, (h, w), diffuser_seed=0))[0])
+    return fields
+
+
+def test_touched_cells_agree_with_the_scan_at_corners_edges_and_inside(codebook):
+    # Every cell the benchmark's fields touch, at its four corners and four
+    # edge midpoints (a hair inside, so the cell's own row answers, and
+    # exactly on them, where a neighbouring row may) and at a random point.
+    cells = np.unique(np.concatenate([
+        np.floor(f.real / GRID_STEP + GRID_HALF_CELLS).astype(np.int64) * GRID_CELLS
+        + np.floor(f.imag / GRID_STEP + GRID_HALF_CELLS).astype(np.int64)
+        for f in map(np.ravel, benchmark_fields())]))
+    assert 6000 < cells.size < 10000
+    i, j = np.divmod(cells, GRID_CELLS)
+    centres = ((i - GRID_HALF_CELLS + 0.5) + 1j * (j - GRID_HALF_CELLS + 0.5)) * GRID_STEP
+    rim = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j, 1, -1, 1j, -1j])
+    # Rim points in half steps from the grid's corner; neighbouring cells share them.
+    lattice = np.unique((2 * i + 1 + rim.real[:, None]) * (4 * GRID_CELLS) + (2 * j + 1 + rim.imag[:, None]))
+    on_rim = ((lattice // (4 * GRID_CELLS) / 2 - GRID_HALF_CELLS)
+              + 1j * (lattice % (4 * GRID_CELLS) / 2 - GRID_HALF_CELLS)) * GRID_STEP
+    rng = np.random.default_rng(14)
+    inside = rng.uniform(-1, 1, cells.size) + 1j * rng.uniform(-1, 1, cells.size)
+    targets = np.concatenate([
+        (centres[:, None] + rim * (GRID_STEP / 2 * (1 - 1e-12))).ravel(),
+        on_rim,
+        centres + inside * GRID_STEP / 2])
     assert np.array_equal(codebook.nearest_values(targets), scan_nearest_all(codebook.values, targets))
 
 

@@ -281,6 +281,13 @@ def test_sim4f_shape_and_validation():
     assert out.shape == (4, 6)
 
 
+@pytest.mark.parametrize("shape", [(0, 0), (0, 8), (8, 0)])
+def test_sim4f_refuses_an_empty_mirror_array(shape):
+    # Zero is a multiple of 4, so an empty array needs its own check before np.fft.
+    with pytest.raises(ValueError, match="must not be empty"):
+        simulate_4f(np.zeros(shape, dtype=np.uint8))
+
+
 def test_sim4f_all_off_gives_zero():
     out = simulate_4f(np.zeros((32, 32), dtype=np.uint8))
     assert np.abs(out).max() < 1e-12

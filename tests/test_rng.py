@@ -95,6 +95,18 @@ def test_mul_high_matches_python_ints():
             assert g == (x * b) >> 64
 
 
+def test_mul_high_leaves_its_inputs_unchanged():
+    # mul_high works in buffers of its own, also when one input broadcasts against the other.
+    xs = stream_u64(13, 1000)
+    bounds = np.arange(1000, 0, -1, dtype=np.uint64)
+    x_copy, bounds_copy = xs.copy(), bounds.copy()
+    got = mul_high(xs, bounds)
+    assert got is not xs and got is not bounds
+    assert np.array_equal(xs, x_copy) and np.array_equal(bounds, bounds_copy)
+    assert mul_high(xs[:1], bounds).tolist() == [(int(xs[0]) * b) >> 64 for b in bounds.tolist()]
+    assert np.array_equal(xs, x_copy) and np.array_equal(bounds, bounds_copy)
+
+
 def test_mul_high_rejects_wide_bounds():
     for b in (1 << 32, MASK):
         with pytest.raises(ValueError):
