@@ -60,6 +60,7 @@ class PropagationParams:
 
 _FFT_ROWS = 16     # rows per first-pass strip of _fft2
 _FFT_COLUMNS = 32  # columns per second-pass strip of _fft2
+_FOLD_ROWS = 32    # superpixel rows per strip of simulate_4f's alias fold
 
 
 def _fft2(a: np.ndarray, row_transform, column_transform) -> np.ndarray:
@@ -255,9 +256,12 @@ def simulate_4f(mirrors: np.ndarray, aperture: ApertureSpec | None = None,
     (H, W) inverse transform replaces the full-size one.
 
     Both transforms run in strips of rows, then of columns (_fft2), and
-    give whole-array np.fft's result bit for bit.  The working set is the
-    half spectrum, (N1, N2/2 + 1) complex, plus (H, W)-sized temporaries;
-    no full-size float plane of the mirrors is built.
+    give whole-array np.fft's result bit for bit; the fold runs in strips
+    of at most _FOLD_ROWS superpixel rows and gives the block-at-a-time
+    fold's result bit for bit.  The working set is the half spectrum,
+    (N1, N2/2 + 1) complex, one (H, W) accumulator and (_FOLD_ROWS, W)
+    strip buffers; no full-size float plane of the mirrors is built, and
+    the half spectrum is freed before the inverse transform.
     """
     assignment = assignment or DEFAULT_ASSIGNMENT
     aperture = aperture or ApertureSpec()
@@ -283,23 +287,51 @@ def simulate_4f(mirrors: np.ndarray, aperture: ApertureSpec | None = None,
     ey_mask = np.exp(2j * np.pi * np.outer(k1, step) / n1) @ np.exp(-1j * assignment.block_phases)
     ex = np.exp(2j * np.pi * np.outer(k2, step) / n2)
 
-    # fold one (H, W) alias block at a time, so no full-size array is built
+    # Fold the 4x4 alias blocks a strip of output rows at a time, into
+    # buffers made once, so no full-size or (H, W)-sized temporary is built.
+    # Each output element adds its blocks in the order p, then q.  A term
+    # outside the passband is exactly +-0, and `folded` starts at +0 and so
+    # never holds -0; skipping such terms (add's where=, and blocks with no
+    # frequency inside) changes no bit.  The strips split H evenly, at most
+    # _FOLD_ROWS rows each, so none has one row while H has more: np.matmul
+    # takes its vector-matrix path for a single row, and that can round the
+    # rank-4 weight differently.
     folded = np.zeros((h, w), dtype=np.complex128)
-    for p in range(BLOCK):
-        rows = slice(p * h, (p + 1) * h)
-        for q in range(BLOCK):
-            cols = slice(q * w, (q + 1) * w)
-            if 2 * q < BLOCK:
-                block = half[rows, cols]
-            else:  # columns n2/2 and up, by the Hermitian symmetry
-                block = np.conj(half[-k1[rows] % n1, n2 - q * w:n2 - (q + 1) * w:-1])
-            weight = ey_mask[rows] @ ex[cols].T
-            weight *= dx2[cols] + dy2[rows, None] <= aperture.radius ** 2
-            weight *= block
-            folded += weight
+    strips = -(-h // _FOLD_ROWS)
+    edges = [h * i // strips for i in range(strips + 1)]
+    size = -(-h // strips)
+    weight = np.empty((size, w), dtype=np.complex128)
+    block = np.empty((size, w), dtype=np.complex128)
+    dist2 = np.empty((size, w))
+    inside = np.empty((size, w), dtype=bool)
+    radius2 = aperture.radius ** 2
+    for r0, r1 in zip(edges, edges[1:]):
+        n = r1 - r0
+        wt, blk, d2, ins = weight[:n], block[:n], dist2[:n], inside[:n]
+        out = folded[r0:r1]
+        for p in range(BLOCK):
+            rows = slice(p * h + r0, p * h + r1)
+            for q in range(BLOCK):
+                cols = slice(q * w, (q + 1) * w)
+                np.add(dy2[rows, None], dx2[cols], out=d2)
+                np.less_equal(d2, radius2, out=ins)
+                if not ins.any():
+                    continue
+                np.matmul(ey_mask[rows], ex[cols].T, out=wt)
+                if 2 * q < BLOCK:
+                    spectrum = half[rows, cols]
+                else:  # columns n2/2 and up, by the Hermitian symmetry
+                    spectrum = np.conjugate(half[-k1[rows] % n1, n2 - q * w:n2 - (q + 1) * w:-1],
+                                            out=blk)
+                np.multiply(wt, spectrum, out=wt)
+                np.add(out, wt, out=out, where=ins)
+    del half  # before the inverse transform allocates
     # The filtered sideband of a real pattern carries conjugated block
     # phases; conjugating h recovers them.
-    return np.conj(_fft2(folded, np.fft.ifft, np.fft.ifft)) / BLOCK ** 4
+    readout = _fft2(folded, np.fft.ifft, np.fft.ifft)
+    np.conjugate(readout, out=readout)
+    readout /= BLOCK ** 4
+    return readout
 
 
 def field_correlation(a: np.ndarray, b: np.ndarray) -> float:
