@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .rng import stream_u64
+from .rng import _stream_at
 from .superpixel import BLOCK, DEFAULT_ASSIGNMENT, PhaseAssignment
 
 
@@ -93,8 +93,13 @@ def fresnel_propagate(field: np.ndarray, params: PropagationParams) -> np.ndarra
 
     Both 2-D transforms run in strips of rows, then of columns (_fft2), and
     the result is np.fft.ifft2(np.fft.fft2(field) * transfer) bit for bit.
-    The working set is the field plus field-sized temporaries: the transfer
-    function and the two spectra.
+    The transfer function's exponent depends on the frequencies only through
+    fx**2 + fy**2, and np.fft.fftfreq gives entries k and n - k as exact
+    negatives.  So np.exp runs only on the |f| quadrant, entries 0..n//2 of
+    each axis (about a quarter of the grid), and the transfer function is
+    gathered from it with index min(k, n - k): the values np.exp gives over
+    the whole grid.  The working set is the field plus field-sized
+    temporaries: the transfer function and the two spectra.
     """
     f = np.asarray(field, dtype=np.complex128)
     if f.ndim != 2 or f.size == 0:
@@ -108,12 +113,14 @@ def fresnel_propagate(field: np.ndarray, params: PropagationParams) -> np.ndarra
                 AliasingGuardWarning,
                 stacklevel=2,
             )
-    fx = np.fft.fftfreq(nx, d=params.pitch)
-    fy = np.fft.fftfreq(ny, d=params.pitch)
-    transfer = np.exp(
+    fx = np.fft.fftfreq(nx, d=params.pitch)[:nx // 2 + 1]
+    fy = np.fft.fftfreq(ny, d=params.pitch)[:ny // 2 + 1]
+    quadrant = np.exp(
         -1j * np.pi * params.wavelength * params.distance
         * (fx[None, :] ** 2 + fy[:, None] ** 2)
     )
+    ky, kx = np.arange(ny), np.arange(nx)
+    transfer = quadrant[np.minimum(ky, ny - ky)][:, np.minimum(kx, nx - kx)]
     spectrum = _fft2(f, np.fft.fft, np.fft.fft)
     spectrum *= transfer
     return _fft2(spectrum, np.fft.ifft, np.fft.ifft)
@@ -144,8 +151,9 @@ def _bilinear(a: np.ndarray, yy: np.ndarray, xx: np.ndarray) -> np.ndarray:
     ix, wx, in_x = axis(xx, w)
     total = 0.0
     for dy in (0, 1):
+        rows = padded[iy + dy]
         for dx in (0, 1):
-            total = total + padded[np.ix_(iy + dy, ix + dx)] * wy[dy][:, None] * wx[dx]
+            total = total + rows[:, ix + dx] * wy[dy][:, None] * wx[dx]
     return np.where(in_y[:, None] & in_x, total, 0.0)
 
 
@@ -165,13 +173,14 @@ def resample_bilinear(array: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
 
     yy = (np.arange(h_fit) + 0.5) * (h_in / h_fit) - 0.5
     xx = (np.arange(w_fit) + 0.5) * (w_in / w_fit) - 0.5
+    window = (slice(y0, y0 + h_fit), slice(x0, x0 + w_fit))
     if np.iscomplexobj(a):
-        fitted = _bilinear(a.real, yy, xx) + 1j * _bilinear(a.imag, yy, xx)
         out = np.zeros(shape, dtype=np.complex128)
+        out[window].real = _bilinear(a.real, yy, xx)
+        out[window].imag = _bilinear(a.imag, yy, xx)
     else:
-        fitted = _bilinear(a, yy, xx)
         out = np.zeros(shape, dtype=np.float64)
-    out[y0:y0 + h_fit, x0:x0 + w_fit] = fitted
+        out[window] = _bilinear(a, yy, xx)
     return out
 
 
@@ -182,6 +191,14 @@ def generate_hologram(obj: np.ndarray, params: PropagationParams,
     The object is scaled to unit peak amplitude, optionally roughened by a
     keyed uniform random phase (diffuser_seed None disables it), letterboxed
     onto `shape`, and propagated by params.distance.
+
+    Object pixel n, in row-major order, takes the phase 2*pi*u with
+    u = output n of SplitMix64(diffuser_seed) / 2**64.  Phases are drawn,
+    and np.exp taken, only at pixels of non-zero amplitude; the field is +0
+    elsewhere.  The result is still amp * np.exp(2j*pi*u) over every pixel,
+    resampled and propagated, bit for bit: a zero amplitude there gives
+    parts of +-0, but resample_bilinear adds its terms from 0.0, no partial
+    sum begun at +0 can be -0, and adding a signed zero to it changes no bit.
     """
     a = np.asarray(obj, dtype=np.float64)
     if a.ndim != 2 or a.size == 0:
@@ -190,12 +207,25 @@ def generate_hologram(obj: np.ndarray, params: PropagationParams,
         raise ValueError("object amplitudes must be finite and non-negative")
     peak = a.max()
     amp = a / peak if peak > 0 else a
-    if diffuser_seed is not None:
-        u = stream_u64(diffuser_seed, amp.size).reshape(amp.shape).astype(np.float64) / 2.0 ** 64
-        field = amp * np.exp(2j * np.pi * u)
-    else:
-        field = amp.astype(np.complex128)
+    field = amp.astype(np.complex128) if diffuser_seed is None else _diffused(amp, diffuser_seed)
+    del amp  # the scaled copy, before the resampling allocates
     return fresnel_propagate(resample_bilinear(field, shape), params)
+
+
+def _diffused(amp: np.ndarray, seed: int) -> np.ndarray:
+    """amp * np.exp(2j*pi*u), u the diffuser phase of each pixel, taken only
+    where amp is non-zero (see generate_hologram).  Each temporary is freed
+    once used, so the peak stays below that of the whole-array formula."""
+    nz = np.flatnonzero(amp != 0)
+    u = _stream_at(seed, nz).astype(np.float64)
+    u /= 2.0 ** 64
+    phasor = 2j * np.pi * u
+    del u
+    np.exp(phasor, out=phasor)
+    np.multiply(amp.ravel()[nz], phasor, out=phasor)
+    field = np.zeros(amp.shape, dtype=np.complex128)
+    field.ravel()[nz] = phasor
+    return field
 
 
 def reconstruct(field: np.ndarray, params: PropagationParams) -> np.ndarray:

@@ -55,16 +55,12 @@ class SplitMix64:
             items[i], items[j] = items[j], items[i]
 
 
-def stream_u64(seed: int, count: int) -> np.ndarray:
-    """First `count` outputs of SplitMix64(seed) as a uint64 array.
+def _mix_steps(seed: int, z: np.ndarray) -> np.ndarray:
+    """mix(seed + z * gamma) for each step count in the uint64 array z, in place.
 
-    Output n of the scalar generator is mix(seed + (n + 1) * gamma), which
-    makes the whole stream computable without the sequential dependency.
+    Every scalar is an np.uint64, so numpy 1.x's value-based casting keeps
+    each operation in uint64; the work runs in z and one shift buffer.
     """
-    check_seed(seed)
-    # In place, in z and one shift buffer; every scalar is an np.uint64, so
-    # numpy 1.x's value-based casting keeps each operation in uint64.
-    z = np.arange(1, count + 1, dtype=np.uint64)
     z *= np.uint64(_GAMMA)                          # wraps mod 2**64
     z += np.uint64(seed)
     shifted = np.empty_like(z)
@@ -75,6 +71,26 @@ def stream_u64(seed: int, count: int) -> np.ndarray:
     np.right_shift(z, np.uint64(31), out=shifted)
     z ^= shifted
     return z
+
+
+def stream_u64(seed: int, count: int) -> np.ndarray:
+    """First `count` outputs of SplitMix64(seed) as a uint64 array.
+
+    Output n of the scalar generator is mix(seed + (n + 1) * gamma), which
+    makes the whole stream computable without the sequential dependency.
+    """
+    check_seed(seed)
+    return _mix_steps(seed, np.arange(1, count + 1, dtype=np.uint64))
+
+
+def _stream_at(seed: int, positions: np.ndarray) -> np.ndarray:
+    """Outputs of SplitMix64(seed) at the non-negative integer `positions`:
+    stream_u64(seed, n)[positions] for any n past the largest, without
+    computing the outputs in between."""
+    check_seed(seed)
+    z = np.asarray(positions).astype(np.uint64)
+    z += np.uint64(1)
+    return _mix_steps(seed, z)
 
 
 def mul_high(x: np.ndarray, bound: np.ndarray) -> np.ndarray:

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -433,17 +434,76 @@ def test_sim4f_strip_fold_matches_block_fold_full_frame():
     assert_fold_matches_block_oracle((1080, 1920), ApertureSpec(), DEFAULT_ASSIGNMENT, 41)
 
 
-@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (5, 1), (17, 33), (270, 480), (300, 301)])
+def whole_array_fresnel(field, params):
+    """fresnel_propagate by whole-array np.fft, np.exp taken over every frequency."""
+    ny, nx = field.shape
+    fx = np.fft.fftfreq(nx, d=params.pitch)
+    fy = np.fft.fftfreq(ny, d=params.pitch)
+    transfer = np.exp(-1j * np.pi * params.wavelength * params.distance
+                      * (fx[None, :] ** 2 + fy[:, None] ** 2))
+    return np.fft.ifft2(np.fft.fft2(field) * transfer)
+
+
+# Even and odd lengths: an even axis has a Nyquist frequency with no
+# partner, an odd one pairs every frequency but 0.
+@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (5, 1), (17, 33), (270, 480), (300, 301),
+                                   (2, 2), (4, 3), (270, 481)])
 def test_fresnel_matches_whole_array_fft(shape):
     f = random_field(31, shape)
-    fx = np.fft.fftfreq(shape[1], d=SHORT.pitch)
-    fy = np.fft.fftfreq(shape[0], d=SHORT.pitch)
-    transfer = np.exp(-1j * np.pi * SHORT.wavelength * SHORT.distance
-                      * (fx[None, :] ** 2 + fy[:, None] ** 2))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", AliasingGuardWarning)
-        out = fresnel_propagate(f, SHORT)
-    assert np.array_equal(bits_of(out), bits_of(np.fft.ifft2(np.fft.fft2(f) * transfer)))
+    # forward, and backward as reconstruct propagates
+    for params in (SHORT, replace(SHORT, distance=-SHORT.distance)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", AliasingGuardWarning)
+            out = fresnel_propagate(f, params)
+        assert np.array_equal(bits_of(out), bits_of(whole_array_fresnel(f, params)))
+
+
+def whole_array_hologram(obj, params, shape, phasor):
+    """generate_hologram's formula over every pixel: `phasor`, the diffuser
+    np.exp(2j*pi*u) of every pixel (None for no diffuser), multiplies the
+    amplitude, zeros included; then whole-array transforms."""
+    a = np.asarray(obj, dtype=np.float64)
+    peak = a.max()
+    amp = a / peak if peak > 0 else a
+    field = amp.astype(np.complex128) if phasor is None else amp * phasor
+    return whole_array_fresnel(resample_bilinear(field, shape), params)
+
+
+def hologram_object(kind, shape):
+    h, w = shape
+    y, x = np.ogrid[0:h, 0:w]
+    bars = np.repeat(np.where((x // max(w // 16, 1)) % 2 == 0, 0.35, 0.0), h, axis=0)
+    bars[(x - 0.3 * w) ** 2 + (y - 0.35 * h) ** 2 < (0.18 * min(h, w)) ** 2] = 1.0
+    if kind == "bars":
+        return bars
+    if kind == "dense":
+        return np.random.default_rng(h * w).random(shape) + 0.1
+    if kind == "single":
+        obj = np.zeros(shape)
+        obj[h // 3, w // 2] = 0.7
+        return obj
+    if kind == "black":
+        return np.zeros(shape)
+    return np.where(bars == 0, -0.0, bars)  # "negative zeros"
+
+
+# upsampled, downsampled by 4, and by a non-integer factor
+@pytest.mark.parametrize("in_shape, out_shape", [((100, 77), (270, 480)),
+                                                 ((1080, 1920), (270, 480)),
+                                                 ((90, 125), (64, 50))])
+@pytest.mark.parametrize("seed", [0, 7, (1 << 64) - 1, None])
+def test_hologram_matches_whole_array_diffuser(seed, in_shape, out_shape):
+    # generate_hologram draws the diffuser only where the amplitude is
+    # non-zero; its bits must be those of the phasor taken everywhere.
+    phasor = None
+    if seed is not None:
+        u = stream_u64(seed, in_shape[0] * in_shape[1]).reshape(in_shape).astype(np.float64) / 2.0 ** 64
+        phasor = np.exp(2j * np.pi * u)
+    for kind in ("bars", "dense", "single", "black", "negative zeros"):
+        obj = hologram_object(kind, in_shape)
+        out = generate_hologram(obj, SHORT, out_shape, diffuser_seed=seed)
+        expected = whole_array_hologram(obj, SHORT, out_shape, phasor)
+        assert np.array_equal(bits_of(out), bits_of(expected)), kind
 
 
 def test_sim4f_peak_memory_stays_near_the_half_spectrum():

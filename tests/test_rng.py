@@ -68,6 +68,23 @@ def test_stream_empty():
     assert out.dtype == np.uint64 and out.size == 0
 
 
+@pytest.mark.parametrize("seed", [0, 42, MASK])
+def test_stream_at_positions_matches_stream(seed):
+    n = 5000
+    stream = stream_u64(seed, n)
+    scattered = np.random.default_rng(seed % 1000).integers(0, n, 300)  # unsorted, repeats
+    for positions in ([], [0], [n - 1], [0, n - 1], np.flatnonzero(stream % np.uint64(3) == 0),
+                      scattered):
+        positions = np.asarray(positions, dtype=np.intp)
+        kept = positions.copy()
+        got = rng._stream_at(seed, positions)
+        assert got.dtype == np.uint64 and got.shape == positions.shape
+        assert np.array_equal(got, stream[positions])
+        assert np.array_equal(positions, kept)
+    with pytest.raises(ValueError):
+        rng._stream_at(MASK + 1, np.arange(3))
+
+
 def test_below_is_high_multiply():
     g = SplitMix64(42)
     raw = stream_u64(42, 50)
