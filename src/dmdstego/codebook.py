@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .rng import mul_high, stream_u64
+from .rng import _draws_below
 from .superpixel import (
     DEFAULT_ASSIGNMENT,
     MAX_MODULUS,
@@ -301,7 +301,7 @@ def pick_in_groups(sizes: np.ndarray, strategy: str, seed: int | None = None) ->
         return sizes - 1
     if seed is None:
         raise ValueError("random selection needs a key seed")
-    return mul_high(stream_u64(seed, sizes.size), sizes).astype(np.int64)
+    return _draws_below(seed, sizes)
 
 
 def build_codebook(assignment: PhaseAssignment | None = None) -> Codebook:

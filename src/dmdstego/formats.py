@@ -28,10 +28,19 @@ class FormatError(ValueError):
 
 # The whitespace and "#" comments (each up to its newline) before a token, then the token.
 _TOKEN = re.compile(rb"\s*(?:#[^\n]*\s*)*(\S*)")
+# A netpbm header, the whitespace after its last value included, must fit in
+# this many bytes.  `_TOKEN` steps once per comment, so an unbounded run of
+# short comments would cost time in proportion to the file; 2 MiB still holds
+# a 1 MiB comment or 1 MiB of whitespace.
+HEADER_LIMIT = 2 << 20
 
 
 def _read_token(data: bytes, pos: int, what: str) -> tuple[int, int]:
-    match = _TOKEN.match(data, pos)
+    match = _TOKEN.match(data, pos, HEADER_LIMIT)
+    if match.end(1) == HEADER_LIMIT:
+        # Refused, never truncated: the token may go on past the limit.
+        raise FormatError(f"{what} at byte {match.start(1)} reaches the "
+                          f"{HEADER_LIMIT}-byte header limit")
     token = match[1]
     if not token.isdigit():
         raise FormatError(f"expected {what} at byte {match.start(1)}, found {token[:16]!r}")

@@ -98,8 +98,9 @@ def mul_high(x: np.ndarray, bound: np.ndarray) -> np.ndarray:
 
     With x = xh * 2**32 + xl the product's high word is
     (xh * bound + (xl * bound >> 32)) >> 32, and no partial sum overflows 64
-    bits while bound fits in 32.  That covers every caller: group sizes are at
-    most 256, and permutation lengths are bounded by the 32-bit length header.
+    bits while bound fits in 32.  That covers `_draws_below`, its one caller in
+    the package: group sizes are at most 256, and permutation lengths are
+    bounded by the 32-bit length header.
     """
     x = np.asarray(x, dtype=np.uint64)
     bound = np.asarray(bound, dtype=np.uint64)
@@ -122,6 +123,26 @@ def mul_high(x: np.ndarray, bound: np.ndarray) -> np.ndarray:
 # steps: 1/WINDOW_DIVISOR of them, and never fewer than WINDOW_FLOOR.
 WINDOW_FLOOR = 1024
 WINDOW_DIVISOR = 32
+# `_draws_below` mixes and bounds this many draws at a time, so the
+# temporaries of one block (128 KiB each) stay in L2.
+_DRAW_BLOCK = 16_384
+
+
+def _draws_below(seed: int, bounds: np.ndarray) -> np.ndarray:
+    """SplitMix64(seed).below(b) for each b of the 1-D `bounds`, as int64.
+
+    Draw k is mul_high of stream output k and bounds[k], computed a block of
+    _DRAW_BLOCK draws at a time into slices of the output, so no
+    stream-sized temporary is made.
+    """
+    check_seed(seed)
+    bounds = np.asarray(bounds)
+    out = np.empty(bounds.size, dtype=np.int64)
+    for lo in range(0, bounds.size, _DRAW_BLOCK):
+        hi = min(lo + _DRAW_BLOCK, bounds.size)
+        out[lo:hi] = mul_high(_mix_steps(seed, np.arange(lo + 1, hi + 1, dtype=np.uint64)),
+                              bounds[lo:hi])
+    return out
 
 
 def permutation(n: int, seed: int) -> np.ndarray:
@@ -153,7 +174,7 @@ def permutation(n: int, seed: int) -> np.ndarray:
     if n < 2:
         return perm
     tail_i = np.arange(n - 1, 0, -1, dtype=np.int64)
-    tail_j = mul_high(stream_u64(seed, n - 1), tail_i + 1).astype(np.int64)
+    tail_j = _draws_below(seed, tail_i + 1)
     reserved = np.empty(n, dtype=np.int64)
     i = j = tail_i[:0]
     cursor = 0

@@ -16,7 +16,6 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .codebook import STRATEGIES, Codebook, pick_in_groups
 from .rng import check_seed, permutation
@@ -109,11 +108,15 @@ def embed(plan: np.ndarray, payload_bits: np.ndarray, key: StegoKey,
     # Offsets never decrease, so the superpixels carrying stream bits are a
     # row-major prefix.  Each reads the 8-bit window at its offset and keeps
     # its top `caps` bits; one straddling the end of the stream takes what is
-    # left, zero-padded on the low side of its index.
+    # left, zero-padded on the low side of its index.  A window spans the
+    # packed byte holding its offset and the next one; every offset is inside
+    # the stream, so one zero byte past its end is all the padding needed.
     offs = np.cumsum(caps) - caps
     active = int(np.searchsorted(offs, stream.size))
-    padded = np.concatenate([stream, np.zeros(8, dtype=np.uint8)])
-    windows = np.packbits(sliding_window_view(padded, 8)[offs[:active]], axis=1)[:, 0]
+    o = offs[:active]
+    packed = np.concatenate([np.packbits(stream), np.zeros(1, dtype=np.uint8)]).astype(np.uint16)
+    at = o >> 3
+    windows = ((packed[at] << 8 | packed[at + 1]) >> (8 - (o & 7)).astype(np.uint16)) & 0xFF
 
     groups = plan.ravel().astype(np.int64)
     pick = np.concatenate([

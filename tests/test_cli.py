@@ -10,6 +10,7 @@ import pytest
 
 from dmdstego.cli import main
 from dmdstego.formats import (
+    HEADER_LIMIT,
     read_field,
     read_image,
     read_pattern,
@@ -281,6 +282,30 @@ def test_sim4f_bad_compare_leaves_no_output(capsys, tmp_path, compare):
     err = capsys.readouterr().err
     assert rc == 1
     assert sum("error:" in line for line in err.splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["hologram", "decode"])
+def test_comment_heavy_netpbm_header_is_refused(tmp_path, command):
+    # A million one-line comments run the header past HEADER_LIMIT; the
+    # reader stops at the limit and the command writes nothing.
+    comments = b"\n#" * (HEADER_LIMIT // 2 + 1)
+    if command == "hologram":
+        path = tmp_path / "in.pgm"
+        path.write_bytes(b"P5" + comments + b"\n8 8\n255\n" + bytes(64))
+        extra = [*GEO, "--superpixels", "8x8"]
+    else:
+        path = tmp_path / "in.pbm"
+        path.write_bytes(b"P4" + comments + b"\n8 8\n" + bytes(8))
+        extra = []
+    out = tmp_path / "out.bin"
+    r = subprocess.run([sys.executable, "-m", "dmdstego", command, "--input", str(path),
+                        "--output", str(out), *extra], capture_output=True, text=True)
+    assert r.returncode == 1, r.stderr
+    assert "Traceback" not in r.stderr
+    assert sum("error:" in line for line in r.stderr.splitlines()) == 1
+    assert f"width at byte {HEADER_LIMIT} reaches the {HEADER_LIMIT}-byte header limit" in r.stderr
+    assert r.stdout == ""
     assert not out.exists()
 
 

@@ -30,7 +30,7 @@ from dmdstego.codebook import (
 )
 from dmdstego.modulator import normalize_field
 from dmdstego.optics import PropagationParams, generate_hologram
-from dmdstego.rng import SplitMix64
+from dmdstego.rng import _DRAW_BLOCK, SplitMix64
 from dmdstego.superpixel import (
     BLOCK,
     MAX_MODULUS,
@@ -417,6 +417,14 @@ def test_pick_in_groups_strategies(codebook):
     picks = set(pick_in_groups(np.full(200, 256), "random", 11).tolist())
     assert picks <= set(range(256))
     assert len(picks) > 50
+
+
+def test_pick_in_groups_random_across_draw_blocks(codebook):
+    # Three draw blocks and a partial fourth, over every group size the codebook has.
+    groups = np.random.default_rng(12).integers(0, 6561, 3 * _DRAW_BLOCK + 100)
+    sizes = codebook.group_sizes[groups]
+    rng = SplitMix64(0xA5A5)
+    assert pick_in_groups(sizes, "random", 0xA5A5).tolist() == [rng.below(int(s)) for s in sizes]
 
 
 def test_pick_in_groups_validation():

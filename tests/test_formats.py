@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dmdstego.formats import (
+    HEADER_LIMIT,
     FormatError,
     read_field,
     read_image,
@@ -74,6 +75,25 @@ def test_header_errors_keep_their_byte_offsets(tmp_path, data, message):
     p.write_bytes(data)
     with pytest.raises(FormatError, match=re.escape(message)):
         read_pattern(p)
+
+
+def test_header_limit_edges(tmp_path):
+    p = tmp_path / "h.pbm"
+    # The whitespace after the last value is the limit's last byte: read.
+    header = b"P4" + b"\n" * (HEADER_LIMIT - 6) + b"8 4\n"
+    assert len(header) == HEADER_LIMIT
+    p.write_bytes(header + RASTER_8X4)
+    assert np.packbits(read_pattern(p), axis=1).tobytes() == RASTER_8X4
+    # One byte more, and the height reaches the limit.  A number running on
+    # past the limit, or comments up to it, are refused, never cut short.
+    for data, message in [
+        (b"P4\n" + header[2:] + RASTER_8X4, f"height at byte {HEADER_LIMIT - 1} reaches"),
+        (b"P4" + b" " * (HEADER_LIMIT - 5) + b"8 " + b"4" * 100 + b"\n", f"height at byte {HEADER_LIMIT - 1} reaches"),
+        (b"P4" + b"\n#" * HEADER_LIMIT + b"\n8 4\n" + RASTER_8X4, f"width at byte {HEADER_LIMIT} reaches"),
+    ]:
+        p.write_bytes(data)
+        with pytest.raises(FormatError, match=re.escape(f"{message} the {HEADER_LIMIT}-byte header limit")):
+            read_pattern(p)
 
 
 @pytest.mark.parametrize("read, magic, maxval", [(read_image, b"P5", b"255\n"), (read_pattern, b"P4", b"")],

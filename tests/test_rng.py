@@ -1,12 +1,14 @@
 """Generator tests against an independent step-by-step reference."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dmdstego import rng
-from dmdstego.rng import WINDOW_FLOOR, SplitMix64, mul_high, permutation, stream_u64
+from dmdstego.rng import _DRAW_BLOCK, WINDOW_FLOOR, SplitMix64, mul_high, permutation, stream_u64
 
 MASK = (1 << 64) - 1
 
@@ -97,6 +99,37 @@ def test_below_in_range(seed, bound):
     assert 0 <= SplitMix64(seed).below(bound) < bound
 
 
+# Sizes at the edges of the draw blocks: none, a partial first block, one
+# full block, and a partial block after one or two full ones.
+BLOCK_EDGE_SIZES = [0, 1, _DRAW_BLOCK - 1, _DRAW_BLOCK, _DRAW_BLOCK + 1, 2 * _DRAW_BLOCK + 3]
+
+
+@pytest.mark.parametrize("size", BLOCK_EDGE_SIZES)
+@pytest.mark.parametrize("bound", [1, (1 << 32) - 1])
+@pytest.mark.parametrize("seed", [0, MASK])
+def test_draws_below_matches_the_scalar_generator(size, bound, seed):
+    bounds = np.full(size, bound, dtype=np.int64)
+    g = SplitMix64(seed)
+    got = rng._draws_below(seed, bounds)
+    assert got.dtype == np.int64 and got.shape == (size,)
+    assert got.tolist() == [g.below(bound) for _ in range(size)]
+
+
+def test_draws_below_mixed_bounds_and_validation():
+    # Bounds that change inside and across blocks, read in order.
+    size = 2 * _DRAW_BLOCK + 3
+    bounds = np.arange(size, dtype=np.int64) % 300 + 1
+    bounds[_DRAW_BLOCK - 2:_DRAW_BLOCK + 2] = (1 << 32) - 1
+    kept = bounds.copy()
+    g = SplitMix64(0x5EED)
+    assert rng._draws_below(0x5EED, bounds).tolist() == [g.below(int(b)) for b in bounds.tolist()]
+    assert np.array_equal(bounds, kept)
+    with pytest.raises(ValueError):
+        rng._draws_below(MASK + 1, bounds)
+    with pytest.raises(ValueError):
+        rng._draws_below(0, np.array([1, 1 << 32], dtype=np.int64))
+
+
 def test_mul_high_matches_python_ints():
     edges_x = [MASK, MASK - 1, 1 << 63, (1 << 63) - 1, (1 << 32) - 1, 1 << 32, 0]
     edges_b = [1, 2, 255, 256, (1 << 31) + 1, (1 << 32) - 2, (1 << 32) - 1]
@@ -142,9 +175,11 @@ def test_permutation_matches_shuffle_method():
 
 
 # Sizes straddling the window floor: one round holds every step, or the
-# tail needs a second or third slice.
+# tail needs a second or third slice; then n - 1 draws that end just short
+# of, at, or just past the first draw block.
 @pytest.mark.parametrize("n", [1000, WINDOW_FLOOR - 1, WINDOW_FLOOR, WINDOW_FLOOR + 1,
-                               2 * WINDOW_FLOOR + 1, 4097, 50_000, 200_000])
+                               2 * WINDOW_FLOOR + 1, 4097, _DRAW_BLOCK, _DRAW_BLOCK + 1,
+                               _DRAW_BLOCK + 2, 50_000, 200_000])
 @pytest.mark.parametrize("seed", [0, MASK, 0x5EED_1234_ABCD_0042])
 def test_permutation_matches_shuffle_large(n, seed):
     got = permutation(n, seed)
@@ -169,6 +204,20 @@ def test_permutation_tiny_windows(n, seed, floor, divisor):
         got = permutation(n, seed)
     assert got.dtype == np.int64
     assert got.tolist() == _shuffled(n, seed)
+
+
+def test_permutation_peak_memory():
+    # The output, the descending steps, their draws and the reservation
+    # table are four n-element int64 arrays; the draws are made a block at
+    # a time, so no stream-sized temporary adds to them.
+    n = 379_541
+    tracemalloc.start()
+    try:
+        permutation(n, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5 * 8 * n
 
 
 def test_permutation_smallest_sizes():

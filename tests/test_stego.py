@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dmdstego.codebook import STRATEGIES, build_codebook
-from dmdstego.rng import SplitMix64
+from dmdstego.rng import _DRAW_BLOCK, SplitMix64
 from dmdstego.stego import (
     FILL_SEED_XOR,
     HEADER_BITS,
@@ -164,6 +164,23 @@ def test_embed_matches_reference(codebook):
             want = reference_embed(plan, bits, key, codebook, fill=fill)
             assert np.array_equal(got, want), f"fill={fill} trial={trial}"
             assert np.array_equal(extract(got, key, codebook), reference_extract(got, key, codebook))
+
+
+@pytest.mark.parametrize("fill", STRATEGIES)
+def test_embed_matches_reference_past_a_draw_block(codebook, fill):
+    # More fill superpixels than one draw block, and streams ending at every
+    # bit offset inside their last packed byte.
+    plan = random_plan(np.random.default_rng(21), (136, 128))
+    rng = np.random.default_rng(22)
+    key = StegoKey(seed=0xFEDCBA9876543210)
+    caps = codebook.capacities[plan.ravel()]
+    for length in range(200, 208):
+        active = int(np.searchsorted(np.cumsum(caps) - caps, HEADER_BITS + length))
+        assert plan.size - active > _DRAW_BLOCK
+        bits = rng.integers(0, 2, length, dtype=np.uint8)
+        got = embed(plan, bits, key, codebook, fill=fill)
+        assert np.array_equal(got, reference_embed(plan, bits, key, codebook, fill=fill)), length
+        assert np.array_equal(extract(got, key, codebook), bits), length
 
 
 def test_extract_matches_reference(codebook):
