@@ -1,8 +1,11 @@
-"""SplitMix64 generator: scalar stream, vectorized stream, bounded draws, shuffles.
+"""SplitMix64 in numpy: counter-mode streams, bounded draws, keyed shuffles.
 
-All randomness in this package that must be reproducible across platforms
-(permutation ciphers, random pattern selection, diffuser phases) flows
-through this module rather than numpy's own generators.
+Output n (n = 0, 1, ...) of SplitMix64(seed) is mix(seed + (n + 1) * gamma)
+modulo 2**64, with mix the generator's xor-shift-multiply finalizer, so any
+output is computed without the ones before it.  All randomness in this
+package that must be reproducible across platforms (permutation ciphers,
+random pattern selection, diffuser phases) flows through this module rather
+than numpy's own generators.
 """
 
 from __future__ import annotations
@@ -16,43 +19,11 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 
-def _mix(z: int) -> int:
-    z ^= z >> 30
-    z = (z * _MIX1) & _MASK64
-    z ^= z >> 27
-    z = (z * _MIX2) & _MASK64
-    z ^= z >> 31
-    return z
-
-
 def check_seed(seed: int) -> int:
     """Return `seed` unchanged if it fits in 64 bits; raise ValueError otherwise."""
     if not 0 <= seed <= _MASK64:
         raise ValueError("seed must fit in 64 bits")
     return seed
-
-
-class SplitMix64:
-    """Sequential SplitMix64 stream over Python integers."""
-
-    def __init__(self, seed: int):
-        self._state = check_seed(seed)
-
-    def next_u64(self) -> int:
-        self._state = (self._state + _GAMMA) & _MASK64
-        return _mix(self._state)
-
-    def below(self, bound: int) -> int:
-        """Draw from 0..bound-1 via the high 64 bits of a 128-bit product (no rejection step)."""
-        if bound < 1:
-            raise ValueError("bound must be positive")
-        return (self.next_u64() * bound) >> 64
-
-    def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle, descending index, j = below(i + 1)."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.below(i + 1)
-            items[i], items[j] = items[j], items[i]
 
 
 def _mix_steps(seed: int, z: np.ndarray) -> np.ndarray:
@@ -76,8 +47,8 @@ def _mix_steps(seed: int, z: np.ndarray) -> np.ndarray:
 def stream_u64(seed: int, count: int) -> np.ndarray:
     """First `count` outputs of SplitMix64(seed) as a uint64 array.
 
-    Output n of the scalar generator is mix(seed + (n + 1) * gamma), which
-    makes the whole stream computable without the sequential dependency.
+    Output n is mix(seed + (n + 1) * gamma), so the whole stream is
+    computed at once, without the sequential dependency.
     """
     check_seed(seed)
     return _mix_steps(seed, np.arange(1, count + 1, dtype=np.uint64))
@@ -129,11 +100,11 @@ _DRAW_BLOCK = 16_384
 
 
 def _draws_below(seed: int, bounds: np.ndarray) -> np.ndarray:
-    """SplitMix64(seed).below(b) for each b of the 1-D `bounds`, as int64.
+    """One bounded draw from 0..b-1 for each b of the 1-D `bounds`, as int64.
 
-    Draw k is mul_high of stream output k and bounds[k], computed a block of
-    _DRAW_BLOCK draws at a time into slices of the output, so no
-    stream-sized temporary is made.
+    Draw k is mul_high of stream output k and bounds[k], with no rejection
+    step, computed a block of _DRAW_BLOCK draws at a time into slices of the
+    output, so no stream-sized temporary is made.
     """
     check_seed(seed)
     bounds = np.asarray(bounds)
@@ -145,15 +116,23 @@ def _draws_below(seed: int, bounds: np.ndarray) -> np.ndarray:
     return out
 
 
-def permutation(n: int, seed: int) -> np.ndarray:
-    """Fisher-Yates permutation of range(n) driven by SplitMix64(seed).
+def permutation(x, seed: int) -> np.ndarray:
+    """Shuffled copy of `x` by the Fisher-Yates shuffle keyed with SplitMix64(seed).
 
-    Identical to SplitMix64(seed).shuffle(list(range(n))), computed in rounds
-    of independent swaps: the prefix variant of deterministic reservations
-    (Blelloch, Fineman, Gibbons & Shun, PPoPP 2012; Shun et al., SODA 2015).
-    Step i swaps slots i and j[i] <= i, and the sequential order runs from
-    i = n-1 down, so step i must wait only for higher steps that touch slot
-    i or slot j[i].
+    As with numpy's `Generator.permutation`, `x` is an int, whose items are
+    arange(x) as int64, or a 1-D array, whose items are a copy of it in its
+    own dtype.  The result for an array equals x[permutation(len(x), seed)].
+    The sequential shuffle of n items runs i from n-1 down to 1 and swaps
+    items i and j[i], the next bounded draw from 0..i: step i takes draw
+    n-1-i of `_draws_below`.
+
+    That shuffle is computed here in rounds of independent swaps: the prefix
+    variant of deterministic reservations (Blelloch, Fineman, Gibbons & Shun,
+    PPoPP 2012; Shun et al., SODA 2015).  Step i swaps slots i and j[i] <= i,
+    and the sequential order runs from i = n-1 down, so step i must wait
+    only for higher steps that touch slot i or slot j[i].  The winning swaps
+    of a round move the items themselves, so a uint8 array is shuffled as
+    bytes, with no int64 index permutation made for it.
 
     Each round takes a window of the highest pending steps: the previous
     round's losers, then the next slice of the untouched descending tail,
@@ -170,9 +149,10 @@ def permutation(n: int, seed: int) -> np.ndarray:
     few steps per round.  At n = 379,541 this takes 133-144 rounds (median
     137) over 200 seeds.
     """
-    perm = np.arange(n, dtype=np.int64)
+    items = np.arange(x, dtype=np.int64) if np.ndim(x) == 0 else np.array(x)
+    n = len(items)
     if n < 2:
-        return perm
+        return items
     tail_i = np.arange(n - 1, 0, -1, dtype=np.int64)
     tail_j = _draws_below(seed, tail_i + 1)
     reserved = np.empty(n, dtype=np.int64)
@@ -192,7 +172,7 @@ def permutation(n: int, seed: int) -> np.ndarray:
         np.maximum.at(reserved, j, i)
         won = (reserved[i] == i) & (reserved[j] == i)
         wi, wj = i[won], j[won]
-        perm[wi], perm[wj] = perm[wj], perm[wi]
+        items[wi], items[wj] = items[wj], items[wi]
         lost = ~won
         i, j = i[lost], j[lost]
-    return perm
+    return items

@@ -3,10 +3,12 @@
 Every superpixel whose value group holds 2**d patterns can carry d bits by
 the choice of which pattern represents the value, without touching the
 modulated field at all.  The embedded stream is a 32-bit big-endian length
-header followed by the payload bits shuffled by a keyed Fisher-Yates
-permutation; superpixels are visited row-major and each consumes its d
-stream bits MSB-first as an index into the group's pattern list.  Once the
-stream runs out, the remaining superpixels fall back to a fill strategy.
+header followed by the payload bits in a keyed Fisher-Yates order: `embed`
+shuffles the bits themselves, and `extract` shuffles their uint32 positions
+the same way to put each bit back.  Superpixels are visited row-major and
+each consumes its d stream bits MSB-first as an index into the group's
+pattern list.  Once the stream runs out, the remaining superpixels fall back
+to a fill strategy.
 """
 
 from __future__ import annotations
@@ -67,14 +69,14 @@ def bits_to_bytes(bits: np.ndarray) -> bytes:
 
 
 def permute_bits(bits: np.ndarray, key: StegoKey) -> np.ndarray:
-    bits = np.asarray(bits, dtype=np.uint8)
-    return bits[permutation(bits.size, key.seed)]
+    return permutation(np.asarray(bits, dtype=np.uint8), key.seed)
 
 
 def inverse_permute_bits(bits: np.ndarray, key: StegoKey) -> np.ndarray:
     bits = np.asarray(bits, dtype=np.uint8)
     out = np.empty_like(bits)
-    out[permutation(bits.size, key.seed)] = bits
+    # The 32-bit length header keeps the bit count below 2**32.
+    out[permutation(np.arange(bits.size, dtype=np.uint32), key.seed)] = bits
     return out
 
 
@@ -93,12 +95,20 @@ def embed(plan: np.ndarray, payload_bits: np.ndarray, key: StegoKey,
 
     Returns the (4H, 4W) mirror array.  The represented value of every
     superpixel is untouched: only the pattern choice inside each group
-    encodes data, so decoding the modulation is unaffected.
+    encodes data, so decoding the modulation is unaffected.  `payload_bits`
+    must be 1-D and hold only 0s and 1s; anything else raises ValueError.
     """
     if fill not in STRATEGIES:
         raise ValueError(f"fill must be one of {STRATEGIES}")
     plan = np.asarray(plan)
-    payload_bits = np.asarray(payload_bits, dtype=np.uint8)
+    payload_bits = np.asarray(payload_bits)
+    # Checked before the uint8 cast: packing reads any non-zero byte as a
+    # 1, and the cast wraps 256 to 0.
+    if payload_bits.ndim != 1:
+        raise ValueError(f"payload bits must be a 1-D array, not {payload_bits.ndim}-D")
+    if not np.all((payload_bits == 0) | (payload_bits == 1)):
+        raise ValueError("payload bits must be 0 or 1")
+    payload_bits = payload_bits.astype(np.uint8, copy=False)
     caps = codebook.capacities[plan].ravel()
     total = int(caps.sum())
     if HEADER_BITS + payload_bits.size > total:

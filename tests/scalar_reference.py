@@ -1,8 +1,9 @@
-"""Scalar oracles for the 4x4 block algebra and the nearest-value search.
+"""Scalar oracles for the 4x4 block algebra, the nearest-value search and
+the SplitMix64 generator.
 
-The library builds its codebook tables with whole-array numpy code; these
-are the plain per-pattern and per-target definitions the tests check those
-tables against.
+The library builds its codebook tables, its random streams and its shuffles
+with whole-array numpy code; these are the plain per-pattern, per-target and
+per-draw definitions the tests check them against.
 """
 
 import numpy as np
@@ -119,3 +120,41 @@ def codebook_tables(assignment=None):
         "group_of_pattern": group_idx,
         "position_of_pattern": position,
     }
+
+
+MASK64 = (1 << 64) - 1
+
+
+def _mix(z):
+    """SplitMix64's finalizer on a 64-bit state."""
+    z ^= z >> 30
+    z = (z * 0xBF58476D1CE4E5B9) & MASK64
+    z ^= z >> 27
+    z = (z * 0x94D049BB133111EB) & MASK64
+    z ^= z >> 31
+    return z
+
+
+class SplitMix64:
+    """Sequential SplitMix64 stream over Python integers."""
+
+    def __init__(self, seed):
+        if not 0 <= seed <= MASK64:
+            raise ValueError("seed must fit in 64 bits")
+        self._state = seed
+
+    def next_u64(self):
+        self._state = (self._state + 0x9E3779B97F4A7C15) & MASK64
+        return _mix(self._state)
+
+    def below(self, bound):
+        """Draw from 0..bound-1 via the high 64 bits of a 128-bit product (no rejection step)."""
+        if bound < 1:
+            raise ValueError("bound must be positive")
+        return (self.next_u64() * bound) >> 64
+
+    def shuffle(self, items):
+        """In-place Fisher-Yates shuffle, descending index, j = below(i + 1)."""
+        for i in range(len(items) - 1, 0, -1):
+            j = self.below(i + 1)
+            items[i], items[j] = items[j], items[i]

@@ -30,7 +30,7 @@ from dmdstego.codebook import (
 )
 from dmdstego.modulator import normalize_field
 from dmdstego.optics import PropagationParams, generate_hologram
-from dmdstego.rng import _DRAW_BLOCK, SplitMix64
+from dmdstego.rng import _DRAW_BLOCK
 from dmdstego.superpixel import (
     BLOCK,
     MAX_MODULUS,
@@ -40,6 +40,7 @@ from dmdstego.superpixel import (
 )
 
 from scalar_reference import (
+    SplitMix64,
     canonical_index,
     codebook_tables,
     coeffs_from_index,

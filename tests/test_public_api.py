@@ -31,6 +31,7 @@ def test_all_names():
     ("dmdstego.codebook", ["ValueGroup"]),
     ("dmdstego", ["ValueGroup", "pattern_to_value", "pattern_to_coeffs", "coeffs_to_value",
                   "canonical_index", "coeffs_from_index"]),
+    ("dmdstego.rng", ["SplitMix64", "_mix"]),
 ])
 def test_scalar_helpers_left_the_library(module, names):
     # Their scalar definitions live in tests/scalar_reference.py as oracles.

@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dmdstego import rng
-from dmdstego.rng import _DRAW_BLOCK, WINDOW_FLOOR, SplitMix64, mul_high, permutation, stream_u64
+from dmdstego.rng import _DRAW_BLOCK, WINDOW_FLOOR, mul_high, permutation, stream_u64
+
+from scalar_reference import SplitMix64
 
 MASK = (1 << 64) - 1
 
@@ -177,14 +179,50 @@ def test_permutation_matches_shuffle_method():
 # Sizes straddling the window floor: one round holds every step, or the
 # tail needs a second or third slice; then n - 1 draws that end just short
 # of, at, or just past the first draw block.
-@pytest.mark.parametrize("n", [1000, WINDOW_FLOOR - 1, WINDOW_FLOOR, WINDOW_FLOOR + 1,
-                               2 * WINDOW_FLOOR + 1, 4097, _DRAW_BLOCK, _DRAW_BLOCK + 1,
-                               _DRAW_BLOCK + 2, 50_000, 200_000])
-@pytest.mark.parametrize("seed", [0, MASK, 0x5EED_1234_ABCD_0042])
+WINDOW_AND_BLOCK_SIZES = [1000, WINDOW_FLOOR - 1, WINDOW_FLOOR, WINDOW_FLOOR + 1,
+                          2 * WINDOW_FLOOR + 1, 4097, _DRAW_BLOCK, _DRAW_BLOCK + 1,
+                          _DRAW_BLOCK + 2, 50_000, 200_000]
+ITEM_DTYPES = [np.uint8, np.uint32, np.int64]
+SEEDS = [0, MASK, 0x5EED_1234_ABCD_0042]
+
+
+def _items(n, dtype):
+    """n items of `dtype` spread over its whole range, repeats included."""
+    info = np.iinfo(dtype)
+    return np.random.default_rng(n).integers(info.min, info.max, n, dtype=dtype, endpoint=True)
+
+
+def _check_array_shuffle(x, seed):
+    kept = x.copy()
+    got = permutation(x, seed)
+    assert got.dtype == x.dtype and got.shape == x.shape
+    assert np.array_equal(got, x[permutation(x.size, seed)])
+    assert np.array_equal(x, kept)
+
+
+@pytest.mark.parametrize("n", WINDOW_AND_BLOCK_SIZES)
+@pytest.mark.parametrize("seed", SEEDS)
 def test_permutation_matches_shuffle_large(n, seed):
     got = permutation(n, seed)
     assert got.dtype == np.int64
     assert got.tolist() == _shuffled(n, seed)
+
+
+@pytest.mark.parametrize("n", [0, 1] + WINDOW_AND_BLOCK_SIZES)
+@pytest.mark.parametrize("dtype", ITEM_DTYPES)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_permutation_of_an_array_moves_its_items(n, dtype, seed):
+    # The swaps move the items themselves: the result is x gathered through
+    # the index permutation, in x's dtype, and x is left as it was.
+    _check_array_shuffle(_items(n, dtype), seed)
+
+
+def test_permutation_of_an_array_is_a_copy():
+    x = np.arange(5, dtype=np.uint8)
+    for n in (0, 1, 5):
+        assert not np.shares_memory(permutation(x[:n], 3), x)
+    items = [7, 9, 11, 13]
+    assert permutation(items, 5).tolist() == [items[k] for k in _shuffled(4, 5)]
 
 
 @given(st.integers(min_value=0, max_value=300), st.integers(min_value=0, max_value=MASK))
@@ -202,6 +240,8 @@ def test_permutation_tiny_windows(n, seed, floor, divisor):
         mp.setattr(rng, "WINDOW_FLOOR", floor)
         mp.setattr(rng, "WINDOW_DIVISOR", divisor)
         got = permutation(n, seed)
+        for dtype in ITEM_DTYPES:
+            _check_array_shuffle(_items(n, dtype), seed)
     assert got.dtype == np.int64
     assert got.tolist() == _shuffled(n, seed)
 

@@ -8,6 +8,8 @@ stream boundary, then the fill rule for everything after the stream.
 """
 
 import functools
+import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dmdstego.codebook import STRATEGIES, build_codebook
-from dmdstego.rng import _DRAW_BLOCK, SplitMix64
+from dmdstego.rng import _DRAW_BLOCK
 from dmdstego.stego import (
     FILL_SEED_XOR,
     HEADER_BITS,
@@ -31,6 +33,8 @@ from dmdstego.stego import (
     permute_bits,
 )
 from dmdstego.superpixel import codes_to_mirrors, mirrors_to_codes
+
+from scalar_reference import SplitMix64
 
 
 def reference_permutation(length, seed):
@@ -124,6 +128,24 @@ def test_permute_inverse():
         assert np.array_equal(inverse_permute_bits(fwd, key), bits)
         perm = reference_permutation(bits.size, seed)
         assert np.array_equal(fwd, bits[perm])
+
+
+def test_permute_bits_peak_memory():
+    # Through the rounds both directions hold the descending steps, their
+    # draws and the reservation table, three n-element int64 arrays.  The
+    # forward shuffle adds only the uint8 bits it moves; the inverse adds the
+    # uint32 positions it shuffles, their shuffled copy and its uint8 output.
+    n = 379_541
+    bits = np.random.default_rng(11).integers(0, 2, n, dtype=np.uint8)
+    key = StegoKey(seed=1)
+    for fn, bound in ((permute_bits, 3.4), (inverse_permute_bits, 4.4)):
+        tracemalloc.start()
+        try:
+            fn(bits, key)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * 8 * n, fn.__name__
 
 
 def test_capacity_of_plan(codebook):
@@ -341,6 +363,74 @@ def test_fill_strategies_differ_only_after_stream(codebook):
         assert np.array_equal(codes[:boundary], ref[:boundary]), fill
         out = extract(mirrors, key, codebook)
         assert np.array_equal(out, bits), fill
+
+
+@pytest.mark.parametrize("payload", [
+    [2, 0, 1, 3, 0, 0, 1, 1],
+    np.array([0, 1, 3], dtype=np.uint8),
+    np.array([1, 256, 0], dtype=np.int64),           # a uint8 cast would wrap 256 to 0
+    [0, -1, 1],
+    [0.0, 0.5, 1.0],
+    np.zeros((2, 4), dtype=np.uint8),                # 2-D, even with 0/1 values
+    np.uint8(1),
+])
+def test_embed_refuses_payloads_that_are_not_bits(codebook, payload):
+    plan = np.full((4, 4), 3280, dtype=np.int64)     # 128 bits, room for every payload here
+    with pytest.raises(ValueError, match="payload bits must be"):
+        embed(plan, payload, StegoKey(seed=1), codebook)
+
+
+def test_embed_takes_bits_of_any_type(codebook):
+    plan = np.full((4, 4), 3280, dtype=np.int64)
+    key = StegoKey(seed=1)
+    bits = [1, 0, 1, 1, 0, 0, 1, 1]
+    want = embed(plan, np.array(bits, dtype=np.uint8), key, codebook)
+    for payload in (bits, np.array(bits, dtype=bool), np.array(bits, dtype=np.int64),
+                    np.array(bits, dtype=np.float64)):
+        assert np.array_equal(embed(plan, payload, key, codebook), want)
+    assert extract(want, key, codebook).tolist() == bits
+
+
+def _shake(label, nbytes):
+    return np.frombuffer(hashlib.shake_256(label).digest(nbytes), dtype=np.uint8)
+
+
+# Plan shape, payload length, key and fill of two fixed embeddings, and the
+# SHA-256 of embed's mirror bytes, of extract's bits under the key, and of
+# extract's bits under the key with its lowest bit flipped.  The first
+# payload runs the shuffle past WINDOW_FLOOR steps, the second past a draw
+# block.  Plans and payloads come from SHAKE-256, so they do not depend on
+# numpy's generators.
+WIRE_DIGESTS = [
+    ((32, 40), 1500, 0x0123456789ABCDEF, "random",
+     "eaca1d26ea8ff41a3d7465546327f671c0cfc16f7760bbeeca288be486808464",
+     "3ed60448e28567ebac78dd3647e1cc89dddf78aa35ef4ab7bf868d44b2255467",
+     "89063d7ef7286ded0a73e901ca3c8e4751babd1055c82b73e82d3ba32776e99e"),
+    ((64, 128), 20000, 0xFEDCBA9876543210, "max",
+     "ac94074d7975cacc7aa8c40d09dcedf02fe5ab4bd5ba0dc1aecb5a14c7d43cd0",
+     "98af6ef2acdf94dc1f5bae549effc36ab108b9bde0423fbe9323d021c202ad96",
+     "abfd0044031146c109d8089bf3213908f3ae691c6dd2d641c690ba8baef41f61"),
+]
+
+
+@pytest.mark.parametrize("shape, length, seed, fill, mirrors_sha, bits_sha, wrong_key_sha",
+                         WIRE_DIGESTS, ids=["past_window_floor", "past_draw_block"])
+def test_wire_format_digests(codebook, shape, length, seed, fill, mirrors_sha, bits_sha,
+                             wrong_key_sha):
+    # A shuffle that is wrong yet the same in embed and extract round-trips
+    # every payload; these digests fail on it.
+    label = f"{shape[0]}x{shape[1]}".encode()
+    plan = _shake(b"plan " + label, 2 * shape[0] * shape[1]).view(">u2").astype(np.int64) % 6561
+    plan = plan.reshape(shape)
+    bits = np.unpackbits(_shake(b"payload " + label, (length + 7) // 8))[:length]
+    key = StegoKey(seed=seed)
+    mirrors = embed(plan, bits, key, codebook, fill=fill)
+    got = extract(mirrors, key, codebook)
+    assert np.array_equal(got, bits)
+    assert hashlib.sha256(mirrors.tobytes()).hexdigest() == mirrors_sha
+    assert hashlib.sha256(got.tobytes()).hexdigest() == bits_sha
+    wrong = extract(mirrors, StegoKey(seed=seed ^ 1), codebook)
+    assert hashlib.sha256(wrong.tobytes()).hexdigest() == wrong_key_sha
 
 
 def test_error_types():
