@@ -60,7 +60,7 @@ from .stego import (
     embed,
     extract,
 )
-from .superpixel import BLOCK, PhaseAssignment
+from .superpixel import BLOCK, DEFAULT_ASSIGNMENT, PhaseAssignment
 
 
 class UsageError(ValueError):
@@ -224,8 +224,15 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_sim4f(args) -> int:
+    center = args.aperture_center
+    if center is None:
+        # The default center is the default assignment's carrier; under another
+        # assignment the readout would be far from the block values.
+        if args.assignment not in (None, DEFAULT_ASSIGNMENT):
+            raise UsageError("--assignment other than the default needs --aperture-center")
+        center = ApertureSpec().center
     mirrors = read_pattern(args.input)
-    aperture = ApertureSpec(center=args.aperture_center, radius=args.aperture_radius)
+    aperture = ApertureSpec(center=center, radius=args.aperture_radius)
     out = simulate_4f(mirrors, aperture=aperture, assignment=args.assignment)
     report = {"height": out.shape[0], "width": out.shape[1]}
     if args.compare is not None:
@@ -315,8 +322,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("sim4f", help="simulate the 4f spatial filter on a mirror pattern")
     p.add_argument("--input", required=True, help="input pattern (PBM)")
     p.add_argument("--output", required=True, help="output field (CFLD)")
-    p.add_argument("--aperture-center", type=_center_type, default=default_aperture.center,
-                   help="aperture center as FX,FY in cycles per mirror")
+    p.add_argument("--aperture-center", type=_center_type, default=None,
+                   help="aperture center as FX,FY in cycles per mirror (default %s,%s, the default "
+                        "assignment's carrier; required with another --assignment)" % default_aperture.center)
     p.add_argument("--aperture-radius", type=_radius_type, default=default_aperture.radius,
                    help="aperture radius in cycles per mirror")
     p.add_argument("--compare", default=None, help="field (CFLD) to correlate the output against")

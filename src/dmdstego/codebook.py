@@ -41,8 +41,8 @@ GRID_CELLS = 2 * GRID_HALF_CELLS
 FIRST_REACH = 0.15
 NEAR_REACH = 0.3
 RIM_REACH = 0.6
-# Column 0 of a grid row: UNBUILT until a query first touches the cell, -1
-# (the whole row) if no reach resolves it, else its first candidate.
+# Row 0 of a grid column: UNBUILT until a query first touches the cell, -1
+# (the whole column) if no reach resolves it, else its first candidate.
 UNBUILT = -2
 # Margin over float rounding in every distance of the build and the query.
 GRID_TOLERANCE = 1e-9
@@ -62,8 +62,10 @@ class Codebook:
         self.group_of_pattern = group_of_pattern    # (65536,) int64
         self.position_of_pattern = position_of_pattern  # (65536,) int64
         self.group_sizes = np.diff(group_starts)
-        # (cells, K) candidate table; each row is built when a query first touches its cell.
-        self._grid = np.full((GRID_CELLS * GRID_CELLS, 1), UNBUILT, dtype=np.min_scalar_type(-values.size))
+        # (K, cells) candidate table, one column per cell, built when a query first
+        # touches the cell; beside it the number of candidates each built cell lists.
+        self._grid = np.full((1, GRID_CELLS * GRID_CELLS), UNBUILT, dtype=np.min_scalar_type(-values.size))
+        self._counts = np.zeros(GRID_CELLS * GRID_CELLS, dtype=np.uint8)
 
     def nearest_values(self, targets: np.ndarray) -> np.ndarray:
         """Index of the nearest value to each target of an arbitrary-shape complex array.
@@ -81,21 +83,25 @@ class Codebook:
         which no rounding can close, so every value that ties the minimum is
         listed.  The candidates, sorted by index, are ranked with
         _scan_nearest's own arithmetic, np.abs(values - t), and the first
-        minimum wins, so the smallest-canonical-index tie rule holds.  Every
-        target costs the same K distances (at most 14 for the default
-        codebook), near-ties included.
+        minimum wins, so the smallest-canonical-index tie rule holds.  Each
+        target ranks its own cell's candidates and no padding, near-ties
+        included: at most 14 for the default codebook, 6.36 on average over
+        the full-frame benchmark hologram.  The table holds one column per
+        cell, so each query chunk, ordered by candidate count, ranks
+        candidate k over the contiguous prefix of targets whose cell lists
+        more than k values.
 
-        A cell's row is built the first time a query lands in it, so a
+        A cell's column is built the first time a query lands in it, so a
         field pays only for the cells it touches: a 128x128 desk hologram
         touches about 2,700 of the 42,436 cells.  A chunk of targets that
-        gathers an UNBUILT row builds, in one _build_cells call, every
+        gathers an UNBUILT column builds, in one _build_cells call, every
         unbuilt cell the rest of the query touches; a query that finds its
-        rows built does no extra work.  Once built, a row never changes.
+        columns built does no extra work.  Once built, a column never changes.
 
         A target outside the grid, or in a cell no reach resolves, is ranked
         against every value by _scan_nearest: len(values) distances each,
-        about 60 times a grid query (for the default codebook about 30 us
-        against 0.5 us per target on a 2-core x86 host).  For the default
+        about 200 times a warm grid query (for the default codebook about
+        23 us against 0.1 us per target on a 2-core x86 host).  For the default
         codebook every cell meeting |t| <= MAX_MODULUS is resolved, so
         normalized fields never take it.
         """
@@ -116,30 +122,45 @@ class Codebook:
     def _nearest_in_grid(self, t: np.ndarray) -> np.ndarray | None:
         """Nearest value index of each target, or None if one lands in an unbuilt cell."""
         inside, cell = _grid_cells(t)
-        rows = self._grid[cell]
-        ok = inside & (rows[:, 0] >= 0)
+        head = self._grid[0].take(cell)
+        ok = inside & (head >= 0)
         if not ok.all():
-            if np.any(inside & (rows[:, 0] == UNBUILT)):
+            if np.any(inside & (head == UNBUILT)):
                 return None
             out = np.empty(t.size, dtype=np.int64)
             out[~ok] = _scan_nearest(self.values, t[~ok])
             out[ok] = self._nearest_in_grid(t[ok])
             return out
-        d = self.values[rows.astype(np.intp)]  # an intp index gathers about 3x faster
-        # In place: a chunk's temporaries then peak under twice the largest of
-        # them, glibc's dynamic trim threshold, so the heap is not handed back
-        # and faulted in again for every chunk.
-        d -= t[:, None]
-        first = np.argmin(np.abs(d), axis=1)
-        return rows[np.arange(t.size), first].astype(np.int64)
+        # Targets ordered by their cell's candidate count, largest first, so the
+        # targets that rank candidate k are a prefix: those whose cell lists more
+        # than k values.  The padding past a cell's count never wins, so it is skipped.
+        count = self._counts[cell]
+        order = np.argsort(~count, kind="stable")
+        cell, t = cell[order], t[order]
+        ranked = np.cumsum(np.bincount(count, minlength=self._grid.shape[0] + 1)[::-1])[::-1]
+        best = head[order]
+        dist = np.abs(self.values.take(best) - t)
+        for k in range(1, self._grid.shape[0]):
+            m = ranked[k + 1]
+            if m == 0:
+                break
+            candidate = self._grid[k].take(cell[:m])
+            d = np.abs(self.values.take(candidate) - t[:m])
+            # Strictly closer only: the first minimum in candidate order wins, as in np.argmin.
+            np.putmask(best[:m], d < dist[:m], candidate)
+            np.minimum(dist[:m], d, out=dist[:m])
+        out = np.empty(t.size, dtype=np.int64)
+        out[order] = best
+        return out
 
     def _build_touched(self, t: np.ndarray) -> None:
-        """Build, in one _build_cells call, the row of every unbuilt cell a target of t lands in."""
+        """Build, in one _build_cells call, the column of every unbuilt cell a target of t lands in."""
         touched = np.zeros(GRID_CELLS * GRID_CELLS, dtype=bool)
         for lo in range(0, t.size, QUERY_CHUNK):
             inside, cell = _grid_cells(t[lo:lo + QUERY_CHUNK])
             touched[cell[inside]] = True
-        self._grid = _build_cells(self._grid, self.values, touched & (self._grid[:, 0] == UNBUILT))
+        self._grid, self._counts = _build_cells(self._grid, self._counts, self.values,
+                                                touched & (self._grid[0] == UNBUILT))
 
 
 def _grid_cells(t: np.ndarray):
@@ -203,7 +224,7 @@ def _resolve(v: np.ndarray, reach: float, open_cells: np.ndarray):
     that exceeds GRID_TOLERANCE.  Distances within the reach are below 0.75,
     so a dropped x is farther than u from every point of the cell by more
     than GRID_TOLERANCE / 1.5.  u is found among the same squared distances
-    whichever values v holds beyond the reach, so the rows are the same
+    whichever values v holds beyond the reach, so the columns are the same
     whichever cells are built together.
     """
     pairs = list(_cell_pairs(v, reach))
@@ -246,19 +267,20 @@ def _values_near(values: np.ndarray, open_cells: np.ndarray, reach: float) -> np
     return np.flatnonzero(count[i1, j1] - count[i0, j1] - count[i1, j0] + count[i0, j0])
 
 
-def _build_cells(table: np.ndarray, values: np.ndarray, wanted: np.ndarray) -> np.ndarray:
-    """Build the rows of the cells marked in the boolean mask `wanted`; returns the table.
+def _build_cells(table: np.ndarray, counts: np.ndarray, values: np.ndarray, wanted: np.ndarray):
+    """Build the columns of the cells marked in the boolean mask `wanted`; returns the table and counts.
 
-    A row lists its cell's candidate value indices (see _resolve: the
+    A column lists its cell's candidate value indices (see _resolve: the
     values within the cell's bound that its centre's nearest value does not
-    beat everywhere in it), ascending, padded with the last (largest), which
-    leaves the first argmin unchanged; a row of -1 marks a cell no reach
-    resolves.  The table is widened, each row padded the same way, when a
-    row needs more columns.  Each reach pairs only the values within it of
-    the cells still open, and a cell resolved at any reach gets the same
-    row, so rows do not depend on which cells are built together.
+    beat everywhere in it), ascending, padded with the last (largest); their
+    number goes into `counts`.  A column of -1 marks a cell no reach
+    resolves.  The table gains rows, each column padded the same way, when
+    a cell needs more candidates, and `counts` a wider type when a count
+    outgrows it (never for the default codebook).  Each reach pairs only
+    the values within it of the cells still open, and a cell resolved at
+    any reach gets the same column, so columns do not depend on which cells
+    are built together.
     """
-    n = GRID_CELLS * GRID_CELLS
     open_cells = wanted.copy()
     found_cells, found_index = [], []
     for reach in (FIRST_REACH, NEAR_REACH, RIM_REACH):
@@ -269,20 +291,23 @@ def _build_cells(table: np.ndarray, values: np.ndarray, wanted: np.ndarray) -> n
         open_cells &= ~resolved
         if not open_cells.any():
             break
-    table[open_cells] = -1
+    table[:, open_cells] = -1
     key = np.sort(np.concatenate(found_cells) * values.size + np.concatenate(found_index))
     cells, index = key // values.size, key % values.size
-    counts = np.bincount(cells, minlength=n)
-    if counts.max() > table.shape[1]:
-        wider = np.empty((n, counts.max()), dtype=table.dtype)
-        wider[:, :table.shape[1]] = table
-        wider[:, table.shape[1]:] = table[:, -1:]
-        table = wider
-    starts = np.cumsum(counts) - counts
-    built = counts > 0
-    table[built] = index[(starts + counts - 1)[built], None]
-    table[cells, np.arange(cells.size) - starts[cells]] = index
-    return table
+    found = np.bincount(cells, minlength=counts.size)
+    if found.max() > table.shape[0]:
+        deeper = np.empty((found.max(), counts.size), dtype=table.dtype)
+        deeper[:table.shape[0]] = table
+        deeper[table.shape[0]:] = table[-1]
+        table = deeper
+    if found.max() > np.iinfo(counts.dtype).max:
+        counts = counts.astype(np.min_scalar_type(found.max()))
+    starts = np.cumsum(found) - found
+    built = np.flatnonzero(found)
+    table[:, built] = index[starts[built] + found[built] - 1]
+    table[np.arange(cells.size) - starts[cells], cells] = index
+    counts[built] = found[built]
+    return table, counts
 
 
 def pick_in_groups(sizes: np.ndarray, strategy: str, seed: int | None = None) -> np.ndarray:

@@ -272,6 +272,28 @@ def test_sim4f_correlates_with_decode(capsys, workspace):
     assert report["correlation"] >= 0.95
 
 
+def test_sim4f_assignment_takes_its_own_aperture_center(capsys, workspace):
+    # The default centre (1/16, 1/4) is the default assignment's carrier.  The
+    # reversed assignment's carrier is its mirror image, (-1/16, -1/4); with it
+    # the readout tracks the decoded values as well.  Naming the default
+    # assignment needs no centre and changes nothing.
+    tmp_path, obj = workspace
+    holo = make_hologram(capsys, tmp_path, obj)
+    default = ",".join(map(str, range(1, 17)))
+    rev = "16,15,14,13,12,11,10,9,8,7,6,5,4,3,2,1"
+    pat, dec = tmp_path / "p.pbm", tmp_path / "d.bin"
+    run(capsys, "encode", "--input", str(holo), "--output", str(pat), "--assignment", rev)
+    run(capsys, "decode", "--input", str(pat), "--output", str(dec), "--assignment", rev)
+    sim = tmp_path / "s.bin"
+    out = run(capsys, "sim4f", "--input", str(pat), "--output", str(sim), "--compare", str(dec),
+              "--assignment", rev, "--aperture-center=-0.0625,-0.25")
+    assert json.loads(out)["correlation"] >= 0.95
+    plain, named = tmp_path / "plain.bin", tmp_path / "named.bin"
+    run(capsys, "sim4f", "--input", str(pat), "--output", str(plain))
+    run(capsys, "sim4f", "--input", str(pat), "--output", str(named), "--assignment", default)
+    assert plain.read_bytes() == named.read_bytes()
+
+
 @pytest.mark.parametrize("compare", ["missing", "wrong-shape"])
 def test_sim4f_bad_compare_leaves_no_output(capsys, tmp_path, compare):
     pattern, reference, out = tmp_path / "p.pbm", tmp_path / "c.cfld", tmp_path / "s.cfld"
@@ -445,6 +467,9 @@ def test_module_entry_point(tmp_path, synthetic_object):
       "--distance", "0.05", "--pitch", "inf"], 2),
     (["sim4f", "--input", "{pattern}", "--output", "{tmp}/s.bin", "--aperture-radius", "nan"], 2),
     (["sim4f", "--input", "{pattern}", "--output", "{tmp}/s.bin", "--aperture-center", "nan,0.25"], 2),
+    # The default aperture centre is the default assignment's carrier only.
+    (["sim4f", "--input", "{pattern}", "--output", "{tmp}/s.bin",
+      "--assignment", "16,15,14,13,12,11,10,9,8,7,6,5,4,3,2,1"], 2),
     # A 7.28 TiB resample, refused at once by the allocator rather than touched.
     (["hologram", "--input", "{image}", "--output", "{tmp}/h.bin", *GEO, "--superpixels", "1000000x1000000"], 2),
     (["embed", "--input", "{nan}", "--payload", "{image}", "--output", "{tmp}/e.pbm", "--key", KEY], 1),
@@ -457,6 +482,7 @@ def test_module_entry_point(tmp_path, synthetic_object):
     (["decode", "--input", "{wide_pbm}", "--output", "{tmp}/d.bin"], 1),
 ], ids=["alpha", "alpha-zero", "wavelength", "pitch", "diffuser-seed", "aperture-radius", "ssim-8x8",
         "distance-nan", "wavelength-nan", "pitch-inf", "aperture-radius-nan", "aperture-center-nan",
+        "sim4f-assignment-without-center",
         "superpixels-oversized", "embed-field-nan", "capacity-field-inf", "reconstruct-field-nan",
         "reconstruct-field-inf", "sim4f-compare-nan", "sim4f-compare-inf",
         "pgm-width-5000-digits", "pbm-width-5000-digits"])

@@ -7,6 +7,7 @@ vectorized path must agree with it exactly.
 
 import functools
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -234,13 +235,24 @@ def test_nearest_values_exact_ties_beyond_the_first_query():
         assert book.nearest_values(targets).tolist() == expected
 
 
+def test_crowded_cells_outgrow_the_count_type():
+    # 300 values on a circle much smaller than a cell: every one of them is
+    # nearest somewhere in the cells around it, more than a uint8 count holds.
+    values = 0.3 + 0.2j + 1e-3 * np.exp(2j * np.pi * (np.arange(300) + 0.5) / 300)
+    book = Codebook(values, None, None, np.zeros(1, dtype=np.int64), None, None)
+    rng = np.random.default_rng(41)
+    targets = 0.3 + 0.2j + 0.05 * (rng.uniform(-1, 1, 2000) + 1j * rng.uniform(-1, 1, 2000))
+    assert np.array_equal(book.nearest_values(targets), scan_nearest_all(values, targets))
+    assert book._counts.max() == 300
+
+
 def test_grid_resolves_the_whole_disk(codebook):
     # Every cell a normalized field can reach (alpha <= 1) has its candidate
     # list, so CLI input never falls back to the linear scan, and no cell
     # lists more than MAX_CANDIDATES values.
     centres, nearest_point = grid_cells()
     codebook.nearest_values(centres)
-    table = codebook._grid
+    table = codebook._grid.T
     assert table.shape[0] == GRID_CELLS ** 2
     assert table.shape[1] <= MAX_CANDIDATES
     assert np.all(table[nearest_point <= MAX_MODULUS, 0] >= 0)
@@ -268,7 +280,7 @@ def test_grid_reach_constants_by_brute_force(codebook):
     # value u nearest its centre does not beat at every point of the cell.
     # Where several values tie for nearest, u may be any of them.
     codebook.nearest_values(centres)
-    table = codebook._grid
+    table = codebook._grid.T
     resolved = np.flatnonzero(table[:, 0] >= 0)
     c = np.column_stack([centres.real, centres.imag])[resolved]
     ties = tree.query_ball_point(c, u[resolved] + 1e-12)
@@ -309,6 +321,63 @@ def test_grid_rows_do_not_depend_on_the_query_order():
         pieces.nearest_values(centres[batch])
     assert pieces._grid.dtype == whole._grid.dtype
     assert np.array_equal(pieces._grid, whole._grid)
+    assert pieces._counts.dtype == whole._counts.dtype
+    assert np.array_equal(pieces._counts, whole._counts)
+
+
+def test_grid_counts_match_the_columns(codebook):
+    # Each built cell stores the number of distinct values its column lists;
+    # the column holds them ascending, and every entry past the count repeats
+    # the last candidate, so ranking may stop at the count.  Unbuilt and
+    # unresolved cells count 0.  Table and counts together stay small.
+    centres, _ = grid_cells()
+    codebook.nearest_values(centres)
+    table, counts = codebook._grid.T, codebook._counts
+    assert counts.dtype == np.uint8 and counts.shape == (GRID_CELLS ** 2,)
+    assert codebook._grid.nbytes + counts.nbytes < 1.25e6
+    built = table[:, 0] >= 0
+    assert np.all(counts[~built] == 0)
+    listed, n = table[built].astype(np.int64), counts[built].astype(np.int64)
+    distinct = 1 + np.count_nonzero(np.diff(np.sort(listed, axis=1), axis=1), axis=1)
+    assert np.array_equal(n, distinct)
+    position = np.arange(table.shape[1])
+    assert np.all(np.diff(listed, axis=1)[position[:-1] < n[:, None] - 1] > 0)
+    last = listed[np.arange(listed.shape[0]), n - 1]
+    assert np.array_equal(np.where(position < n[:, None], listed, last[:, None]), listed)
+    assert n.min() == 1 and n.max() == table.shape[1]
+
+
+def test_ragged_ranking_in_one_chunk(codebook):
+    # One chunk mixes targets in cells that list a single candidate, targets
+    # in the cells that list the most (some of them nearest to the last
+    # candidate, which only the deepest rank reaches) and exact ties, where
+    # only a strict comparison keeps the first minimum.  Shuffled, so the
+    # count ordering inside the chunk has work to do.
+    centres, _ = grid_cells()
+    codebook.nearest_values(centres)
+    table, counts = codebook._grid.T, codebook._counts
+    rng = np.random.default_rng(31)
+
+    def inside(cells, per_cell):
+        jitter = rng.uniform(-1, 1, (cells.size, per_cell)) + 1j * rng.uniform(-1, 1, (cells.size, per_cell))
+        return (centres[cells, None] + jitter * (GRID_STEP / 2 * (1 - 1e-12))).ravel()
+
+    widest_cells = np.flatnonzero(counts == counts.max())
+    widest = inside(widest_cells, 400)
+    single = inside(rng.choice(np.flatnonzero(counts == 1), 1500), 1)
+    diagonal = np.linspace(-MAX_MODULUS, MAX_MODULUS, 6001) * (1 + 1j) / np.sqrt(2)
+    tied = np.concatenate([
+        np.count_nonzero(d == d.min(axis=1, keepdims=True), axis=1) >= 2
+        for d in (np.abs(codebook.values[None, :] - chunk[:, None])
+                  for chunk in np.array_split(diagonal, 24))])
+    assert np.count_nonzero(tied) > 300
+    pool = np.concatenate([widest, single, diagonal[tied]])
+    assert pool.size <= QUERY_CHUNK
+    expected = scan_nearest_all(codebook.values, pool)
+    order = rng.permutation(pool.size)
+    assert np.array_equal(codebook.nearest_values(pool[order]), expected[order])
+    last = table[np.repeat(widest_cells, 400), counts.max() - 1]
+    assert np.any(expected[:widest.size] == last)
 
 
 def test_nearest_values_ties_on_the_whole_disk(codebook):
@@ -327,6 +396,7 @@ def test_nearest_values_ties_on_the_whole_disk(codebook):
     assert np.array_equal(codebook.nearest_values(targets), scan_nearest_all(codebook.values, targets))
 
 
+@functools.lru_cache(maxsize=1)
 def benchmark_fields():
     """Normalized holograms of the benchmark's two frames, as its workloads make them.
 
@@ -372,6 +442,23 @@ def test_touched_cells_agree_with_the_scan_at_corners_edges_and_inside(codebook)
         on_rim,
         centres + inside * GRID_STEP / 2])
     assert np.array_equal(codebook.nearest_values(targets), scan_nearest_all(codebook.values, targets))
+
+
+def test_nearest_values_peak_memory():
+    # A warm query of the full-frame field holds its int64 result (8 bytes a
+    # target) and, per chunk, one column's candidates and distances: the peak
+    # measured 1.76x the result.  Ranking whole padded rows at once peaked at
+    # 4.08x.
+    field = benchmark_fields()[1]
+    book = build_codebook()
+    book.nearest_values(field)
+    tracemalloc.start()
+    try:
+        book.nearest_values(field)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.9 * 8 * field.size
 
 
 def test_nearest_values_outside_the_grid(codebook):
