@@ -324,7 +324,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True, help="output field (CFLD)")
     p.add_argument("--aperture-center", type=_center_type, default=None,
                    help="aperture center as FX,FY in cycles per mirror (default %s,%s, the default "
-                        "assignment's carrier; required with another --assignment)" % default_aperture.center)
+                        "assignment's carrier; required with another --assignment); a negative FX needs "
+                        "the --aperture-center=FX,FY form, e.g. --aperture-center=-0.0625,-0.25"
+                        % default_aperture.center)
     p.add_argument("--aperture-radius", type=_radius_type, default=default_aperture.radius,
                    help="aperture radius in cycles per mirror")
     p.add_argument("--compare", default=None, help="field (CFLD) to correlate the output against")

@@ -10,6 +10,8 @@ pattern first and the most-ON pattern last.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .rng import _draws_below
@@ -66,6 +68,14 @@ class Codebook:
         # touches the cell; beside it the number of candidates each built cell lists.
         self._grid = np.full((1, GRID_CELLS * GRID_CELLS), UNBUILT, dtype=np.min_scalar_type(-values.size))
         self._counts = np.zeros(GRID_CELLS * GRID_CELLS, dtype=np.uint8)
+
+    @functools.cached_property
+    def capacity_of_pattern(self) -> np.ndarray:
+        """(65536,) uint8 capacity of each pattern's group, capacities[group_of_pattern].
+
+        Built on first use, so only `stego.extract` pays for it.
+        """
+        return self.capacities.astype(np.uint8)[self.group_of_pattern]
 
     def nearest_values(self, targets: np.ndarray) -> np.ndarray:
         """Index of the nearest value to each target of an arbitrary-shape complex array.
@@ -164,12 +174,23 @@ class Codebook:
 
 
 def _grid_cells(t: np.ndarray):
-    """Whether each target lies on the grid, and its cell (cell 0 stands in for one off the grid)."""
-    x = t.real / GRID_STEP + GRID_HALF_CELLS
-    y = t.imag / GRID_STEP + GRID_HALF_CELLS
+    """Whether each target lies on the grid, and its cell (cell 0 stands in for one off the grid).
+
+    On the grid x and y are non-negative, so their floors are the cell's
+    row and column, and floor(x) * GRID_CELLS + floor(y) is an exact small
+    integer.  Off it the one where() drops what that sum reads, NaN from
+    inf - inf included.
+    """
+    x = t.real / GRID_STEP
+    x += GRID_HALF_CELLS
+    y = t.imag / GRID_STEP
+    y += GRID_HALF_CELLS
     inside = (x >= 0) & (x < GRID_CELLS) & (y >= 0) & (y < GRID_CELLS)
-    cell = np.where(inside, x, 0).astype(np.int64) * GRID_CELLS + np.where(inside, y, 0).astype(np.int64)
-    return inside, cell
+    np.floor(x, out=x)
+    x *= GRID_CELLS
+    with np.errstate(invalid="ignore"):
+        x += np.floor(y, out=y)
+    return inside, np.where(inside, x, 0).astype(np.int64)
 
 
 def _scan_nearest(values: np.ndarray, targets: np.ndarray) -> np.ndarray:

@@ -34,7 +34,14 @@ def _mix_steps(seed: int, z: np.ndarray) -> np.ndarray:
     """
     z *= np.uint64(_GAMMA)                          # wraps mod 2**64
     z += np.uint64(seed)
-    shifted = np.empty_like(z)
+    return _finalize(z, np.empty_like(z))
+
+
+def _finalize(z: np.ndarray, shifted: np.ndarray) -> np.ndarray:
+    """SplitMix64's xor-shift-multiply finalizer on each uint64 state of z, in place.
+
+    `shifted` is a scratch buffer of z's shape and dtype.
+    """
     for shift, mix in ((30, _MIX1), (27, _MIX2)):
         np.right_shift(z, np.uint64(shift), out=shifted)
         z ^= shifted
@@ -69,25 +76,39 @@ def mul_high(x: np.ndarray, bound: np.ndarray) -> np.ndarray:
 
     With x = xh * 2**32 + xl the product's high word is
     (xh * bound + (xl * bound >> 32)) >> 32, and no partial sum overflows 64
-    bits while bound fits in 32.  That covers `_draws_below`, its one caller in
-    the package: group sizes are at most 256, and permutation lengths are
-    bounded by the 32-bit length header.
+    bits while bound fits in 32.  That covers `_draws_below`, which runs the
+    same arithmetic through _mul_high_into: group sizes are at most 256, and
+    permutation lengths are bounded by the 32-bit length header.
     """
     x = np.asarray(x, dtype=np.uint64)
     bound = np.asarray(bound, dtype=np.uint64)
-    if bound.size and bound.max() > _MASK32:
-        raise ValueError("bound must be below 2**32")
+    _check_bounds(bound)
     # Two output-sized buffers, worked in place; x and bound are only read.
-    s = np.uint64(32)
     shape = np.broadcast_shapes(x.shape, bound.shape)
-    high = np.right_shift(x, s, out=np.empty(shape, dtype=np.uint64))
-    low = np.bitwise_and(x, np.uint64(_MASK32), out=np.empty(shape, dtype=np.uint64))
+    high = np.empty(shape, dtype=np.uint64)
+    return _mul_high_into(x, bound, high, np.empty(shape, dtype=np.uint64), high)
+
+
+def _check_bounds(bounds: np.ndarray) -> None:
+    """Refuse bounds past 2**32 - 1, and negative ones, which a uint64 cast would wrap past it."""
+    if bounds.size and (bounds.max() > _MASK32 or bounds.min() < 0):
+        raise ValueError("bound must be below 2**32")
+
+
+def _mul_high_into(x, bound, high, low, out):
+    """mul_high(x, bound) into `out`, any integer array of the result's shape.
+
+    high and low are uint64 scratch buffers of that shape; low may be x
+    itself, which is then overwritten.  The bounds are not checked here.
+    """
+    s = np.uint64(32)
+    np.right_shift(x, s, out=high)
+    np.bitwise_and(x, np.uint64(_MASK32), out=low)
     high *= bound
     low *= bound
     low >>= s
     high += low
-    high >>= s
-    return high
+    return np.right_shift(high, s, out=out, casting="unsafe")
 
 
 # Each round of `permutation` reserves among a window of the highest pending
@@ -103,16 +124,26 @@ def _draws_below(seed: int, bounds: np.ndarray) -> np.ndarray:
     """One bounded draw from 0..b-1 for each b of the 1-D `bounds`, as int64.
 
     Draw k is mul_high of stream output k and bounds[k], with no rejection
-    step, computed a block of _DRAW_BLOCK draws at a time into slices of the
-    output, so no stream-sized temporary is made.
+    step.  The bounds are checked once, and the draws are computed a block
+    of _DRAW_BLOCK at a time in four block-sized buffers made once per call,
+    so no stream-sized temporary is made.  Output lo + k of a block is
+    mix(seed + lo * gamma + (k + 1) * gamma): the (k + 1) * gamma steps come
+    from one arange, and each block adds its own offset to them.  The high
+    words are shifted straight into the int64 output.
     """
     check_seed(seed)
     bounds = np.asarray(bounds)
+    _check_bounds(bounds)
     out = np.empty(bounds.size, dtype=np.int64)
+    steps = np.arange(1, min(bounds.size, _DRAW_BLOCK) + 1, dtype=np.uint64)
+    steps *= np.uint64(_GAMMA)                      # wraps mod 2**64
+    z, high, bound = np.empty_like(steps), np.empty_like(steps), np.empty_like(steps)
     for lo in range(0, bounds.size, _DRAW_BLOCK):
-        hi = min(lo + _DRAW_BLOCK, bounds.size)
-        out[lo:hi] = mul_high(_mix_steps(seed, np.arange(lo + 1, hi + 1, dtype=np.uint64)),
-                              bounds[lo:hi])
+        m = min(_DRAW_BLOCK, bounds.size - lo)
+        np.add(steps[:m], np.uint64((seed + lo * _GAMMA) & _MASK64), out=z[:m])
+        _finalize(z[:m], high[:m])
+        bound[:m] = bounds[lo:lo + m]
+        _mul_high_into(z[:m], bound[:m], high[:m], z[:m], out[lo:lo + m])
     return out
 
 

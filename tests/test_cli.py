@@ -467,6 +467,9 @@ def test_module_entry_point(tmp_path, synthetic_object):
       "--distance", "0.05", "--pitch", "inf"], 2),
     (["sim4f", "--input", "{pattern}", "--output", "{tmp}/s.bin", "--aperture-radius", "nan"], 2),
     (["sim4f", "--input", "{pattern}", "--output", "{tmp}/s.bin", "--aperture-center", "nan,0.25"], 2),
+    # A negative first value must be joined on as --aperture-center=FX,FY: the
+    # comma keeps argparse from reading "-0.0625,-0.25" as a negative number.
+    (["sim4f", "--input", "{pattern}", "--output", "{tmp}/s.bin", "--aperture-center", "-0.0625,-0.25"], 2),
     # The default aperture centre is the default assignment's carrier only.
     (["sim4f", "--input", "{pattern}", "--output", "{tmp}/s.bin",
       "--assignment", "16,15,14,13,12,11,10,9,8,7,6,5,4,3,2,1"], 2),
@@ -482,6 +485,7 @@ def test_module_entry_point(tmp_path, synthetic_object):
     (["decode", "--input", "{wide_pbm}", "--output", "{tmp}/d.bin"], 1),
 ], ids=["alpha", "alpha-zero", "wavelength", "pitch", "diffuser-seed", "aperture-radius", "ssim-8x8",
         "distance-nan", "wavelength-nan", "pitch-inf", "aperture-radius-nan", "aperture-center-nan",
+        "aperture-center-negative-spaced",
         "sim4f-assignment-without-center",
         "superpixels-oversized", "embed-field-nan", "capacity-field-inf", "reconstruct-field-nan",
         "reconstruct-field-inf", "sim4f-compare-nan", "sim4f-compare-inf",

@@ -8,6 +8,7 @@ vectorized path must agree with it exactly.
 import functools
 import hashlib
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from dmdstego.codebook import (
     RIM_REACH,
     STRATEGIES,
     Codebook,
+    _grid_cells,
     build_codebook,
     pick_in_groups,
 )
@@ -142,6 +144,15 @@ def test_patterns_ascending_within_group(codebook):
     for idx in (0, 3280, 6560, 1234):
         pats = group_patterns(codebook, idx)
         assert np.all(np.diff(pats.astype(np.int64)) > 0)
+
+
+def test_capacity_of_pattern_is_built_on_first_use():
+    cb = build_codebook()
+    assert "capacity_of_pattern" not in vars(cb)
+    table = cb.capacity_of_pattern
+    assert table.dtype == np.uint8 and table.shape == (PATTERN_COUNT,)
+    assert np.array_equal(table, cb.capacities[cb.group_of_pattern])
+    assert cb.capacity_of_pattern is table
 
 
 def test_zero_group(codebook):
@@ -475,6 +486,45 @@ def test_nearest_values_outside_the_grid(codebook):
     mixed = rng.permutation(np.concatenate([outside, inside])).reshape(-1, 2)
     expected = scan_nearest_all(codebook.values, mixed.ravel()).reshape(mixed.shape)
     assert np.array_equal(codebook.nearest_values(mixed), expected)
+
+
+def reference_grid_cells(t):
+    """_grid_cells by its first formula: two np.where of the scaled coordinates, truncated."""
+    x = t.real / GRID_STEP + GRID_HALF_CELLS
+    y = t.imag / GRID_STEP + GRID_HALF_CELLS
+    inside = (x >= 0) & (x < GRID_CELLS) & (y >= 0) & (y < GRID_CELLS)
+    cell = np.where(inside, x, 0).astype(np.int64) * GRID_CELLS + np.where(inside, y, 0).astype(np.int64)
+    return inside, cell
+
+
+def test_grid_cells_at_the_grid_edges():
+    # Each coordinate runs 64 floats either side of both grid edges, so its
+    # scaled value x takes 0 exactly, floats just below 0, GRID_CELLS
+    # exactly and the largest float below it; signed zeros and huge values
+    # (whose scaled value overflows to inf) go with them.
+    parts = [0.0, -0.0, 1e300, -1e300, 1e308, -1e308]
+    for edge in (-GRID_HALF_CELLS * GRID_STEP, (GRID_CELLS - GRID_HALF_CELLS) * GRID_STEP):
+        below = above = edge
+        parts.append(edge)
+        for _ in range(64):
+            below, above = np.nextafter(below, -np.inf), np.nextafter(above, np.inf)
+            parts += [below, above]
+    parts = np.array(parts)
+    with np.errstate(over="ignore"):
+        x = parts / GRID_STEP + GRID_HALF_CELLS
+    assert np.any(x == 0) and np.any((x < 0) & (x > -1e-12))
+    assert np.any(x == GRID_CELLS) and np.any(x == np.nextafter(float(GRID_CELLS), 0))
+    t = (parts[:, None] + 1j * parts[None, :]).ravel()
+    t = np.concatenate([t, np.vectorize(complex)(-0.0, parts), np.vectorize(complex)(parts, -0.0)])
+    # The huge values overflow the scaling in both; _grid_cells adds no other warning.
+    with warnings.catch_warnings(), np.errstate(over="ignore"):
+        warnings.simplefilter("error")
+        inside, cell = _grid_cells(t)
+        want_inside, want_cell = reference_grid_cells(t)
+    assert inside.dtype == want_inside.dtype and cell.dtype == want_cell.dtype
+    assert np.array_equal(inside, want_inside)
+    assert np.array_equal(cell, want_cell)
+    assert inside.any() and not inside.all()
 
 
 def test_nearest_values_rejects_non_finite_targets(codebook):

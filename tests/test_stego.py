@@ -24,6 +24,7 @@ from dmdstego.stego import (
     BadHeaderError,
     PayloadTooLargeError,
     StegoKey,
+    _stream_bytes,
     bits_to_bytes,
     bytes_to_bits,
     capacity_of_plan,
@@ -74,14 +75,19 @@ def reference_embed(plan, payload_bits, key, codebook, fill="min"):
     return codes_to_mirrors(codes)
 
 
-def reference_extract(mirrors, key, codebook):
-    codes = mirrors_to_codes(mirrors).ravel()
+def reference_stream(codes, codebook):
+    """Every superpixel's in-group position as d bits, MSB-first, d its capacity, in row-major order."""
     bits = []
-    for code in codes.tolist():
+    for code in np.ravel(codes).tolist():
         g = int(codebook.group_of_pattern[code])
         pos = int(codebook.position_of_pattern[code])
         d = int(codebook.capacities[g])
         bits.extend((pos >> (d - 1 - i)) & 1 for i in range(d))
+    return bits
+
+
+def reference_extract(mirrors, key, codebook):
+    bits = reference_stream(mirrors_to_codes(mirrors), codebook)
     length = 0
     for b in bits[:32]:
         length = (length << 1) | b
@@ -300,6 +306,78 @@ def test_extract_reads_a_short_stream_from_a_large_plan(codebook):
             assert np.array_equal(got, bits)
 
 
+def groups_by_capacity(codebook):
+    """The first value group of each capacity 0..8."""
+    return np.array([np.flatnonzero(codebook.capacities == c)[0] for c in range(9)])
+
+
+def test_stream_bytes_every_capacity_at_every_bit_offset(codebook):
+    # A random plan of every capacity, zero included, with random in-group
+    # positions: every capacity 1..8 starts at every bit offset mod 8, and
+    # every prefix length is read back against the scalar stream.
+    rng = np.random.default_rng(30)
+    plan = groups_by_capacity(codebook)[rng.integers(0, 9, 700)]
+    codes = codebook.patterns_sorted[codebook.group_starts[plan] + rng.integers(0, codebook.group_sizes[plan])]
+    caps = codebook.capacity_of_pattern[codes]
+    ends = np.cumsum(caps, dtype=np.int64)
+    starts = ends - caps
+    assert {(c, o % 8) for c, o in zip(caps.tolist(), starts.tolist()) if c} == \
+        {(c, o) for c in range(1, 9) for o in range(8)}
+    want = np.array(reference_stream(codes, codebook), dtype=np.uint8)
+    assert want.size == ends[-1]
+    for count in range(1, want.size + 1):
+        packed = _stream_bytes(codes, caps, ends, codebook, count)
+        assert packed.dtype == np.uint8 and packed.size == (count + 7) // 8, count
+        assert np.array_equal(np.unpackbits(packed, count=count), want[:count]), count
+
+
+@pytest.mark.parametrize("fill", STRATEGIES)
+def test_extract_with_zero_capacity_superpixels_through_the_stream(codebook, fill):
+    # Capacity-0 superpixels scattered all through the stream, runs of them
+    # included, not only as a leading run.
+    rng = np.random.default_rng(31)
+    zero_cap = int(np.flatnonzero(codebook.capacities == 0)[0])
+    for trial in range(6):
+        plan = random_plan(rng, (24, 30))
+        plan[rng.random(plan.shape) < 0.3] = zero_cap
+        start = int(rng.integers(0, plan.size - 8))
+        plan.flat[start:start + 8] = zero_cap
+        cap = capacity_of_plan(plan, codebook)
+        for length in (0, int(rng.integers(1, cap - HEADER_BITS)), cap - HEADER_BITS):
+            bits = rng.integers(0, 2, length, dtype=np.uint8)
+            key = StegoKey(seed=int(rng.integers(0, 1 << 63)))
+            mirrors = embed(plan, bits, key, codebook, fill=fill)
+            got = extract(mirrors, key, codebook)
+            assert np.array_equal(got, reference_extract(mirrors, key, codebook)), (trial, length)
+            assert np.array_equal(got, bits), (trial, length)
+
+
+@pytest.mark.parametrize("fill", STRATEGIES)
+def test_extract_stream_ending_on_a_superpixel_boundary(codebook, fill):
+    # The header, then the whole stream, ends exactly where a superpixel
+    # ends, and capacity-0 superpixels follow each end.
+    groups = groups_by_capacity(codebook)
+    rng = np.random.default_rng(32)
+    plan = random_plan(rng, (20, 20))
+    plan.flat[:4] = groups[8]
+    plan.flat[4:9] = groups[0]
+    plan.flat[9] = groups[3]
+    ends = np.cumsum(codebook.capacities[plan.ravel()])
+    assert ends[3] == HEADER_BITS
+    for k in (9, 57, 200):
+        plan.flat[k + 1:k + 4] = groups[0]
+        ends = np.cumsum(codebook.capacities[plan.ravel()])
+        length = int(ends[k]) - HEADER_BITS
+        bits = rng.integers(0, 2, length, dtype=np.uint8)
+        key = StegoKey(seed=0x0DDBA11 + k)
+        mirrors = embed(plan, bits, key, codebook, fill=fill)
+        got = extract(mirrors, key, codebook)
+        assert np.array_equal(got, reference_extract(mirrors, key, codebook)), k
+        assert np.array_equal(got, bits), k
+    mirrors = embed(plan, np.zeros(0, dtype=np.uint8), StegoKey(seed=5), codebook, fill=fill)
+    assert extract(mirrors, StegoKey(seed=5), codebook).size == 0
+
+
 def test_bad_header_cases_in_a_large_plan(codebook):
     zero_cap = int(np.flatnonzero(codebook.capacities == 0)[0])
     one_bit = int(np.flatnonzero(codebook.capacities == 1)[0])
@@ -308,6 +386,8 @@ def test_bad_header_cases_in_a_large_plan(codebook):
     codes = codebook.patterns_sorted[codebook.group_starts[plan]]
     with pytest.raises(BadHeaderError, match="stream holds 31 bits, shorter than the 32-bit header"):
         extract(codes_to_mirrors(codes), StegoKey(seed=1), codebook)
+    with pytest.raises(BadHeaderError, match="stream holds 0 bits, shorter than the 32-bit header"):
+        extract(np.zeros((0, 0), dtype=np.uint8), StegoKey(seed=1), codebook)
     # An all-8-bit plan of 100x100 holds 80,000 bits: the header may declare
     # 79,968 payload bits and no more.
     lo = int(codebook.group_starts[3280])
