@@ -178,17 +178,18 @@ def _grid_cells(t: np.ndarray):
 
     On the grid x and y are non-negative, so their floors are the cell's
     row and column, and floor(x) * GRID_CELLS + floor(y) is an exact small
-    integer.  Off it the one where() drops what that sum reads, NaN from
-    inf - inf included.
+    integer.  Off it the one where() drops what that sum reads: a part
+    beyond about 9e306 scales to +-inf, and inf - inf gives NaN, neither of
+    which is a fault, so neither warns.
     """
-    x = t.real / GRID_STEP
-    x += GRID_HALF_CELLS
-    y = t.imag / GRID_STEP
-    y += GRID_HALF_CELLS
-    inside = (x >= 0) & (x < GRID_CELLS) & (y >= 0) & (y < GRID_CELLS)
-    np.floor(x, out=x)
-    x *= GRID_CELLS
-    with np.errstate(invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = t.real / GRID_STEP
+        x += GRID_HALF_CELLS
+        y = t.imag / GRID_STEP
+        y += GRID_HALF_CELLS
+        inside = (x >= 0) & (x < GRID_CELLS) & (y >= 0) & (y < GRID_CELLS)
+        np.floor(x, out=x)
+        x *= GRID_CELLS
         x += np.floor(y, out=y)
     return inside, np.where(inside, x, 0).astype(np.int64)
 

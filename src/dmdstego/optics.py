@@ -264,6 +264,32 @@ class ApertureSpec:
             raise ValueError("aperture center must be finite")
 
 
+def _passband_thresholds(dy2: np.ndarray, dx2: np.ndarray, radius2: float) -> np.ndarray:
+    """Each spectrum row's passband edge: the largest entry v of dx2 with
+    dy2[r] + v <= radius2 as numpy rounds that sum, or -inf if there is none.
+
+    A rounded sum never decreases as one addend grows, so the entries of
+    dx2 inside row r are exactly those at or below its threshold.  A
+    searchsorted of radius2 - dy2[r] on the sorted entries guesses how many
+    are inside; the guess is off only by the rounding, and evaluating the
+    sum itself at the edge moves it to the exact count.
+    """
+    levels = np.sort(dx2)
+    count = np.searchsorted(levels, radius2 - dy2, side="right")
+    while True:  # counted, but the sum is outside
+        over = (count > 0) & (dy2 + levels[count - 1] > radius2)
+        if not over.any():
+            break
+        count[over] -= 1
+    while True:  # inside, but not counted
+        under = count < levels.size
+        under[under] = dy2[under] + levels[count[under]] <= radius2
+        if not under.any():
+            break
+        count[under] += 1
+    return np.where(count > 0, levels[count - 1], -np.inf)
+
+
 def simulate_4f(mirrors: np.ndarray, aperture: ApertureSpec | None = None,
                 assignment: PhaseAssignment | None = None) -> np.ndarray:
     """Band-filtered readout of a mirror array, one complex value per superpixel.
@@ -290,10 +316,16 @@ def simulate_4f(mirrors: np.ndarray, aperture: ApertureSpec | None = None,
     Both transforms run in strips of rows, then of columns (_fft2), and
     give whole-array np.fft's result bit for bit; the fold runs in strips
     of at most _FOLD_ROWS superpixel rows and gives the block-at-a-time
-    fold's result bit for bit.  The working set is the half spectrum,
-    (N1, N2/2 + 1) complex, one (H, W) accumulator and (_FOLD_ROWS, W)
-    strip buffers; no full-size float plane of the mirrors is built, and
-    the half spectrum is freed before the inverse transform.
+    fold's result bit for bit.  The passband P is never built: each
+    spectrum row r has one threshold T[r] (_passband_thresholds), and
+    frequency (r, c) is inside exactly when dx2[c] <= T[r], which is when
+    dy2[r] + dx2[c] <= radius**2 as numpy rounds it.  A block-strip whose
+    thresholds all fall below its columns' least dx2 is skipped, one whose
+    thresholds all reach its columns' greatest dx2 is added whole, and only
+    the rest compare dx2 with T for a mask.  The working set is the half
+    spectrum, (N1, N2/2 + 1) complex, one (H, W) accumulator and
+    (_FOLD_ROWS, W) strip buffers; no full-size float plane of the mirrors
+    is built, and the half spectrum is freed before the inverse transform.
     """
     assignment = assignment or DEFAULT_ASSIGNMENT
     aperture = aperture or ApertureSpec()
@@ -313,6 +345,9 @@ def simulate_4f(mirrors: np.ndarray, aperture: ApertureSpec | None = None,
     # shortest wrapped distance on the frequency torus
     dx2 = ((np.fft.fftfreq(n2) - cx + 0.5) % 1.0 - 0.5) ** 2
     dy2 = ((np.fft.fftfreq(n1) - cy + 0.5) % 1.0 - 0.5) ** 2
+    # Both squared distances are at most 1/4, so every radius from 1 up
+    # passes every frequency, as radius 1 does; its square cannot overflow.
+    threshold = _passband_thresholds(dy2, dx2, min(aperture.radius, 1.0) ** 2)
     k1, k2 = np.arange(n1), np.arange(n2)
     step = np.arange(BLOCK)
     # Wt = Ey @ conj(mask) @ Ex.T has rank <= 4
@@ -334,21 +369,21 @@ def simulate_4f(mirrors: np.ndarray, aperture: ApertureSpec | None = None,
     size = -(-h // strips)
     weight = np.empty((size, w), dtype=np.complex128)
     block = np.empty((size, w), dtype=np.complex128)
-    dist2 = np.empty((size, w))
     inside = np.empty((size, w), dtype=bool)
-    radius2 = aperture.radius ** 2
+    col_min = [dx2[q * w:(q + 1) * w].min() for q in range(BLOCK)]
+    col_max = [dx2[q * w:(q + 1) * w].max() for q in range(BLOCK)]
     for r0, r1 in zip(edges, edges[1:]):
         n = r1 - r0
-        wt, blk, d2, ins = weight[:n], block[:n], dist2[:n], inside[:n]
+        wt, blk, ins = weight[:n], block[:n], inside[:n]
         out = folded[r0:r1]
         for p in range(BLOCK):
             rows = slice(p * h + r0, p * h + r1)
+            row_threshold = threshold[rows]
+            lowest, highest = row_threshold.min(), row_threshold.max()
             for q in range(BLOCK):
+                if highest < col_min[q]:
+                    continue  # no frequency of the block-strip is inside
                 cols = slice(q * w, (q + 1) * w)
-                np.add(dy2[rows, None], dx2[cols], out=d2)
-                np.less_equal(d2, radius2, out=ins)
-                if not ins.any():
-                    continue
                 np.matmul(ey_mask[rows], ex[cols].T, out=wt)
                 if 2 * q < BLOCK:
                     spectrum = half[rows, cols]
@@ -356,7 +391,11 @@ def simulate_4f(mirrors: np.ndarray, aperture: ApertureSpec | None = None,
                     spectrum = np.conjugate(half[-k1[rows] % n1, n2 - q * w:n2 - (q + 1) * w:-1],
                                             out=blk)
                 np.multiply(wt, spectrum, out=wt)
-                np.add(out, wt, out=out, where=ins)
+                if lowest >= col_max[q]:  # every frequency is inside
+                    np.add(out, wt, out=out)
+                else:
+                    np.less_equal(dx2[cols], row_threshold[:, None], out=ins)
+                    np.add(out, wt, out=out, where=ins)
     del half  # before the inverse transform allocates
     # The filtered sideband of a real pattern carries conjugated block
     # phases; conjugating h recovers them.
@@ -385,7 +424,7 @@ def field_correlation(a: np.ndarray, b: np.ndarray) -> float:
 # 11-tap Gaussian window (sigma 1.5, radius 5), normalized to unit sum
 _WINDOW = np.exp(-0.5 / 1.5 ** 2 * np.arange(-5, 6) ** 2)
 _WINDOW /= _WINDOW.sum()
-_WINDOW_ROWS = 64  # output rows per block, so the temporaries stay in cache
+_WINDOW_ROWS = 16  # output rows per block, so the temporaries stay in cache
 
 
 def _correlate_valid(v: np.ndarray, axis: int, out: np.ndarray, tmp: np.ndarray) -> None:
@@ -395,7 +434,11 @@ def _correlate_valid(v: np.ndarray, axis: int, out: np.ndarray, tmp: np.ndarray)
     in the order scipy.ndimage.correlate1d adds them.
     """
     n = out.shape[axis]
-    tap = (lambda k: v[k:k + n]) if axis == 0 else (lambda k: v[:, k:k + n])
+    lead = (slice(None),) * axis
+
+    def tap(k):
+        return v[lead + (slice(k, k + n),)]
+
     np.multiply(tap(5), _WINDOW[5], out=out)
     for j in range(5, 0, -1):
         np.add(tap(5 - j), tap(5 + j), out=tmp)
@@ -404,21 +447,30 @@ def _correlate_valid(v: np.ndarray, axis: int, out: np.ndarray, tmp: np.ndarray)
 
 
 def _window_mean(v: np.ndarray) -> np.ndarray:
-    """Gaussian window mean of `v` wherever the 11x11 window fits inside it.
+    """Gaussian window mean of each image of `v` wherever the 11x11 window fits inside it.
 
-    Bit for bit scipy.ndimage.gaussian_filter(v, 1.5, truncate=5 / 1.5)[5:-5, 5:-5]:
-    the separable filter runs along axis 0 first, then axis 1, over the valid
-    region only, one block of output rows at a time.
+    `v` is one (H, W) image or a stack (k, H, W) of them.  Bit for bit
+    scipy.ndimage.gaussian_filter(image, 1.5, truncate=5 / 1.5)[5:-5, 5:-5]
+    of each image: the separable filter runs along axis 0 first, then along
+    axis 1, over the valid region only, one block of _WINDOW_ROWS output
+    rows of every image at a time.  The axis-1 taps run over the block as
+    one contiguous run of k * rows * W values, and the outputs whose window
+    straddles the end of a row are dropped; each kept output adds the same
+    values, in the same order, as the taps along its own row.
     """
-    h, w = v.shape
-    out = np.empty((h - 10, w - 10))
+    stack = v.reshape(-1, *v.shape[-2:])
+    k, h, w = stack.shape
+    out = np.empty((k, h - 10, w - 10))
     rows = min(_WINDOW_ROWS, h - 10)
-    mid, tmp_mid, tmp_out = np.empty((rows, w)), np.empty((rows, w)), np.empty((rows, w - 10))
+    mid, run, tmp = (np.empty(k * rows * w) for _ in range(3))
     for r0 in range(0, h - 10, rows):
         r = min(rows, h - 10 - r0)
-        _correlate_valid(v[r0:r0 + r + 10], 0, mid[:r], tmp_mid[:r])
-        _correlate_valid(mid[:r], 1, out[r0:r0 + r], tmp_out[:r])
-    return out
+        size = k * r * w
+        _correlate_valid(stack[:, r0:r0 + r + 10], 1, mid[:size].reshape(k, r, w),
+                         tmp[:size].reshape(k, r, w))
+        _correlate_valid(mid[:size], 0, run[:size - 10], tmp[:size - 10])
+        out[:, r0:r0 + r] = run[:size].reshape(k, r, w)[:, :, :w - 10]
+    return out.reshape(v.shape[:-2] + out.shape[-2:])
 
 
 def ssim(a: np.ndarray, b: np.ndarray) -> float:
@@ -427,20 +479,53 @@ def ssim(a: np.ndarray, b: np.ndarray) -> float:
     Gaussian window sigma 1.5, stabilizers K1 = 0.01 and K2 = 0.03 on a
     dynamic range of 255.  Only fully interior window positions contribute;
     no padding is invented at the borders.
+
+    The images x and y, as float64, and x*x, y*y and x*y are written into
+    one (5, H, W) stack, whose window means _window_mean takes in one pass.
+    The stack is freed before the means are combined in place, each element
+    by the operations, in the order, of
+
+        (2 mu_x mu_y + c1)(2 cov + c2) / ((mu_x^2 + mu_y^2 + c1)(var_x + var_y + c2))
+
+    with var_x = xx - mu_x mu_x and cov = xy - mu_x mu_y, into one
+    C-contiguous (H-10, W-10) map that np.mean reduces.
     """
-    x = np.asarray(a, dtype=np.float64)
-    y = np.asarray(b, dtype=np.float64)
-    if x.shape != y.shape:
+    a, b = np.asarray(a), np.asarray(b)
+    if a.shape != b.shape:
         raise ValueError("images must have matching shapes")
-    if x.ndim != 2 or min(x.shape) < 11:
+    if a.ndim != 2 or min(a.shape) < 11:
         raise ValueError("images must be 2-D and at least 11x11")
     c1 = (0.01 * 255.0) ** 2
     c2 = (0.03 * 255.0) ** 2
-    mu_x, mu_y, xx, yy, xy = (_window_mean(v) for v in (x, y, x * x, y * y, x * y))
-    var_x = xx - mu_x * mu_x
-    var_y = yy - mu_y * mu_y
-    cov = xy - mu_x * mu_y
+    stack = np.empty((5,) + a.shape)
+    stack[0] = a
+    stack[1] = b
+    np.multiply(stack[0], stack[0], out=stack[2])
+    np.multiply(stack[1], stack[1], out=stack[3])
+    np.multiply(stack[0], stack[1], out=stack[4])
+    means = _window_mean(stack)
+    del stack
+    mu_x, mu_y, var_x, var_y, cov = means  # xx, yy and xy until made over below
+    num = np.multiply(mu_x, mu_x)
+    var_x -= num
+    np.multiply(mu_y, mu_y, out=num)
+    var_y -= num
+    np.multiply(mu_x, mu_y, out=num)
+    cov -= num
 
-    num = (2.0 * mu_x * mu_y + c1) * (2.0 * cov + c2)
-    den = (mu_x ** 2 + mu_y ** 2 + c1) * (var_x + var_y + c2)
-    return float(np.mean(num / den))
+    np.multiply(2.0, mu_x, out=num)
+    num *= mu_y
+    num += c1
+    cov *= 2.0
+    cov += c2
+    num *= cov
+    den = cov
+    np.square(mu_x, out=den)
+    np.square(mu_y, out=mu_y)
+    den += mu_y
+    den += c1
+    var_x += var_y
+    var_x += c2
+    den *= var_x
+    num /= den
+    return float(np.mean(num))

@@ -28,6 +28,7 @@ from dmdstego.codebook import (
     STRATEGIES,
     Codebook,
     _grid_cells,
+    _scan_nearest,
     build_codebook,
     pick_in_groups,
 )
@@ -488,6 +489,17 @@ def test_nearest_values_outside_the_grid(codebook):
     assert np.array_equal(codebook.nearest_values(mixed), expected)
 
 
+def test_huge_targets_take_the_scan_without_a_warning(codebook):
+    # Scaling a part beyond about 9e306 by 1 / GRID_STEP overflows; such a
+    # target is off the grid and must reach the scan silently.
+    huge = np.array([1e308 + 1e308j, -1.7e308 + 0j, 3e307 - 2e307j])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        found = codebook.nearest_values(huge)
+        expected = _scan_nearest(codebook.values, huge)
+    assert np.array_equal(found, expected)
+
+
 def reference_grid_cells(t):
     """_grid_cells by its first formula: two np.where of the scaled coordinates, truncated."""
     x = t.real / GRID_STEP + GRID_HALF_CELLS
@@ -516,10 +528,11 @@ def test_grid_cells_at_the_grid_edges():
     assert np.any(x == GRID_CELLS) and np.any(x == np.nextafter(float(GRID_CELLS), 0))
     t = (parts[:, None] + 1j * parts[None, :]).ravel()
     t = np.concatenate([t, np.vectorize(complex)(-0.0, parts), np.vectorize(complex)(parts, -0.0)])
-    # The huge values overflow the scaling in both; _grid_cells adds no other warning.
-    with warnings.catch_warnings(), np.errstate(over="ignore"):
+    # The huge values overflow the reference's scaling; _grid_cells gives no warning.
+    with warnings.catch_warnings():
         warnings.simplefilter("error")
         inside, cell = _grid_cells(t)
+    with np.errstate(over="ignore"):
         want_inside, want_cell = reference_grid_cells(t)
     assert inside.dtype == want_inside.dtype and cell.dtype == want_cell.dtype
     assert np.array_equal(inside, want_inside)

@@ -434,6 +434,83 @@ def test_sim4f_strip_fold_matches_block_fold_full_frame():
     assert_fold_matches_block_oracle((1080, 1920), ApertureSpec(), DEFAULT_ASSIGNMENT, 41)
 
 
+# Circles through grid frequencies: with the default centre (1/16, 1/4) and
+# radius 1/4, frequency (5/16, 1/4) is on the circle on sizes that are
+# multiples of 16; with centre (0, 0), (1/4, 0) is.  Radius 1e-3 passes,
+# on a grid coarser than twice the radius, the centre frequency alone where
+# it is on the grid and nothing elsewhere.
+EDGE_APERTURES = [
+    ApertureSpec(radius=1 / 4),
+    ApertureSpec(center=(0.0, 0.0), radius=1 / 4),
+    ApertureSpec(radius=1e-3),
+]
+
+
+def squared_distances(shape, aperture):
+    """(dy2, dx2): simulate_4f's squared wrapped distances from the aperture
+    centre, of each spectrum row and column."""
+    n1, n2 = shape
+    cx, cy = aperture.center
+    dx2 = ((np.fft.fftfreq(n2) - cx + 0.5) % 1.0 - 0.5) ** 2
+    dy2 = ((np.fft.fftfreq(n1) - cy + 0.5) % 1.0 - 0.5) ** 2
+    return dy2, dx2
+
+
+@pytest.mark.parametrize("shape", [(16, 16), (64, 128), (256, 64), (1080, 1920), (20, 36)])
+@pytest.mark.parametrize("aperture", EDGE_APERTURES)
+def test_sim4f_edge_apertures_match_block_fold(shape, aperture):
+    dy2, dx2 = squared_distances(shape, aperture)
+    sums = dy2[:, None] + dx2
+    if aperture.radius == 1e-3:
+        if max(shape) <= 256:
+            assert np.count_nonzero(sums <= aperture.radius ** 2) == (shape[1] % 16 == 0)
+    elif shape[0] % 16 == 0 and shape[1] % 16 == 0:
+        assert np.any(sums == aperture.radius ** 2)  # the passband edge is on the grid
+    assert_fold_matches_block_oracle(shape, aperture, DEFAULT_ASSIGNMENT, shape[0] + shape[1])
+
+
+THRESHOLD_APERTURES = [ApertureSpec(), *EDGE_APERTURES, APERTURES[2], APERTURES[3]]
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (16, 16), (20, 36), (256, 64), (1080, 1920)])
+@pytest.mark.parametrize("aperture", THRESHOLD_APERTURES)
+def test_passband_thresholds_match_every_sum(shape, aperture):
+    dy2, dx2 = squared_distances(shape, aperture)
+    radius2 = aperture.radius ** 2
+    threshold = optics._passband_thresholds(dy2, dx2, radius2)
+    assert np.array_equal(dx2 <= threshold[:, None], dy2[:, None] + dx2 <= radius2)
+    # each threshold is an entry of dx2, or -inf where a row passes none
+    assert np.all(np.isin(threshold, dx2) | (threshold == -np.inf))
+
+
+def test_passband_thresholds_correct_the_guess_both_ways():
+    # Entries of dx2 within a few ulps of radius2 - dy2[r]: the rounded sum
+    # puts some of those the searchsorted guess counts outside and some it
+    # leaves out inside, and the thresholds must still give the sum's mask.
+    rng = np.random.default_rng(43)
+    radius2 = 0.35 ** 2
+    dy2 = rng.uniform(0, radius2, 200)
+    edge = radius2 - dy2
+    dx2 = np.concatenate([edge + k * np.spacing(edge) for k in range(-4, 5)] + [[0.0, 1.0]])
+    guess = np.searchsorted(np.sort(dx2), edge, side="right")
+    inside = dy2[:, None] + dx2 <= radius2
+    assert np.any(guess > inside.sum(1)) and np.any(guess < inside.sum(1))
+    threshold = optics._passband_thresholds(dy2, dx2, radius2)
+    assert np.array_equal(dx2 <= threshold[:, None], inside)
+    nothing = optics._passband_thresholds(np.array([0.3, 0.0]), np.array([0.2, 0.1]), 0.05)
+    assert np.array_equal(nothing, [-np.inf, -np.inf])
+
+
+def test_sim4f_radius_past_every_frequency():
+    # Every squared distance is at most 1/2, so any radius from 1 up passes
+    # all of them; a radius whose square overflows a float still works.
+    mirrors = np.random.default_rng(47).integers(0, 2, (32, 48), dtype=np.uint8)
+    expected = simulate_4f(mirrors, ApertureSpec(radius=0.75))
+    for radius in (1.0, 1e200, np.finfo(float).max):
+        assert np.array_equal(bits_of(simulate_4f(mirrors, ApertureSpec(radius=radius))),
+                              bits_of(expected))
+
+
 def whole_array_fresnel(field, params):
     """fresnel_propagate by whole-array np.fft, np.exp taken over every frequency."""
     ny, nx = field.shape
@@ -587,13 +664,38 @@ def reference_ssim(a, b):
     return float(np.mean(num / den))
 
 
-@pytest.mark.parametrize("shape", [(11, 11), (11, 40), (37, 11), (64, 64), (129, 75), (270, 480)])
+# The last three put one row either side of a _WINDOW_ROWS block plus the
+# 10 rows the window needs.
+@pytest.mark.parametrize("shape", [(11, 11), (11, 40), (37, 11), (64, 64), (129, 75), (270, 480),
+                                   (optics._WINDOW_ROWS + 9, 64), (optics._WINDOW_ROWS + 10, 64),
+                                   (optics._WINDOW_ROWS + 11, 64)])
 def test_ssim_matches_gaussian_filter(shape):
+    # Bit for bit: the window means are gaussian_filter's, and ssim combines
+    # them as reference_ssim does, on 8-bit images and on signed floats.
     rng = np.random.default_rng(shape[0] * 1000 + shape[1])
     a = rng.integers(0, 256, shape, dtype=np.uint8)
     b = np.clip(a.astype(int) + rng.integers(-40, 41, shape), 0, 255).astype(np.uint8)
-    for x, y in ((a, b), (a, 255 - a), (a, a)):
-        assert ssim(x, y) == pytest.approx(reference_ssim(x, y), abs=1e-12)
+    f = rng.normal(-20.0, 90.0, shape)
+    g = f + rng.normal(0.0, 15.0, shape)
+    for x, y in ((a, b), (a, 255 - a), (a, a), (f, g), (g, a)):
+        assert ssim(x, y) == reference_ssim(x, y)
+    for v in (a.astype(np.float64), f, f * g):
+        assert np.array_equal(optics._window_mean(v), gaussian_filter(v, 1.5, truncate=5 / 1.5)[5:-5, 5:-5])
+
+
+def test_ssim_peak_memory():
+    # The five images live in one stack, x and y written into it directly,
+    # and the means are combined in place: about 11x one float64 image.
+    rng = np.random.default_rng(53)
+    a = rng.integers(0, 256, (270, 480), dtype=np.uint8)
+    b = rng.integers(0, 256, (270, 480), dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        ssim(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12.5 * 8 * a.size
 
 
 def test_ssim_symmetric():
