@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -409,6 +410,59 @@ def test_quantizing_commands_run_without_scipy(capsys, tmp_path, synthetic_objec
         assert stdout == run(capsys, *[arg.format(local) for arg in argv])
     for name in outputs:
         assert (sub / name).read_bytes() == (local / name).read_bytes()
+
+
+def _shake_field(shape):
+    """A field whose real and imaginary parts are SHAKE-256 uint16s mapped onto [-1, 1)."""
+    raw = hashlib.shake_256(b"cli field %dx%d" % shape).digest(4 * shape[0] * shape[1])
+    parts = (np.frombuffer(raw, dtype=">u2").astype(np.float64) - 32768.0) / 32768.0
+    return (parts[0::2] + 1j * parts[1::2]).reshape(shape)
+
+
+REVERSED = "16,15,14,13,12,11,10,9,8,7,6,5,4,3,2,1"
+# Every quantizing command on one field and payload from SHAKE-256: its exit
+# code, its exact stdout, and the SHA-256 of the pattern it writes (None
+# when it writes none).  The field is 20x28 superpixels and the payload 60
+# bytes, so embed carries the payload over a prefix and fills the rest.
+CLI_DIGESTS = [
+    (["encode", "--input", "{}/f.cfld", "--output", "{}/out.pbm", "--strategy", "min"], 0,
+     '{"height": 80, "scale": 2.9395885799037997, "width": 112}\n',
+     "448cc009b0e0f4ed116f22923e68c9e6b6b8f1529f7699762525ad11e882467e"),
+    (["encode", "--input", "{}/f.cfld", "--output", "{}/out.pbm", "--strategy", "max"], 0,
+     '{"height": 80, "scale": 2.9395885799037997, "width": 112}\n',
+     "409c29183d8a618ceb0b0018c938fe46724f9bf8b52561c710624eccae07d419"),
+    (["encode", "--input", "{}/f.cfld", "--output", "{}/out.pbm", "--strategy", "random",
+      "--key", KEY], 0,
+     '{"height": 80, "scale": 2.9395885799037997, "width": 112}\n',
+     "dd6f873b892ae3da961b0237ef0726df878b3e866ec324afc6f1d3752d2494b6"),
+    (["encode", "--input", "{}/f.cfld", "--output", "{}/out.pbm", "--alpha", "1",
+      "--assignment", REVERSED], 0,
+     '{"height": 80, "scale": 3.674485724879749, "width": 112}\n',
+     "957d1b40bbdad84d51ca8ca126d7244e674bd790c24e0633574c665187f07bf2"),
+    (["embed", "--input", "{}/f.cfld", "--payload", "{}/payload.bin", "--output", "{}/out.pbm",
+      "--key", KEY, "--fill", "random"], 0,
+     '{"capacity_bits": 1545, "payload_bits": 480, "scale": 2.9395885799037997}\n',
+     "996e7f06532b775111ab57bfa90a514b78ffb0cf93e0054e9316363ed123bab0"),
+    (["capacity", "--input", "{}/f.cfld"], 0,
+     '{"capacity_bits": 1545}\n', None),
+    (["encode", "--input", "{}/f.cfld", "--output", "{}/out.pbm", "--strategy", "random"], 2,
+     "", None),
+]
+
+
+@pytest.mark.parametrize("argv, code, stdout, pattern_sha", CLI_DIGESTS,
+                         ids=["encode-min", "encode-max", "encode-random", "encode-alpha1-reversed",
+                              "embed-fill-random", "capacity", "encode-random-without-key"])
+def test_quantizing_command_digests(capsys, tmp_path, argv, code, stdout, pattern_sha):
+    write_field(tmp_path / "f.cfld", _shake_field((20, 28)))
+    (tmp_path / "payload.bin").write_bytes(hashlib.shake_256(b"cli payload").digest(60))
+    out = run(capsys, *[arg.format(tmp_path) for arg in argv], expect=code)
+    assert out == stdout
+    pattern = tmp_path / "out.pbm"
+    if pattern_sha is None:
+        assert not pattern.exists()
+    else:
+        assert hashlib.sha256(pattern.read_bytes()).hexdigest() == pattern_sha
 
 
 def test_reruns_are_bit_identical(capsys, workspace):
