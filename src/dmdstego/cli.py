@@ -35,9 +35,9 @@ from .formats import (
 from .modulator import (
     NormalizationParams,
     decode_field,
-    encode_field,
     normalize_field,
     quantize_field,
+    select_patterns,
 )
 from .optics import (
     AliasingGuardWarning,
@@ -60,7 +60,7 @@ from .stego import (
     embed,
     extract,
 )
-from .superpixel import BLOCK, DEFAULT_ASSIGNMENT, PhaseAssignment
+from .superpixel import BLOCK, DEFAULT_ASSIGNMENT, PhaseAssignment, codes_to_mirrors
 
 
 class UsageError(ValueError):
@@ -146,16 +146,10 @@ def cmd_hologram(args) -> int:
 def cmd_encode(args) -> int:
     if args.strategy == "random" and args.key is None:
         raise UsageError("--key is required with --strategy random")
-    field = read_field(args.input)
-    codebook = build_codebook(args.assignment)
-    result = encode_field(field, codebook, strategy=args.strategy, key=args.key,
-                          params=NormalizationParams(peak_fraction=args.alpha))
-    write_pattern(args.output, result.mirrors)
-    _emit({
-        "height": result.mirrors.shape[0],
-        "scale": result.scale,
-        "width": result.mirrors.shape[1],
-    })
+    codebook, plan, scale = _quantize(read_field(args.input), args)
+    mirrors = codes_to_mirrors(select_patterns(plan, codebook, args.strategy, args.key))
+    write_pattern(args.output, mirrors)
+    _emit({"height": mirrors.shape[0], "scale": scale, "width": mirrors.shape[1]})
     return 0
 
 

@@ -77,6 +77,14 @@ class Codebook:
         """
         return self.capacities.astype(np.uint8)[self.group_of_pattern]
 
+    def pattern_codes(self, groups: np.ndarray, positions: np.ndarray) -> np.ndarray:
+        """Code of the pattern at each in-group position of each group.
+
+        The one reader of the grouped table: group g's patterns sit in
+        patterns_sorted from group_starts[g] on, in ascending code order.
+        """
+        return self.patterns_sorted[self.group_starts[groups] + positions]
+
     def nearest_values(self, targets: np.ndarray) -> np.ndarray:
         """Index of the nearest value to each target of an arbitrary-shape complex array.
 

@@ -44,10 +44,11 @@ def _read_token(data: bytes, pos: int, what: str) -> tuple[int, int]:
     token = match[1]
     if not token.isdigit():
         raise FormatError(f"expected {what} at byte {match.start(1)}, found {token[:16]!r}")
-    # No header value can exceed the 8 pixels a byte holds times the file
-    # length, so a longer number is refused before int() parses it.
+    # No dimension can exceed the 8 pixels a byte holds times the file
+    # length, nor a maxval 255, so a number longer than both is refused
+    # before int() parses it.
     digits = token.lstrip(b"0")
-    if len(digits) > len(str(8 * len(data))):
+    if len(digits) > len(str(max(8 * len(data), 255))):
         raise FormatError(f"{what} at byte {match.start(1)} has {len(digits)} digits, "
                           f"too many for a {len(data)}-byte file")
     return int(digits or b"0"), match.end(1)

@@ -1,10 +1,13 @@
-"""Complex field -> binary mirror pattern encoding and decoding.
+"""Complex field -> binary mirror pattern encoding and decoding, one step at a time.
 
-Encoding normalizes a field so its largest modulus sits at a configurable
-fraction of the codebook's reach, quantizes every sample to the nearest
-group value, and picks one representative pattern per superpixel.  Decoding
-reads the patterns back into group indices and canonical complex values;
-the pattern choice inside each group is invisible to this path.
+`normalize_field` scales a field so its largest modulus sits at a
+configurable fraction of the codebook's reach, `quantize_field` maps every
+sample to the index of its nearest group value, and `select_patterns`
+picks one representative pattern per superpixel under a strategy.  There
+is no one-call encoder: the CLI's encode, embed and capacity share the
+first two steps, and embed picks its patterns through `stego.embed`.
+`decode_field` reads the patterns back into group indices and canonical
+complex values; the pattern choice inside each group is invisible to it.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import numpy as np
 
 from .codebook import Codebook, pick_in_groups
 from .stego import StegoKey
-from .superpixel import MAX_MODULUS, codes_to_mirrors, mirrors_to_codes
+from .superpixel import MAX_MODULUS, mirrors_to_codes
 
 # Largest distance from any point of the working disk (radius 0.8 * MAX_MODULUS)
 # to its nearest codebook value, measured once by brute force over a refined
@@ -32,13 +35,6 @@ class NormalizationParams:
     def __post_init__(self):
         if not 0.0 < self.peak_fraction <= 1.0:
             raise ValueError("peak_fraction must lie in (0, 1]")
-
-
-@dataclass(frozen=True)
-class EncodeResult:
-    mirrors: np.ndarray   # (4H, 4W) uint8
-    plan: np.ndarray      # (H, W) int64 group indices
-    scale: float
 
 
 def normalize_field(field: np.ndarray, params: NormalizationParams = NormalizationParams()):
@@ -77,17 +73,7 @@ def select_patterns(plan: np.ndarray, codebook: Codebook, strategy: str,
     plan = np.asarray(plan)
     groups = plan.ravel().astype(np.int64)
     pick = pick_in_groups(codebook.group_sizes[groups], strategy, None if key is None else key.seed)
-    return codebook.patterns_sorted[codebook.group_starts[groups] + pick].reshape(plan.shape)
-
-
-def encode_field(field: np.ndarray, codebook: Codebook, strategy: str = "min",
-                 key: StegoKey | None = None,
-                 params: NormalizationParams = NormalizationParams()) -> EncodeResult:
-    """normalize -> quantize -> select -> assemble, one call."""
-    scaled, scale = normalize_field(field, params)
-    plan = quantize_field(scaled, codebook)
-    codes = select_patterns(plan, codebook, strategy, key)
-    return EncodeResult(mirrors=codes_to_mirrors(codes), plan=plan, scale=scale)
+    return codebook.pattern_codes(groups, pick).reshape(plan.shape)
 
 
 def decode_field(mirrors: np.ndarray, codebook: Codebook):

@@ -71,24 +71,6 @@ def _stream_at(seed: int, positions: np.ndarray) -> np.ndarray:
     return _mix_steps(seed, z)
 
 
-def mul_high(x: np.ndarray, bound: np.ndarray) -> np.ndarray:
-    """High 64 bits of the elementwise 128-bit product x * bound, for bound < 2**32.
-
-    With x = xh * 2**32 + xl the product's high word is
-    (xh * bound + (xl * bound >> 32)) >> 32, and no partial sum overflows 64
-    bits while bound fits in 32.  That covers `_draws_below`, which runs the
-    same arithmetic through _mul_high_into: group sizes are at most 256, and
-    permutation lengths are bounded by the 32-bit length header.
-    """
-    x = np.asarray(x, dtype=np.uint64)
-    bound = np.asarray(bound, dtype=np.uint64)
-    _check_bounds(bound)
-    # Two output-sized buffers, worked in place; x and bound are only read.
-    shape = np.broadcast_shapes(x.shape, bound.shape)
-    high = np.empty(shape, dtype=np.uint64)
-    return _mul_high_into(x, bound, high, np.empty(shape, dtype=np.uint64), high)
-
-
 def _check_bounds(bounds: np.ndarray) -> None:
     """Refuse bounds past 2**32 - 1, and negative ones, which a uint64 cast would wrap past it."""
     if bounds.size and (bounds.max() > _MASK32 or bounds.min() < 0):
@@ -96,10 +78,18 @@ def _check_bounds(bounds: np.ndarray) -> None:
 
 
 def _mul_high_into(x, bound, high, low, out):
-    """mul_high(x, bound) into `out`, any integer array of the result's shape.
+    """High 64 bits of the elementwise 128-bit product x * bound, for bound < 2**32, into `out`.
 
-    high and low are uint64 scratch buffers of that shape; low may be x
-    itself, which is then overwritten.  The bounds are not checked here.
+    With x = xh * 2**32 + xl the product's high word is
+    (xh * bound + (xl * bound >> 32)) >> 32, and no partial sum overflows 64
+    bits while bound fits in 32: xh * bound and xl * bound are each below
+    2**64 - 2**32, and (xl * bound >> 32) is below 2**32.  That covers
+    `_draws_below`: group sizes are at most 256, and permutation lengths
+    are bounded by the 32-bit length header.
+
+    x and bound are uint64 arrays; `out` is any integer array of the result's
+    shape.  high and low are uint64 scratch buffers of that shape; low may be
+    x itself, which is then overwritten.  The bounds are not checked here.
     """
     s = np.uint64(32)
     np.right_shift(x, s, out=high)
@@ -123,13 +113,14 @@ _DRAW_BLOCK = 16_384
 def _draws_below(seed: int, bounds: np.ndarray) -> np.ndarray:
     """One bounded draw from 0..b-1 for each b of the 1-D `bounds`, as int64.
 
-    Draw k is mul_high of stream output k and bounds[k], with no rejection
-    step.  The bounds are checked once, and the draws are computed a block
-    of _DRAW_BLOCK at a time in four block-sized buffers made once per call,
-    so no stream-sized temporary is made.  Output lo + k of a block is
-    mix(seed + lo * gamma + (k + 1) * gamma): the (k + 1) * gamma steps come
-    from one arange, and each block adds its own offset to them.  The high
-    words are shifted straight into the int64 output.
+    Draw k is the high 64 bits of stream output k times bounds[k] (see
+    _mul_high_into), with no rejection step.  The bounds are checked once,
+    and the draws are computed a block of _DRAW_BLOCK at a time in four
+    block-sized buffers made once per call, so no stream-sized temporary is
+    made.  Output lo + k of a block is mix(seed + lo * gamma + (k + 1) *
+    gamma): the (k + 1) * gamma steps come from one arange, and each block
+    adds its own offset to them.  The high words are shifted straight into
+    the int64 output.
     """
     check_seed(seed)
     bounds = np.asarray(bounds)

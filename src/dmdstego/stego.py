@@ -137,8 +137,7 @@ def embed(plan: np.ndarray, payload_bits: np.ndarray, key: StegoKey,
         windows >> (8 - caps[:active]),
         pick_in_groups(codebook.group_sizes[groups[active:]], fill, key.seed ^ FILL_SEED_XOR),
     ])
-    codes = codebook.patterns_sorted[codebook.group_starts[groups] + pick].reshape(plan.shape)
-    return codes_to_mirrors(codes)
+    return codes_to_mirrors(codebook.pattern_codes(groups, pick).reshape(plan.shape))
 
 
 def _stream_bytes(codes: np.ndarray, caps: np.ndarray, ends: np.ndarray,

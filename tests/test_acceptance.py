@@ -19,7 +19,7 @@ from dmdstego.formats import (
     write_image,
     write_pattern,
 )
-from dmdstego.modulator import decode_field, encode_field, normalize_field, quantize_field
+from dmdstego.modulator import decode_field, normalize_field, quantize_field, select_patterns
 from dmdstego.optics import (
     PropagationParams,
     field_correlation,
@@ -186,9 +186,8 @@ def _pipeline_ssims(obj, grid, params, key, payload_fraction=0.9):
 
     scores = {}
     for strategy in ("random", "min", "max"):
-        result = encode_field(holo, codebook, strategy=strategy,
-                              key=key if strategy == "random" else None)
-        _, values = decode_field(result.mirrors, codebook)
+        codes = select_patterns(plan, codebook, strategy, key if strategy == "random" else None)
+        _, values = decode_field(codes_to_mirrors(codes), codebook)
         scores[strategy] = ssim(reconstruct(values, params), target)
 
     cap = capacity_of_plan(plan, codebook)

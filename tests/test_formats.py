@@ -27,6 +27,16 @@ def test_image_round_trip(tmp_path):
     assert np.array_equal(read_image(p), img)
 
 
+@pytest.mark.parametrize("shape", [(1, 1), (1, 2), (2, 1)])
+def test_smallest_images_round_trip(tmp_path, shape):
+    # A 1x1 PGM is 12 bytes, whose 8 * 12 = 96 pixels have fewer digits than
+    # its maxval 255.
+    img = np.arange(1, 1 + shape[0] * shape[1], dtype=np.uint8).reshape(shape)
+    p = tmp_path / "small.pgm"
+    write_image(p, img)
+    assert np.array_equal(read_image(p), img)
+
+
 def test_image_write_is_byte_stable(tmp_path):
     img = np.arange(12, dtype=np.uint8).reshape(3, 4)
     p1, p2 = tmp_path / "x.pgm", tmp_path / "y.pgm"

@@ -1,17 +1,10 @@
-import functools
-
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from dmdstego.codebook import build_codebook
 from dmdstego.modulator import (
     COVERING_RADIUS,
-    EncodeResult,
     NormalizationParams,
     decode_field,
-    encode_field,
     normalize_field,
     quantize_field,
     select_patterns,
@@ -124,27 +117,30 @@ def test_select_patterns_random_deterministic(codebook):
     assert np.array_equal(codebook.group_of_pattern[a], plan)
 
 
+def _encode(field, codebook, strategy="min", key=None):
+    """normalize -> quantize -> select -> assemble, as the encode command runs them."""
+    scaled, scale = normalize_field(field)
+    plan = quantize_field(scaled, codebook)
+    return codes_to_mirrors(select_patterns(plan, codebook, strategy, key)), plan, scale
+
+
 def test_encode_shapes_and_scale(codebook):
     rng = np.random.default_rng(7)
     field = random_field(rng, (12, 18))
-    result = encode_field(field, codebook)
-    assert isinstance(result, EncodeResult)
-    assert result.plan.shape == (12, 18)
-    assert result.mirrors.shape == (48, 72)
-    assert result.mirrors.dtype == np.uint8
-    assert result.scale == pytest.approx(0.8 * MAX_MODULUS / np.abs(field).max())
+    mirrors, plan, scale = _encode(field, codebook)
+    assert plan.shape == (12, 18)
+    assert mirrors.shape == (48, 72)
+    assert mirrors.dtype == np.uint8
+    assert scale == pytest.approx(0.8 * MAX_MODULUS / np.abs(field).max())
 
 
 def test_encode_decode_round_trip_all_strategies(codebook):
     rng = np.random.default_rng(8)
     field = random_field(rng, (10, 14))
-    scaled, _ = normalize_field(field)
-    expected_plan = quantize_field(scaled, codebook)
     for strategy, key in [("min", None), ("max", None), ("random", StegoKey(seed=77))]:
-        result = encode_field(field, codebook, strategy=strategy, key=key)
-        plan, values = decode_field(result.mirrors, codebook)
+        mirrors, expected_plan, _ = _encode(field, codebook, strategy, key)
+        plan, values = decode_field(mirrors, codebook)
         assert np.array_equal(plan, expected_plan), strategy
-        assert np.array_equal(result.plan, expected_plan), strategy
         assert np.array_equal(values, codebook.values[expected_plan]), strategy
 
 
@@ -160,26 +156,6 @@ def test_decode_reports_exact_codebook_values(codebook):
 def test_decoded_values_close_to_input(codebook):
     rng = np.random.default_rng(10)
     field = random_field(rng, (16, 16))
-    result = encode_field(field, codebook)
-    _, values = decode_field(result.mirrors, codebook)
-    assert np.abs(values - field * result.scale).max() <= COVERING_RADIUS + 1e-12
-
-
-@functools.lru_cache(maxsize=1)
-def _cb():
-    return build_codebook()
-
-
-@settings(max_examples=20, deadline=None)
-@given(st.integers(min_value=0, max_value=2**32 - 1))
-def test_plan_independent_of_strategy(seed):
-    cb = _cb()
-    rng = np.random.default_rng(seed)
-    field = random_field(rng, (6, 6))
-    plans = [
-        encode_field(field, cb, strategy="min").plan,
-        encode_field(field, cb, strategy="max").plan,
-        encode_field(field, cb, strategy="random", key=StegoKey(seed=seed)).plan,
-    ]
-    assert np.array_equal(plans[0], plans[1])
-    assert np.array_equal(plans[0], plans[2])
+    mirrors, _, scale = _encode(field, codebook)
+    _, values = decode_field(mirrors, codebook)
+    assert np.abs(values - field * scale).max() <= COVERING_RADIUS + 1e-12

@@ -40,6 +40,18 @@ def test_scalar_helpers_left_the_library(module, names):
         assert not hasattr(mod, name), f"{module}.{name}"
 
 
+@pytest.mark.parametrize("module, names", [
+    ("dmdstego.modulator", ["encode_field", "EncodeResult"]),
+    ("dmdstego.rng", ["mul_high"]),
+])
+def test_second_code_paths_left_the_library(module, names):
+    # encode quantizes through the same step as embed and capacity, and
+    # _draws_below computes its high words through _mul_high_into alone.
+    mod = importlib.import_module(module)
+    for name in names:
+        assert not hasattr(mod, name), f"{module}.{name}"
+
+
 def test_removed_methods_and_attributes(codebook):
     for name in ("phase_index", "phase_of", "to_string", "bit_by_index"):
         assert not hasattr(DEFAULT_ASSIGNMENT, name)

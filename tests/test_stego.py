@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dmdstego.codebook import STRATEGIES, build_codebook
+from dmdstego.modulator import select_patterns
 from dmdstego.rng import _DRAW_BLOCK
 from dmdstego.stego import (
     FILL_SEED_XOR,
@@ -443,6 +444,18 @@ def test_fill_strategies_differ_only_after_stream(codebook):
         assert np.array_equal(codes[:boundary], ref[:boundary]), fill
         out = extract(mirrors, key, codebook)
         assert np.array_equal(out, bits), fill
+
+
+@pytest.mark.parametrize("shape", [(6, 6), (40, 52), (128, 128)])
+def test_empty_payload_with_min_fill_is_the_min_encoding(codebook, shape):
+    # A header-only stream is 32 zero bits, which pick position 0 as the
+    # "min" fill does, so embed and select_patterns read the same codes
+    # from the codebook whatever the key.
+    plan = random_plan(np.random.default_rng(shape[1]), shape)
+    want = codes_to_mirrors(select_patterns(plan, codebook, "min"))
+    for seed in (0, 1, (1 << 64) - 1):
+        got = embed(plan, np.zeros(0, dtype=np.uint8), StegoKey(seed=seed), codebook, fill="min")
+        assert np.array_equal(got, want), seed
 
 
 @pytest.mark.parametrize("payload", [
