@@ -32,21 +32,13 @@ def test_all_names():
     ("dmdstego", ["ValueGroup", "pattern_to_value", "pattern_to_coeffs", "coeffs_to_value",
                   "canonical_index", "coeffs_from_index"]),
     ("dmdstego.rng", ["SplitMix64", "_mix"]),
-])
-def test_scalar_helpers_left_the_library(module, names):
-    # Their scalar definitions live in tests/scalar_reference.py as oracles.
-    mod = importlib.import_module(module)
-    for name in names:
-        assert not hasattr(mod, name), f"{module}.{name}"
-
-
-@pytest.mark.parametrize("module, names", [
+    # Second code paths: encode quantizes through the step embed and capacity
+    # share, and _draws_below takes its high words from _mul_high_into alone.
     ("dmdstego.modulator", ["encode_field", "EncodeResult"]),
     ("dmdstego.rng", ["mul_high"]),
 ])
-def test_second_code_paths_left_the_library(module, names):
-    # encode quantizes through the same step as embed and capacity, and
-    # _draws_below computes its high words through _mul_high_into alone.
+def test_scalar_helpers_left_the_library(module, names):
+    # The scalar definitions live in tests/scalar_reference.py as oracles.
     mod = importlib.import_module(module)
     for name in names:
         assert not hasattr(mod, name), f"{module}.{name}"
