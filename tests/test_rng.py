@@ -128,7 +128,13 @@ def test_draws_below_mixed_bounds_and_validation():
     assert np.array_equal(bounds, kept)
     with pytest.raises(ValueError):
         rng._draws_below(MASK + 1, bounds)
-    for wide in (np.array([1, 1 << 32], dtype=np.int64), np.array([MASK], dtype=np.uint64)):
+
+
+def test_mul_high_rejects_wide_bounds():
+    # _mul_high_into is exact only for bounds below 2**32; _draws_below
+    # checks them before any draw, as the old mul_high wrapper did.
+    for wide in (np.array([1, 1 << 32], dtype=np.int64), np.array([MASK], dtype=np.uint64),
+                 np.array([1, -1], dtype=np.int64)):
         with pytest.raises(ValueError):
             rng._draws_below(0, wide)
     assert rng._draws_below(0, np.array([], dtype=np.uint64)).size == 0
