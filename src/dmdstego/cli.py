@@ -43,6 +43,7 @@ from .optics import (
     AliasingGuardWarning,
     ApertureSpec,
     PropagationParams,
+    _check_geometry,
     field_correlation,
     generate_hologram,
     reconstruct,
@@ -110,8 +111,14 @@ def _emit(report: dict) -> None:
     print(write_report(report))
 
 
-def _propagation(args) -> PropagationParams:
-    return PropagationParams(wavelength=args.wavelength, distance=args.distance, pitch=args.pitch * BLOCK)
+def _propagation(args, shape: tuple[int, int]) -> PropagationParams:
+    """The geometry flags for a field of `shape`; a geometry that grid cannot carry is a usage error."""
+    params = PropagationParams(wavelength=args.wavelength, distance=args.distance, pitch=args.pitch * BLOCK)
+    try:
+        _check_geometry(params, shape)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    return params
 
 
 def _collect_warnings(caught) -> list[str]:
@@ -128,7 +135,7 @@ def _quantize(field: np.ndarray, args):
 def cmd_hologram(args) -> int:
     obj = read_image(args.input)
     width, height = args.superpixels
-    params = _propagation(args)
+    params = _propagation(args, (height, width))
     seed = None if args.no_diffuser else args.diffuser_seed
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", AliasingGuardWarning)
@@ -204,7 +211,7 @@ def cmd_capacity(args) -> int:
 
 def cmd_reconstruct(args) -> int:
     field = read_field(args.input)
-    params = _propagation(args)
+    params = _propagation(args, field.shape)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", AliasingGuardWarning)
         image = reconstruct(field, params)

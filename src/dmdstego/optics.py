@@ -55,7 +55,11 @@ class PropagationParams:
             raise ValueError("distance must be finite")
 
     def alias_free_distance(self, samples: int) -> float:
-        return samples * self.pitch ** 2 / self.wavelength
+        """samples * pitch**2 / wavelength, or inf where that overflows."""
+        try:
+            return samples * self.pitch ** 2 / self.wavelength
+        except OverflowError:
+            return math.inf
 
 
 _FFT_ROWS = 16     # rows per first-pass strip of _fft2
@@ -88,6 +92,36 @@ def _mirror_rfft(rows: np.ndarray) -> np.ndarray:
     return np.fft.rfft((rows != 0).astype(np.float64))
 
 
+def _transfer_phase(params: PropagationParams, fy: np.ndarray, fx: np.ndarray) -> np.ndarray:
+    """-i*pi*lambda*z*(fx**2 + fy**2) on the grid of frequencies fy (rows) by fx (columns)."""
+    return -1j * np.pi * params.wavelength * params.distance * (fx[None, :] ** 2 + fy[:, None] ** 2)
+
+
+def _check_geometry(params: PropagationParams, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """The np.fft.fftfreq entries 0..n//2 of each axis of a grid of `shape`, as (fy, fx).
+
+    Raises ValueError for a geometry the grid cannot carry: one whose
+    alias-free range overflows (a pitch too large for the wavelength), or
+    whose transfer phase overflows at some frequency (a pitch too small for
+    the wavelength and distance), which would make the propagated field NaN.
+    The last entry of each axis has the largest magnitude, and rounding is
+    monotone, so the phase is finite everywhere exactly when it is finite at
+    that corner; no grid-sized array is made.
+    """
+    ny, nx = shape
+    if not all(math.isfinite(params.alias_free_distance(n)) for n in shape):
+        raise ValueError(f"the alias-free range of a {nx}x{ny} grid overflows: "
+                         "the pitch is too large for the wavelength")
+    with np.errstate(over="ignore", invalid="ignore"):
+        fx = np.fft.fftfreq(nx, d=params.pitch)[:nx // 2 + 1]
+        fy = np.fft.fftfreq(ny, d=params.pitch)[:ny // 2 + 1]
+        corner = _transfer_phase(params, fy[-1:], fx[-1:])
+    if not np.isfinite(corner).all():
+        raise ValueError(f"the transfer phase of a {nx}x{ny} grid overflows: "
+                         "the pitch is too small for the wavelength and distance")
+    return fy, fx
+
+
 def fresnel_propagate(field: np.ndarray, params: PropagationParams) -> np.ndarray:
     """Propagate a sampled complex field by the transfer-function method.
 
@@ -100,11 +134,16 @@ def fresnel_propagate(field: np.ndarray, params: PropagationParams) -> np.ndarra
     gathered from it with index min(k, n - k): the values np.exp gives over
     the whole grid.  The working set is the field plus field-sized
     temporaries: the transfer function and the two spectra.
+
+    A geometry the grid cannot carry (see _check_geometry), and a field
+    whose propagation is not finite, such as a non-finite field or one near
+    the float64 limit, raise ValueError: the result is always finite.
     """
     f = np.asarray(field, dtype=np.complex128)
     if f.ndim != 2 or f.size == 0:
         raise ValueError("field must be a non-empty 2-D array")
     ny, nx = f.shape
+    fy, fx = _check_geometry(params, f.shape)
     for n in (ny, nx):
         if abs(params.distance) > params.alias_free_distance(n):
             warnings.warn(
@@ -113,17 +152,16 @@ def fresnel_propagate(field: np.ndarray, params: PropagationParams) -> np.ndarra
                 AliasingGuardWarning,
                 stacklevel=2,
             )
-    fx = np.fft.fftfreq(nx, d=params.pitch)[:nx // 2 + 1]
-    fy = np.fft.fftfreq(ny, d=params.pitch)[:ny // 2 + 1]
-    quadrant = np.exp(
-        -1j * np.pi * params.wavelength * params.distance
-        * (fx[None, :] ** 2 + fy[:, None] ** 2)
-    )
+    quadrant = np.exp(_transfer_phase(params, fy, fx))
     ky, kx = np.arange(ny), np.arange(nx)
     transfer = quadrant[np.minimum(ky, ny - ky)][:, np.minimum(kx, nx - kx)]
-    spectrum = _fft2(f, np.fft.fft, np.fft.fft)
-    spectrum *= transfer
-    return _fft2(spectrum, np.fft.ifft, np.fft.ifft)
+    with np.errstate(over="ignore", invalid="ignore"):
+        spectrum = _fft2(f, np.fft.fft, np.fft.fft)
+        spectrum *= transfer
+        out = _fft2(spectrum, np.fft.ifft, np.fft.ifft)
+    if not np.isfinite(out).all():
+        raise ValueError("the propagated field is not finite")
+    return out
 
 
 def _bilinear(a: np.ndarray, yy: np.ndarray, xx: np.ndarray) -> np.ndarray:

@@ -138,6 +138,47 @@ def _draws_below(seed: int, bounds: np.ndarray) -> np.ndarray:
     return out
 
 
+def _step_draws(n: int, seed: int) -> np.ndarray:
+    """The draws of the sequential shuffle of n items, as int64.
+
+    Step i (i from n-1 down to 1) takes draw n-1-i, a bounded draw from
+    0..i, so step i's draw is `_step_draws(n, seed)[n - 1 - i]`.
+    """
+    return _draws_below(seed, np.arange(n, 1, -1, dtype=np.int64))
+
+
+def _swap_rounds(draws: np.ndarray):
+    """Yield each reservation round as its window of steps, their draws and which won.
+
+    `draws` is `_step_draws(n, seed)`.  For each yielded (i, j, won), the
+    winning steps i[won] and their draws j[won] are one round of disjoint
+    swaps of items i[won] and j[won]; applied in order, the rounds make the
+    sequential shuffle.  See `permutation`.
+    """
+    n = draws.size + 1
+    reserved = np.empty(n, dtype=np.int64)
+    i = j = draws[:0]
+    cursor = 0
+    while i.size or cursor < draws.size:
+        pending = i.size + draws.size - cursor
+        window = max(WINDOW_FLOOR, pending // WINDOW_DIVISOR)
+        take = min(max(window - i.size, 0), draws.size - cursor)
+        # The untouched tail is steps n-1-cursor, n-2-cursor, ...
+        top = n - 1 - cursor
+        i = np.concatenate([i, np.arange(top, top - take, -1, dtype=np.int64)])
+        j = np.concatenate([j, draws[cursor:cursor + take]])
+        cursor += take
+        # Overwrite both slots of every window step, so no entry left by an
+        # earlier round can block a slot.
+        reserved[j] = -1
+        reserved[i] = i
+        np.maximum.at(reserved, j, i)
+        won = (reserved[i] == i) & (reserved[j] == i)
+        yield i, j, won
+        lost = ~won
+        i, j = i[lost], j[lost]
+
+
 def permutation(x, seed: int) -> np.ndarray:
     """Shuffled copy of `x` by the Fisher-Yates shuffle keyed with SplitMix64(seed).
 
@@ -146,55 +187,61 @@ def permutation(x, seed: int) -> np.ndarray:
     own dtype.  The result for an array equals x[permutation(len(x), seed)].
     The sequential shuffle of n items runs i from n-1 down to 1 and swaps
     items i and j[i], the next bounded draw from 0..i: step i takes draw
-    n-1-i of `_draws_below`.
+    n-1-i of `_draws_below` (`_step_draws`).
 
-    That shuffle is computed here in rounds of independent swaps: the prefix
-    variant of deterministic reservations (Blelloch, Fineman, Gibbons & Shun,
-    PPoPP 2012; Shun et al., SODA 2015).  Step i swaps slots i and j[i] <= i,
-    and the sequential order runs from i = n-1 down, so step i must wait
-    only for higher steps that touch slot i or slot j[i].  The winning swaps
-    of a round move the items themselves, so a uint8 array is shuffled as
-    bytes, with no int64 index permutation made for it.
+    That shuffle is computed here in rounds of independent swaps
+    (`_swap_rounds`): the prefix variant of deterministic reservations
+    (Blelloch, Fineman, Gibbons & Shun, PPoPP 2012; Shun et al., SODA 2015).
+    Step i swaps slots i and j[i] <= i, and the sequential order runs from
+    i = n-1 down, so step i must wait only for higher steps that touch slot
+    i or slot j[i].  The winning swaps of a round move the items themselves,
+    so a uint8 array is shuffled as bytes, with no int64 index permutation
+    made for it.  The swaps of one round are disjoint, so each round is its
+    own inverse, and replaying the rounds in reverse order undoes the
+    shuffle (`_unpermute`).
 
     Each round takes a window of the highest pending steps: the previous
     round's losers, then the next slice of the untouched descending tail,
     max(WINDOW_FLOOR, pending // WINDOW_DIVISOR) steps in all, or just the
-    losers if they are more.  The tail is read through a cursor and never
-    copied.  Every window step reserves both of its slots with priority i,
-    and a step holding the top reservation on both swaps this round.  The
-    window is a prefix of the pending steps, so every higher pending step is
-    in it and a winner conflicts with none of them; steps below the window
-    come later in the sequential order anyway.  The highest pending step
-    always wins, so every round makes progress.  Reserving among all pending
-    steps at once would commit only a third of them in the first round and
-    gather the rest again in every later one; a window of 1/32 of them loses
-    few steps per round.  At n = 379,541 this takes 133-144 rounds (median
-    137) over 200 seeds.
+    losers if they are more.  The tail is read through a cursor into the
+    draws and never copied.  Every window step reserves both of its slots
+    with priority i, and a step holding the top reservation on both swaps
+    this round.  The window is a prefix of the pending steps, so every
+    higher pending step is in it and a winner conflicts with none of them;
+    steps below the window come later in the sequential order anyway.  The
+    highest pending step always wins, so every round makes progress.
+    Reserving among all pending steps at once would commit only a third of
+    them in the first round and gather the rest again in every later one; a
+    window of 1/32 of them loses few steps per round.  At n = 379,541 this
+    takes 133-144 rounds (median 137) over 200 seeds.
     """
     items = np.arange(x, dtype=np.int64) if np.ndim(x) == 0 else np.array(x)
+    if len(items) < 2:
+        return items
+    for i, j, won in _swap_rounds(_step_draws(len(items), seed)):
+        wi, wj = i[won], j[won]
+        items[wi], items[wj] = items[wj], items[wi]
+    return items
+
+
+def _unpermute(x, seed: int) -> np.ndarray:
+    """Copy of the 1-D array `x` with `permutation`'s shuffle undone:
+    permutation(_unpermute(x, seed), seed) equals x.
+
+    Each round of the shuffle is a set of disjoint swaps, so its own
+    inverse, and swapping the items through the rounds in reverse order
+    undoes it.  Only each round's winning steps are kept, n - 1 in all, and
+    their draws are read again at replay: step i's is draws[n - 1 - i].  No
+    position array is made.
+    """
+    items = np.array(x)
     n = len(items)
     if n < 2:
         return items
-    tail_i = np.arange(n - 1, 0, -1, dtype=np.int64)
-    tail_j = _draws_below(seed, tail_i + 1)
-    reserved = np.empty(n, dtype=np.int64)
-    i = j = tail_i[:0]
-    cursor = 0
-    while i.size or cursor < tail_i.size:
-        pending = i.size + tail_i.size - cursor
-        window = max(WINDOW_FLOOR, pending // WINDOW_DIVISOR)
-        take = min(max(window - i.size, 0), tail_i.size - cursor)
-        i = np.concatenate([i, tail_i[cursor:cursor + take]])
-        j = np.concatenate([j, tail_j[cursor:cursor + take]])
-        cursor += take
-        # Overwrite both slots of every window step, so no entry left by an
-        # earlier round can block a slot.
-        reserved[j] = -1
-        reserved[i] = i
-        np.maximum.at(reserved, j, i)
-        won = (reserved[i] == i) & (reserved[j] == i)
-        wi, wj = i[won], j[won]
+    draws = _step_draws(n, seed)
+    rounds = [i[won] for i, _, won in _swap_rounds(draws)]
+    while rounds:
+        wi = rounds.pop()
+        wj = draws[n - 1 - wi]
         items[wi], items[wj] = items[wj], items[wi]
-        lost = ~won
-        i, j = i[lost], j[lost]
     return items

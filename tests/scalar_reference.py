@@ -158,3 +158,11 @@ class SplitMix64:
         for i in range(len(items) - 1, 0, -1):
             j = self.below(i + 1)
             items[i], items[j] = items[j], items[i]
+
+    def unshuffle(self, items):
+        """Undo `shuffle` in place: step i swaps i with the draw step i took
+        there, for i from 1 up to len(items) - 1."""
+        draws = {i: self.below(i + 1) for i in range(len(items) - 1, 0, -1)}
+        for i in range(1, len(items)):
+            j = draws[i]
+            items[i], items[j] = items[j], items[i]

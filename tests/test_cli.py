@@ -537,13 +537,30 @@ def test_module_entry_point(tmp_path, synthetic_object):
     (["sim4f", "--input", "{pattern}", "--output", "{tmp}/s.bin", "--compare", "{inf}"], 1),
     (["hologram", "--input", "{wide_pgm}", "--output", "{tmp}/h.bin", *GEO, "--superpixels", "8x8"], 1),
     (["decode", "--input", "{wide_pbm}", "--output", "{tmp}/d.bin"], 1),
+    # Geometries whose alias-free range overflows (in pitch**2, then in the
+    # division by the wavelength), and whose transfer phase overflows, which
+    # would make the field NaN.
+    (["hologram", "--input", "{image}", "--output", "{tmp}/h.bin", "--wavelength", "520e-9",
+      "--distance", "0.05", "--pitch", "1e160", "--superpixels", "8x8"], 2),
+    (["hologram", "--input", "{image}", "--output", "{tmp}/h.bin", "--wavelength", "520e-9",
+      "--distance", "0.05", "--pitch", "1e150", "--superpixels", "8x8"], 2),
+    (["hologram", "--input", "{image}", "--output", "{tmp}/h.bin", "--wavelength", "520e-9",
+      "--distance", "0.05", "--pitch", "1e-160", "--superpixels", "8x8"], 2),
+    (["hologram", "--input", "{image}", "--output", "{tmp}/h.bin", "--wavelength", "520e-9",
+      "--distance", "1e300", "--pitch", "1e-100", "--superpixels", "8x8"], 2),
+    (["reconstruct", "--input", "{field}", "--output", "{tmp}/r.pgm", "--wavelength", "520e-9",
+      "--distance", "0.05", "--pitch", "1e160"], 2),
+    (["reconstruct", "--input", "{field}", "--output", "{tmp}/r.pgm", "--wavelength", "520e-9",
+      "--distance", "0.05", "--pitch", "1e-160"], 2),
 ], ids=["alpha", "alpha-zero", "wavelength", "pitch", "diffuser-seed", "aperture-radius", "ssim-8x8",
         "distance-nan", "wavelength-nan", "pitch-inf", "aperture-radius-nan", "aperture-center-nan",
         "aperture-center-negative-spaced",
         "sim4f-assignment-without-center",
         "superpixels-oversized", "embed-field-nan", "capacity-field-inf", "reconstruct-field-nan",
         "reconstruct-field-inf", "sim4f-compare-nan", "sim4f-compare-inf",
-        "pgm-width-5000-digits", "pbm-width-5000-digits"])
+        "pgm-width-5000-digits", "pbm-width-5000-digits",
+        "hologram-pitch-1e160", "hologram-pitch-1e150", "hologram-pitch-1e-160",
+        "hologram-distance-1e300-pitch-1e-100", "reconstruct-pitch-1e160", "reconstruct-pitch-1e-160"])
 def test_bad_values_exit_without_traceback(tmp_path, argv, code):
     files = {"tmp": tmp_path, "field": tmp_path / "f.bin", "image": tmp_path / "i.pgm",
              "pattern": tmp_path / "p.pbm", "nan": tmp_path / "nan.bin", "inf": tmp_path / "inf.bin",

@@ -63,6 +63,68 @@ def test_alias_free_distance_formula():
     assert p.alias_free_distance(256) == pytest.approx(256 * 30.24e-6**2 / 520e-9)
 
 
+def test_alias_free_distance_is_infinite_past_the_float_range():
+    # pitch**2 overflows for the first, the division by the wavelength for the second.
+    for pitch in (4e160, 4e150):
+        assert PropagationParams(wavelength=520e-9, distance=0.05, pitch=pitch).alias_free_distance(8) == np.inf
+
+
+# Pitches too large for the alias-free range, then too small for the
+# transfer phase: the last three would give a field of NaN.
+OVERFLOWING_GEOMETRIES = [
+    PropagationParams(wavelength=520e-9, distance=0.05, pitch=4e160),
+    PropagationParams(wavelength=520e-9, distance=0.05, pitch=4e150),
+    PropagationParams(wavelength=520e-9, distance=0.05, pitch=4e-160),
+    PropagationParams(wavelength=520e-9, distance=1e300, pitch=4e-100),
+    PropagationParams(wavelength=520e-9, distance=0.05, pitch=1e-320),
+]
+
+
+@pytest.mark.parametrize("params", OVERFLOWING_GEOMETRIES)
+@pytest.mark.parametrize("shape", [(1, 8), (8, 8), (7, 12)])
+def test_fresnel_refuses_a_geometry_that_overflows(params, shape):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflows"):
+            fresnel_propagate(np.ones(shape, dtype=complex), params)
+        with pytest.raises(ValueError, match="overflows"):
+            fresnel_propagate(np.ones(shape, dtype=complex), replace(params, distance=-params.distance))
+
+
+def test_fresnel_refuses_a_field_it_cannot_propagate_finitely():
+    # One non-finite sample, or finite samples whose transform overflows.
+    fields = [np.ones((8, 8), dtype=complex) for _ in range(2)]
+    fields[0][3, 5], fields[1][3, 5] = np.nan, complex(1, np.inf)
+    fields.append(np.full((8, 8), 1e308, dtype=complex))
+    for field in fields:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="not finite"):
+                fresnel_propagate(field, SHORT)
+
+
+def test_geometry_check_agrees_with_the_whole_transfer_phase():
+    # The check reads only the corner of the frequency quadrant; every phase
+    # of the whole quadrant is finite exactly when it passes.
+    pitches = [1e-320, 1e-200, 1e-160, 1e-155, 1e-154, 1e-100, 1e-6, 1.0, 1e100, 1e150, 1e154]
+    for shape in ((1, 1), (2, 3), (8, 8), (9, 16)):
+        for pitch in pitches:
+            for distance in (0.0, 0.05, -1e3, 1e300, 1.7e308):
+                params = PropagationParams(wavelength=520e-9, distance=distance, pitch=pitch)
+                ny, nx = shape
+                with np.errstate(all="ignore"):
+                    fx = np.fft.fftfreq(nx, d=pitch)[:nx // 2 + 1]
+                    fy = np.fft.fftfreq(ny, d=pitch)[:ny // 2 + 1]
+                    whole = np.isfinite(optics._transfer_phase(params, fy, fx)).all()
+                finite_range = all(np.isfinite(params.alias_free_distance(n)) for n in shape)
+                try:
+                    optics._check_geometry(params, shape)
+                    passed = True
+                except ValueError:
+                    passed = False
+                assert passed == (whole and finite_range), (shape, pitch, distance)
+
+
 def test_zero_distance_identity():
     field = random_field(0, (64, 64))
     p = PropagationParams(wavelength=520e-9, distance=0.0, pitch=30.24e-6)

@@ -188,6 +188,10 @@ def _check_array_shuffle(x, seed):
     kept = x.copy()
     got = permutation(x, seed)
     assert got.dtype == x.dtype and got.shape == x.shape
+    # _unpermute replays the rounds in reverse: every item goes back, and
+    # neither call touches its input.
+    back = rng._unpermute(got, seed)
+    assert back.dtype == x.dtype and np.array_equal(back, x)
     assert np.array_equal(got, x[permutation(x.size, seed)])
     assert np.array_equal(x, kept)
 

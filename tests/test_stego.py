@@ -137,15 +137,40 @@ def test_permute_inverse():
         assert np.array_equal(fwd, bits[perm])
 
 
+# n items take n - 1 steps: one round for n = 2, one window of
+# WINDOW_FLOOR = 1024 steps up to n = 1025, more past it, and the desk-size
+# stream.
+INVERSE_SIZES = [0, 1, 2, 333, 1023, 1024, 1025, 2055, 47_610]
+INVERSE_KEYS = [0, 1, (1 << 64) - 1]
+
+
+@pytest.mark.parametrize("n", INVERSE_SIZES)
+@pytest.mark.parametrize("seed", INVERSE_KEYS)
+def test_permute_inverse_sizes(n, seed):
+    rng = np.random.default_rng(n)
+    bits = rng.integers(0, 2, n, dtype=np.uint8)
+    key = StegoKey(seed=seed)
+    fwd = permute_bits(bits, key)
+    assert np.array_equal(inverse_permute_bits(fwd, key), bits)
+    assert np.array_equal(permute_bits(inverse_permute_bits(bits, key), key), bits)
+    if n <= 2055:
+        assert np.array_equal(fwd, bits[reference_permutation(n, seed)])
+        # Bytes rather than bits, so a misplaced item almost surely shows.
+        items = rng.integers(0, 256, n, dtype=np.uint8)
+        want = items.tolist()
+        SplitMix64(seed).unshuffle(want)
+        assert inverse_permute_bits(items, key).tolist() == want
+
+
 def test_permute_bits_peak_memory():
-    # Through the rounds both directions hold the descending steps, their
-    # draws and the reservation table, three n-element int64 arrays.  The
-    # forward shuffle adds only the uint8 bits it moves; the inverse adds the
-    # uint32 positions it shuffles, their shuffled copy and its uint8 output.
+    # Both directions hold the draws and the reservation table, two
+    # n-element int64 arrays, and the uint8 bits they move.  The inverse
+    # also keeps every round's winning steps, n - 1 int64 in all, until it
+    # replays them.
     n = 379_541
     bits = np.random.default_rng(11).integers(0, 2, n, dtype=np.uint8)
     key = StegoKey(seed=1)
-    for fn, bound in ((permute_bits, 3.4), (inverse_permute_bits, 4.4)):
+    for fn, bound in ((permute_bits, 3.4), (inverse_permute_bits, 3.4)):
         tracemalloc.start()
         try:
             fn(bits, key)
