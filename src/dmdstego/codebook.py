@@ -6,11 +6,18 @@ both-ON).  Group sizes are therefore exact powers of two and every group
 hides floor(log2(size)) = z bits of choice.  Patterns inside a group are
 kept in ascending 16-bit code order, which puts the fewest-mirrors-ON
 pattern first and the most-ON pattern last.
+
+The nearest-value quantizer ranks, for each target, the candidate list of
+its cell in a bucket grid.  The values, and so the lists, are the same for
+every phase assignment, so the list table ships with the package
+(grid_candidates.npy and grid_counts.npy, made by the brute-force generator
+in tests/scalar_reference.py) and is read on a process's first quantization.
 """
 
 from __future__ import annotations
 
 import functools
+import os
 
 import numpy as np
 
@@ -35,21 +42,13 @@ STRATEGIES = ("random", "min", "max")
 GRID_STEP = 0.05
 GRID_HALF_CELLS = int(np.ceil(MAX_MODULUS / GRID_STEP))
 GRID_CELLS = 2 * GRID_HALF_CELLS
-# A cell is resolved at the first reach R within which every value that can
-# be nearest to a point of the cell lies: FIRST_REACH settles most cells of
-# the working disk, NEAR_REACH all of it, RIM_REACH the whole alpha = 1 disk.
-# Each reach pairs only the values within R of the cells still open.  All
-# three are pinned for the default codebook by a brute-force test.
-FIRST_REACH = 0.15
-NEAR_REACH = 0.3
-RIM_REACH = 0.6
-# Row 0 of a grid column: UNBUILT until a query first touches the cell, -1
-# (the whole column) if no reach resolves it, else its first candidate.
-UNBUILT = -2
-# Margin over float rounding in every distance of the build and the query.
+# Margin over float rounding in the candidate lists and the query's distances.
 GRID_TOLERANCE = 1e-9
 QUERY_CHUNK = 8192          # targets per grid query; temporaries stay at a few MB
 SCAN_ELEMENTS = 1 << 18     # targets x values per chunk of the linear scan
+# The candidate table of build_codebook's values, shipped with the package:
+# (K, cells) int16, one column per cell, and the (cells,) uint8 candidate counts.
+_GRID_FILES = ("grid_candidates.npy", "grid_counts.npy")
 
 
 class Codebook:
@@ -64,10 +63,8 @@ class Codebook:
         self.group_of_pattern = group_of_pattern    # (65536,) int64
         self.position_of_pattern = position_of_pattern  # (65536,) int64
         self.group_sizes = np.diff(group_starts)
-        # (K, cells) candidate table, one column per cell, built when a query first
-        # touches the cell; beside it the number of candidates each built cell lists.
-        self._grid = np.full((1, GRID_CELLS * GRID_CELLS), UNBUILT, dtype=np.min_scalar_type(-values.size))
-        self._counts = np.zeros(GRID_CELLS * GRID_CELLS, dtype=np.uint8)
+        # Whether the shipped candidate table serves these values; build_codebook sets it.
+        self._gridded = False
 
     @functools.cached_property
     def capacity_of_pattern(self) -> np.ndarray:
@@ -96,73 +93,63 @@ class Codebook:
         distance U, the nearest value v to a target t in the cell has
         |v - t| <= |u - t| <= U + h*sqrt(2), so |v - c| <= U + 2h*sqrt(2).
         Of the values within that bound the cell lists those that u does not
-        beat everywhere in the cell (see _resolve); any value left out is
-        farther than u from every point of the cell by more than 1e-9 / 1.5,
-        which no rounding can close, so every value that ties the minimum is
-        listed.  The candidates, sorted by index, are ranked with
-        _scan_nearest's own arithmetic, np.abs(values - t), and the first
-        minimum wins, so the smallest-canonical-index tie rule holds.  Each
-        target ranks its own cell's candidates and no padding, near-ties
-        included: at most 14 for the default codebook, 6.36 on average over
-        the full-frame benchmark hologram.  The table holds one column per
-        cell, so each query chunk, ordered by candidate count, ranks
-        candidate k over the contiguous prefix of targets whose cell lists
-        more than k values.
+        beat at every point of the cell by more than GRID_TOLERANCE in
+        squared distance; any value left out is farther than u from every
+        point of the cell by more than 1e-9 / 1.5, which no rounding can
+        close, so every value that ties the minimum is listed.  The
+        candidates, sorted by index, are ranked with _scan_nearest's own
+        arithmetic, np.abs(values - t), and the first minimum wins, so the
+        smallest-canonical-index tie rule holds.  Each target ranks its own
+        cell's candidates and no padding, near-ties included: at most 14 for
+        the default codebook, 6.36 on average over the full-frame benchmark
+        hologram.  The table holds one column per cell, so each query chunk,
+        ordered by candidate count, ranks candidate k over the contiguous
+        prefix of targets whose cell lists more than k values.
 
-        A cell's column is built the first time a query lands in it, so a
-        field pays only for the cells it touches: a 128x128 desk hologram
-        touches about 2,700 of the 42,436 cells.  A chunk of targets that
-        gathers an UNBUILT column builds, in one _build_cells call, every
-        unbuilt cell the rest of the query touches; a query that finds its
-        columns built does no extra work.  Once built, a column never changes.
-
-        A target outside the grid, or in a cell no reach resolves, is ranked
-        against every value by _scan_nearest: len(values) distances each,
-        about 200 times a warm grid query (for the default codebook about
-        23 us against 0.1 us per target on a 2-core x86 host).  For the default
-        codebook every cell meeting |t| <= MAX_MODULUS is resolved, so
-        normalized fields never take it.
+        The values do not depend on the phase assignment, so one table, made
+        offline by a brute-force scan over every cell and shipped with the
+        package, serves every codebook build_codebook makes.  It is loaded
+        on the first such query in a process.  A Codebook made by hand has no
+        table and ranks every target by _scan_nearest, as does a target
+        outside the grid: len(values) distances each, about 200 times a grid
+        query (for the default codebook about 23 us against 0.1 us per
+        target on a 2-core x86 host).  Every normalized field lies on the
+        grid.
         """
         t = np.asarray(targets, dtype=np.complex128)
         if not np.all(np.isfinite(t)):
             raise ValueError("quantization targets must be finite")
         flat = t.ravel()
+        if not self._gridded:
+            return _scan_nearest(self.values, flat).reshape(t.shape)
+        table, counts = _shipped_grid()
         out = np.empty(flat.size, dtype=np.int64)
         for lo in range(0, flat.size, QUERY_CHUNK):
-            chunk = flat[lo:lo + QUERY_CHUNK]
-            found = self._nearest_in_grid(chunk)
-            if found is None:
-                self._build_touched(flat[lo:])
-                found = self._nearest_in_grid(chunk)
-            out[lo:lo + QUERY_CHUNK] = found
+            out[lo:lo + QUERY_CHUNK] = self._nearest_in_grid(flat[lo:lo + QUERY_CHUNK], table, counts)
         return out.reshape(t.shape)
 
-    def _nearest_in_grid(self, t: np.ndarray) -> np.ndarray | None:
-        """Nearest value index of each target, or None if one lands in an unbuilt cell."""
+    def _nearest_in_grid(self, t: np.ndarray, table: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        """Nearest value index of each target, by its cell's column of `table`, or the scan off the grid."""
         inside, cell = _grid_cells(t)
-        head = self._grid[0].take(cell)
-        ok = inside & (head >= 0)
-        if not ok.all():
-            if np.any(inside & (head == UNBUILT)):
-                return None
+        if not inside.all():
             out = np.empty(t.size, dtype=np.int64)
-            out[~ok] = _scan_nearest(self.values, t[~ok])
-            out[ok] = self._nearest_in_grid(t[ok])
+            out[~inside] = _scan_nearest(self.values, t[~inside])
+            out[inside] = self._nearest_in_grid(t[inside], table, counts)
             return out
         # Targets ordered by their cell's candidate count, largest first, so the
         # targets that rank candidate k are a prefix: those whose cell lists more
         # than k values.  The padding past a cell's count never wins, so it is skipped.
-        count = self._counts[cell]
+        count = counts[cell]
         order = np.argsort(~count, kind="stable")
         cell, t = cell[order], t[order]
-        ranked = np.cumsum(np.bincount(count, minlength=self._grid.shape[0] + 1)[::-1])[::-1]
-        best = head[order]
+        ranked = np.cumsum(np.bincount(count, minlength=table.shape[0] + 1)[::-1])[::-1]
+        best = table[0].take(cell)
         dist = np.abs(self.values.take(best) - t)
-        for k in range(1, self._grid.shape[0]):
+        for k in range(1, table.shape[0]):
             m = ranked[k + 1]
             if m == 0:
                 break
-            candidate = self._grid[k].take(cell[:m])
+            candidate = table[k].take(cell[:m])
             d = np.abs(self.values.take(candidate) - t[:m])
             # Strictly closer only: the first minimum in candidate order wins, as in np.argmin.
             np.putmask(best[:m], d < dist[:m], candidate)
@@ -171,14 +158,15 @@ class Codebook:
         out[order] = best
         return out
 
-    def _build_touched(self, t: np.ndarray) -> None:
-        """Build, in one _build_cells call, the column of every unbuilt cell a target of t lands in."""
-        touched = np.zeros(GRID_CELLS * GRID_CELLS, dtype=bool)
-        for lo in range(0, t.size, QUERY_CHUNK):
-            inside, cell = _grid_cells(t[lo:lo + QUERY_CHUNK])
-            touched[cell[inside]] = True
-        self._grid, self._counts = _build_cells(self._grid, self._counts, self.values,
-                                                touched & (self._grid[0] == UNBUILT))
+
+@functools.cache
+def _shipped_grid():
+    """The package's candidate table and counts, read-only, loaded once per process."""
+    here = os.path.dirname(__file__)
+    arrays = tuple(np.load(os.path.join(here, name)) for name in _GRID_FILES)
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 def _grid_cells(t: np.ndarray):
@@ -210,134 +198,6 @@ def _scan_nearest(values: np.ndarray, targets: np.ndarray) -> np.ndarray:
         chunk = targets[lo:lo + rows]
         out[lo:lo + rows] = np.argmin(np.abs(values[None, :] - chunk[:, None]), axis=1)
     return out
-
-
-def _cell_pairs(v: np.ndarray, reach: float):
-    """(cell, position in v, squared distance) of every cell centre within reach of a value.
-
-    Yields one batch per row offset of the (2w+1)^2 window around each
-    value's own cell, so the temporaries stay at len(v) x (2w+1).
-    """
-    w = int(np.ceil(reach / GRID_STEP))
-    offsets = np.arange(-w, w + 1)
-    x = v.real / GRID_STEP + GRID_HALF_CELLS
-    y = v.imag / GRID_STEP + GRID_HALF_CELLS
-    ii = np.floor(x).astype(np.int64)[:, None] + offsets
-    jj = np.floor(y).astype(np.int64)[:, None] + offsets
-    dx2 = ((ii + 0.5 - x[:, None]) * GRID_STEP) ** 2
-    dy2 = ((jj + 0.5 - y[:, None]) * GRID_STEP) ** 2
-    dx2[(ii < 0) | (ii >= GRID_CELLS)] = np.inf
-    dy2[(jj < 0) | (jj >= GRID_CELLS)] = np.inf
-    corner = ii[:, 0] * GRID_CELLS + jj[:, 0]    # cell at window offset (-w, -w); off-grid cells never hit
-    for a in range(offsets.size):
-        d2 = (dx2[:, a, None] + dy2).ravel()
-        hit = np.flatnonzero(d2 <= reach * reach)
-        pos, b = np.divmod(hit, offsets.size)
-        yield corner[pos] + (a * GRID_CELLS + b), pos, d2[hit]
-
-
-def _resolve(v: np.ndarray, reach: float, open_cells: np.ndarray):
-    """Cells of open_cells whose candidates all lie within reach, and those (cell, position) pairs.
-
-    v must hold every value within reach of each open cell's centre c.  U is
-    the distance from c to its nearest value in v.  Every value that can be
-    nearest to a point of the cell lies within U + 2r of c (r: the half
-    diagonal), so a cell is resolved when that bound plus GRID_TOLERANCE
-    stays within reach.  The (cell, value) pairs are made once and scanned
-    twice: once for U, once for the values within the bound.
-
-    Of those, a value x is dropped when the value u nearest c (the first of
-    v among exact ties) beats it at every point p of the cell.  With
-    a = x - c, b = u - c and h = GRID_STEP / 2, |p - x|^2 - |p - u|^2 is
-    affine in p, so its least value over the square is the closed form
-    |a|^2 - |b|^2 - 2h(|a.re - b.re| + |a.im - b.im|), and x is dropped when
-    that exceeds GRID_TOLERANCE.  Distances within the reach are below 0.75,
-    so a dropped x is farther than u from every point of the cell by more
-    than GRID_TOLERANCE / 1.5.  u is found among the same squared distances
-    whichever values v holds beyond the reach, so the columns are the same
-    whichever cells are built together.
-    """
-    pairs = list(_cell_pairs(v, reach))
-    nearest2 = np.full(GRID_CELLS * GRID_CELLS, np.inf)
-    for cell, _, d2 in pairs:
-        np.minimum.at(nearest2, cell, d2)
-    bound = np.sqrt(nearest2) + GRID_STEP * np.sqrt(2) + GRID_TOLERANCE
-    resolved = open_cells & (bound <= reach)
-    limit2 = np.where(resolved, bound * bound, -1.0)
-    cells, positions, dists = [], [], []
-    for cell, pos, d2 in pairs:
-        keep = np.flatnonzero(d2 <= limit2[cell])
-        cells.append(cell[keep])
-        positions.append(pos[keep])
-        dists.append(d2[keep])
-    cell, pos = np.concatenate(cells), np.concatenate(positions)
-    gap = np.concatenate(dists) - nearest2[cell]
-    nearest = np.full(nearest2.size, v.size)
-    at_u = gap == 0
-    np.minimum.at(nearest, cell[at_u], pos[at_u])
-    step = v[pos] - v[nearest[cell]]
-    keep = gap - GRID_STEP * (np.abs(step.real) + np.abs(step.imag)) <= GRID_TOLERANCE
-    return resolved, cell[keep], pos[keep]
-
-
-def _values_near(values: np.ndarray, open_cells: np.ndarray, reach: float) -> np.ndarray:
-    """Indices of the values whose _cell_pairs window at `reach` meets an open cell.
-
-    The window is the (2w+1)^2 cells around the value's own cell; a 2-D
-    prefix sum of open_cells counts the open ones in it.
-    """
-    w = int(np.ceil(reach / GRID_STEP))
-    count = np.zeros((GRID_CELLS + 1, GRID_CELLS + 1), dtype=np.int32)
-    np.cumsum(np.cumsum(open_cells.reshape(GRID_CELLS, GRID_CELLS), axis=0, dtype=np.int32),
-              axis=1, out=count[1:, 1:])
-    i = np.floor(values.real / GRID_STEP + GRID_HALF_CELLS).astype(np.int64)
-    j = np.floor(values.imag / GRID_STEP + GRID_HALF_CELLS).astype(np.int64)
-    i0, i1 = np.clip(i - w, 0, GRID_CELLS), np.clip(i + w + 1, 0, GRID_CELLS)
-    j0, j1 = np.clip(j - w, 0, GRID_CELLS), np.clip(j + w + 1, 0, GRID_CELLS)
-    return np.flatnonzero(count[i1, j1] - count[i0, j1] - count[i1, j0] + count[i0, j0])
-
-
-def _build_cells(table: np.ndarray, counts: np.ndarray, values: np.ndarray, wanted: np.ndarray):
-    """Build the columns of the cells marked in the boolean mask `wanted`; returns the table and counts.
-
-    A column lists its cell's candidate value indices (see _resolve: the
-    values within the cell's bound that its centre's nearest value does not
-    beat everywhere in it), ascending, padded with the last (largest); their
-    number goes into `counts`.  A column of -1 marks a cell no reach
-    resolves.  The table gains rows, each column padded the same way, when
-    a cell needs more candidates, and `counts` a wider type when a count
-    outgrows it (never for the default codebook).  Each reach pairs only
-    the values within it of the cells still open, and a cell resolved at
-    any reach gets the same column, so columns do not depend on which cells
-    are built together.
-    """
-    open_cells = wanted.copy()
-    found_cells, found_index = [], []
-    for reach in (FIRST_REACH, NEAR_REACH, RIM_REACH):
-        near = _values_near(values, open_cells, reach)
-        resolved, pair_cells, pos = _resolve(values[near], reach, open_cells)
-        found_cells.append(pair_cells)
-        found_index.append(near[pos])
-        open_cells &= ~resolved
-        if not open_cells.any():
-            break
-    table[:, open_cells] = -1
-    key = np.sort(np.concatenate(found_cells) * values.size + np.concatenate(found_index))
-    cells, index = key // values.size, key % values.size
-    found = np.bincount(cells, minlength=counts.size)
-    if found.max() > table.shape[0]:
-        deeper = np.empty((found.max(), counts.size), dtype=table.dtype)
-        deeper[:table.shape[0]] = table
-        deeper[table.shape[0]:] = table[-1]
-        table = deeper
-    if found.max() > np.iinfo(counts.dtype).max:
-        counts = counts.astype(np.min_scalar_type(found.max()))
-    starts = np.cumsum(found) - found
-    built = np.flatnonzero(found)
-    table[:, built] = index[starts[built] + found[built] - 1]
-    table[np.arange(cells.size) - starts[cells], cells] = index
-    counts[built] = found[built]
-    return table, counts
 
 
 def pick_in_groups(sizes: np.ndarray, strategy: str, seed: int | None = None) -> np.ndarray:
@@ -400,7 +260,7 @@ def build_codebook(assignment: PhaseAssignment | None = None) -> Codebook:
 
     capacities = np.count_nonzero(coeff_table == 0, axis=1).astype(np.int64)
 
-    return Codebook(
+    codebook = Codebook(
         values=values,
         capacities=capacities,
         patterns_sorted=patterns_sorted,
@@ -408,3 +268,5 @@ def build_codebook(assignment: PhaseAssignment | None = None) -> Codebook:
         group_of_pattern=group_idx,
         position_of_pattern=position,
     )
+    codebook._gridded = True
+    return codebook

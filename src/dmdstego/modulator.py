@@ -42,6 +42,8 @@ def normalize_field(field: np.ndarray, params: NormalizationParams = Normalizati
 
     Returns (scaled_field, scale).  An all-zero field keeps scale 1.  Fields
     smaller than the target peak are scaled up (scale > 1 is legitimate).
+    A field whose peak modulus overflows float64, or is so small that the
+    scale does, is refused with ValueError.
     """
     f = np.asarray(field, dtype=np.complex128)
     if f.ndim != 2 or f.size == 0:
@@ -49,9 +51,14 @@ def normalize_field(field: np.ndarray, params: NormalizationParams = Normalizati
     if not np.all(np.isfinite(f)):
         raise ValueError("field must be finite")
     peak = np.abs(f).max()
+    if not np.isfinite(peak):
+        raise ValueError("field peak modulus overflows float64")
     if peak == 0.0:
         return f.copy(), 1.0
-    scale = params.peak_fraction * MAX_MODULUS / peak
+    with np.errstate(over="ignore"):
+        scale = params.peak_fraction * MAX_MODULUS / peak
+    if not np.isfinite(scale):
+        raise ValueError(f"field peak modulus {peak:.3g} is too small to scale")
     return f * scale, float(scale)
 
 

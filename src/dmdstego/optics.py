@@ -444,19 +444,32 @@ def simulate_4f(mirrors: np.ndarray, aperture: ApertureSpec | None = None,
 
 
 def field_correlation(a: np.ndarray, b: np.ndarray) -> float:
-    """|<a, b>| / (||a|| ||b||) over two finite complex arrays of one shape; 0 if either is null."""
+    """|<a, b>| / (||a|| ||b||) over two finite complex arrays of one shape; 0 if either is null.
+
+    Each array is first scaled by the power of two that brings its largest
+    |re| or |im| into [0.5, 1), so the norms and the inner product neither
+    overflow nor underflow at any magnitude.  A power of two scales exactly,
+    so the result is what the unscaled arithmetic gives wherever that is finite.
+    """
     x = np.asarray(a, dtype=np.complex128)
     y = np.asarray(b, dtype=np.complex128)
     if x.shape != y.shape:
         raise ValueError(f"cannot correlate arrays of shapes {x.shape} and {y.shape}")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise ValueError("cannot correlate non-finite fields")
-    x, y = x.ravel(), y.ravel()
+    x, y = _unit_scaled(x.ravel()), _unit_scaled(y.ravel())
     na = np.linalg.norm(x)
     nb = np.linalg.norm(y)
     if na == 0.0 or nb == 0.0:
         return 0.0
     return float(abs(np.vdot(x, y)) / (na * nb))
+
+
+def _unit_scaled(x: np.ndarray) -> np.ndarray:
+    """Contiguous 1-D complex x times the power of two that puts its largest |re| or |im| in [0.5, 1)."""
+    parts = x.view(np.float64)
+    _, exponent = np.frexp(np.abs(parts).max(initial=0.0))
+    return np.ldexp(parts, -exponent).view(np.complex128)
 
 
 # 11-tap Gaussian window (sigma 1.5, radius 5), normalized to unit sum

@@ -82,6 +82,40 @@ def scan_nearest(codebook, t):
     return int(np.argmin(np.abs(codebook.values - t)))
 
 
+def grid_table(values):
+    """The bucket grid's (K, cells) int16 candidate table and (cells,) uint8 counts, by brute force.
+
+    For the cell around centre c, u is the value nearest c: the smallest
+    index among the values within 1e-12 of the least squared distance, so
+    near-ties resolve alike on any numpy build.  Every value that can be
+    nearest to a point of the cell lies within U + 2r of c (U = |u - c|,
+    r the half diagonal).  Of those the cell lists, ascending, each x that
+    u does not beat at every point of the cell by more than GRID_TOLERANCE
+    in squared distance: with a = x - c, b = u - c, that least margin is
+    |a|^2 - |b|^2 - GRID_STEP * (|a.re - b.re| + |a.im - b.im|).  Columns
+    are padded with their last candidate.  One row of cells (fixed real
+    part) at a time.
+    """
+    from dmdstego.codebook import GRID_CELLS, GRID_HALF_CELLS, GRID_STEP, GRID_TOLERANCE
+
+    axis = (np.arange(GRID_CELLS) - GRID_HALF_CELLS + 0.5) * GRID_STEP
+    columns = []
+    for re in axis:
+        im = values.imag - axis[:, None]
+        d2 = (values.real - re) ** 2 + im * im
+        u = np.argmax(d2 <= d2.min(axis=1, keepdims=True) + 1e-12, axis=1)
+        b2 = d2[np.arange(GRID_CELLS), u]
+        bound = np.sqrt(b2) + GRID_STEP * np.sqrt(2) + GRID_TOLERANCE
+        cell, x = np.nonzero(d2 <= (bound * bound)[:, None])
+        step = values[x] - values[u[cell]]
+        margin = d2[cell, x] - b2[cell] - GRID_STEP * (np.abs(step.real) + np.abs(step.imag))
+        keep = margin <= GRID_TOLERANCE
+        columns += np.split(x[keep], np.cumsum(np.bincount(cell[keep], minlength=GRID_CELLS))[:-1])
+    counts = np.array([c.size for c in columns], dtype=np.uint8)
+    table = np.array([np.pad(c, (0, counts.max() - c.size), mode="edge") for c in columns])
+    return np.ascontiguousarray(table.T, dtype=np.int16), counts
+
+
 def codebook_tables(assignment=None):
     """The six codebook tables by name, from the 65536 x 16 bit matrix of every pattern.
 
@@ -166,3 +200,13 @@ class SplitMix64:
         for i in range(1, len(items)):
             j = draws[i]
             items[i], items[j] = items[j], items[i]
+
+
+if __name__ == "__main__":
+    # Regenerate the package's candidate table: PYTHONPATH=src python tests/scalar_reference.py
+    import os
+
+    from dmdstego import codebook
+
+    for name, array in zip(codebook._GRID_FILES, grid_table(codebook.build_codebook().values)):
+        np.save(os.path.join(os.path.dirname(codebook.__file__), name), array)

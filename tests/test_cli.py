@@ -5,11 +5,14 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
+from dmdstego import codebook as codebook_module
 from dmdstego.cli import main
+from dmdstego.codebook import build_codebook
 from dmdstego.formats import (
     HEADER_LIMIT,
     read_field,
@@ -361,6 +364,56 @@ def test_commands_that_do_not_quantize_load_no_scipy(tmp_path, codebook, synthet
     assert (tmp_path / "x.bin").read_bytes() == b"\xff" * 8
 
 
+def test_commands_that_do_not_quantize_load_no_grid_table(capsys, monkeypatch, tmp_path, synthetic_object):
+    # Only a quantizing command reads the nearest-value candidate table.
+    loads = []
+    shipped = codebook_module._shipped_grid
+
+    def counted():
+        loads.append(1)
+        return shipped()
+
+    monkeypatch.setattr(codebook_module, "_shipped_grid", counted)
+    write_image(tmp_path / "obj.pgm", synthetic_object)
+    run(capsys, "hologram", "--input", str(tmp_path / "obj.pgm"), "--output", str(tmp_path / "h.cfld"),
+        *GEO, "--superpixels", "16x16")
+    (tmp_path / "payload.bin").write_bytes(b"\xa5" * 8)
+    plan = np.random.default_rng(3).integers(0, 6561, (16, 16))
+    write_pattern(tmp_path / "p.pbm", embed(plan, np.ones(64, dtype=np.uint8), StegoKey.from_hex(KEY),
+                                            build_codebook()))
+    commands = [
+        ["extract", "--input", "{}/p.pbm", "--output", "{}/x.bin", "--key", KEY],
+        ["decode", "--input", "{}/p.pbm", "--output", "{}/d.cfld"],
+        ["reconstruct", "--input", "{}/d.cfld", "--output", "{}/r.pgm", *GEO],
+        ["sim4f", "--input", "{}/p.pbm", "--output", "{}/s.cfld", "--compare", "{}/d.cfld"],
+        ["ssim", "--input", "{}/r.pgm", "--reference", "{}/r.pgm"],
+    ]
+    for argv in commands:
+        run(capsys, *[arg.format(tmp_path) for arg in argv])
+    assert loads == []
+    run(capsys, "capacity", "--input", str(tmp_path / "h.cfld"))
+    assert loads == [1]
+
+
+@pytest.mark.parametrize("factor", [1e200, -1e200, 1e300, -1e300, 1e-300])
+def test_sim4f_compare_with_a_scaled_copy(capsys, tmp_path, factor):
+    # The readout of a random pattern compared with itself scaled near either
+    # end of the float64 range reads as the unscaled comparison does.
+    pattern, out, ref = tmp_path / "p.pbm", tmp_path / "s.cfld", tmp_path / "ref.cfld"
+    write_pattern(pattern, np.random.default_rng(8).integers(0, 2, (32, 32), dtype=np.uint8))
+    run(capsys, "sim4f", "--input", str(pattern), "--output", str(ref))
+    same = json.loads(run(capsys, "sim4f", "--input", str(pattern), "--output", str(out),
+                          "--compare", str(ref)))["correlation"]
+    write_field(ref, factor * read_field(ref))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["sim4f", "--input", str(pattern), "--output", str(out), "--compare", str(ref)])
+    captured = capsys.readouterr()
+    assert rc == 0 and captured.err == ""
+    assert json.loads(captured.out)["correlation"] == pytest.approx(same, abs=1e-12)
+    assert same == pytest.approx(1.0, abs=1e-12)
+
+
 def test_quantizing_commands_run_without_scipy(capsys, tmp_path, synthetic_object):
     # The quantizer is numpy alone: with every scipy import made to fail,
     # encode, embed and capacity still exit 0 and write what they write
@@ -552,6 +605,14 @@ def test_module_entry_point(tmp_path, synthetic_object):
       "--distance", "0.05", "--pitch", "1e160"], 2),
     (["reconstruct", "--input", "{field}", "--output", "{tmp}/r.pgm", "--wavelength", "520e-9",
       "--distance", "0.05", "--pitch", "1e-160"], 2),
+    # Finite fields that cannot be normalized: a peak modulus past float64,
+    # and a peak so small that the scale is.
+    (["encode", "--input", "{huge}", "--output", "{tmp}/p.pbm"], 1),
+    (["embed", "--input", "{huge}", "--payload", "{image}", "--output", "{tmp}/e.pbm", "--key", KEY], 1),
+    (["capacity", "--input", "{huge}"], 1),
+    (["encode", "--input", "{tiny}", "--output", "{tmp}/p.pbm"], 1),
+    (["embed", "--input", "{tiny}", "--payload", "{image}", "--output", "{tmp}/e.pbm", "--key", KEY], 1),
+    (["capacity", "--input", "{tiny}"], 1),
 ], ids=["alpha", "alpha-zero", "wavelength", "pitch", "diffuser-seed", "aperture-radius", "ssim-8x8",
         "distance-nan", "wavelength-nan", "pitch-inf", "aperture-radius-nan", "aperture-center-nan",
         "aperture-center-negative-spaced",
@@ -560,11 +621,14 @@ def test_module_entry_point(tmp_path, synthetic_object):
         "reconstruct-field-inf", "sim4f-compare-nan", "sim4f-compare-inf",
         "pgm-width-5000-digits", "pbm-width-5000-digits",
         "hologram-pitch-1e160", "hologram-pitch-1e150", "hologram-pitch-1e-160",
-        "hologram-distance-1e300-pitch-1e-100", "reconstruct-pitch-1e160", "reconstruct-pitch-1e-160"])
+        "hologram-distance-1e300-pitch-1e-100", "reconstruct-pitch-1e160", "reconstruct-pitch-1e-160",
+        "encode-peak-overflows", "embed-peak-overflows", "capacity-peak-overflows",
+        "encode-scale-overflows", "embed-scale-overflows", "capacity-scale-overflows"])
 def test_bad_values_exit_without_traceback(tmp_path, argv, code):
     files = {"tmp": tmp_path, "field": tmp_path / "f.bin", "image": tmp_path / "i.pgm",
              "pattern": tmp_path / "p.pbm", "nan": tmp_path / "nan.bin", "inf": tmp_path / "inf.bin",
-             "wide_pgm": tmp_path / "w.pgm", "wide_pbm": tmp_path / "w.pbm"}
+             "wide_pgm": tmp_path / "w.pgm", "wide_pbm": tmp_path / "w.pbm",
+             "huge": tmp_path / "huge.bin", "tiny": tmp_path / "tiny.bin"}
     write_field(files["field"], np.ones((8, 8), dtype=complex))
     write_image(files["image"], np.full((8, 8), 100, dtype=np.uint8))
     write_pattern(files["pattern"], np.zeros((32, 32), dtype=np.uint8))
@@ -574,6 +638,10 @@ def test_bad_values_exit_without_traceback(tmp_path, argv, code):
     for name, bad in (("nan", complex(np.nan, 0)), ("inf", complex(1, np.inf))):
         field = np.ones((8, 8), dtype=complex)
         field[2, 5] = bad
+        write_field(files[name], field)
+    for name, peak in (("huge", 1.5e308 + 1.5e308j), ("tiny", 1e-320)):
+        field = np.zeros((4, 4), dtype=complex)
+        field[1, 2] = peak
         write_field(files[name], field)
     inputs = sorted(tmp_path.iterdir())
     r = subprocess.run([sys.executable, "-m", "dmdstego", *(a.format(**files) for a in argv)],

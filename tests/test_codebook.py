@@ -7,6 +7,8 @@ vectorized path must agree with it exactly.
 
 import functools
 import hashlib
+import io
+import os
 import tracemalloc
 import warnings
 
@@ -16,19 +18,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import Voronoi, cKDTree
 
+from dmdstego import codebook as codebook_module
 from dmdstego.codebook import (
-    FIRST_REACH,
     GRID_CELLS,
     GRID_HALF_CELLS,
     GRID_STEP,
     GRID_TOLERANCE,
-    NEAR_REACH,
     QUERY_CHUNK,
-    RIM_REACH,
     STRATEGIES,
     Codebook,
     _grid_cells,
     _scan_nearest,
+    _shipped_grid,
     build_codebook,
     pick_in_groups,
 )
@@ -49,6 +50,7 @@ from scalar_reference import (
     codebook_tables,
     coeffs_from_index,
     coeffs_to_value,
+    grid_table,
     group_patterns,
     pattern_to_coeffs,
     pattern_to_value,
@@ -57,7 +59,7 @@ from scalar_reference import (
 
 
 # Most candidates any cell of the default codebook's grid may list; every
-# target then costs at most this many distances.  The build gives 14.
+# target then costs at most this many distances.  The shipped table lists 14.
 MAX_CANDIDATES = 14
 
 
@@ -249,114 +251,89 @@ def test_nearest_values_exact_ties_beyond_the_first_query():
 
 def test_crowded_cells_outgrow_the_count_type():
     # 300 values on a circle much smaller than a cell: every one of them is
-    # nearest somewhere in the cells around it, more than a uint8 count holds.
+    # nearest somewhere in the cells around it, more than a uint8 count
+    # holds.  A Codebook made by hand has no table, so each target takes the scan.
     values = 0.3 + 0.2j + 1e-3 * np.exp(2j * np.pi * (np.arange(300) + 0.5) / 300)
     book = Codebook(values, None, None, np.zeros(1, dtype=np.int64), None, None)
     rng = np.random.default_rng(41)
     targets = 0.3 + 0.2j + 0.05 * (rng.uniform(-1, 1, 2000) + 1j * rng.uniform(-1, 1, 2000))
     assert np.array_equal(book.nearest_values(targets), scan_nearest_all(values, targets))
-    assert book._counts.max() == 300
+
+
+def test_shipped_grid_matches_the_generator(codebook):
+    # The package's table files are the brute-force generator's output, byte
+    # for byte (regenerate: PYTHONPATH=src python tests/scalar_reference.py).
+    here = os.path.dirname(codebook_module.__file__)
+    for name, array in zip(codebook_module._GRID_FILES, grid_table(codebook.values)):
+        saved = io.BytesIO()
+        np.save(saved, array)
+        with open(os.path.join(here, name), "rb") as f:
+            assert f.read() == saved.getvalue(), name
 
 
 def test_grid_resolves_the_whole_disk(codebook):
-    # Every cell a normalized field can reach (alpha <= 1) has its candidate
-    # list, so CLI input never falls back to the linear scan, and no cell
-    # lists more than MAX_CANDIDATES values.
-    centres, nearest_point = grid_cells()
-    codebook.nearest_values(centres)
-    table = codebook._grid.T
-    assert table.shape[0] == GRID_CELLS ** 2
-    assert table.shape[1] <= MAX_CANDIDATES
-    assert np.all(table[nearest_point <= MAX_MODULUS, 0] >= 0)
+    # Every cell of the grid, and so every cell a normalized field can reach
+    # (alpha <= 1), has its candidate list, so CLI input never falls back to
+    # the linear scan, and no cell lists more than MAX_CANDIDATES values.
+    table, counts = _shipped_grid()
+    assert table.shape[1] == counts.size == GRID_CELLS ** 2
+    assert table.shape[0] <= MAX_CANDIDATES
+    assert counts.min() >= 1
 
 
 def test_grid_reach_constants_by_brute_force(codebook):
     # From each cell centre c, every value that can be nearest to a point of
     # the cell lies within U + 2r (U: distance to the nearest value, r: half
-    # diagonal).  That bound must fit NEAR_REACH on the working disk and
-    # RIM_REACH on the whole alpha = 1 disk, and exceed NEAR_REACH somewhere
-    # on it, so the rim reach is needed.  FIRST_REACH alone fits more than
-    # three quarters of the working disk, though not all of it, so most
-    # cells are built from the smallest windows and NEAR_REACH is needed.
-    centres, nearest_point = grid_cells()
+    # diagonal).  Each cell lists exactly the values within that bound that
+    # the value u nearest its centre does not beat at every point of the
+    # cell.  Where several values tie for nearest, u may be any of them.
+    centres, _ = grid_cells()
     points = np.column_stack([codebook.values.real, codebook.values.imag])
     tree = cKDTree(points)
-    u, _ = tree.query(np.column_stack([centres.real, centres.imag]), workers=-1)
+    c = np.column_stack([centres.real, centres.imag])
+    u, _ = tree.query(c, workers=-1)
     bound = u + GRID_STEP * np.sqrt(2) + GRID_TOLERANCE
-    disk = nearest_point <= MAX_MODULUS
-    working = nearest_point <= 0.8 * MAX_MODULUS
-    assert 0.75 < np.mean(bound[working] <= FIRST_REACH) < 1
-    assert bound[working].max() <= NEAR_REACH
-    assert NEAR_REACH < bound[disk].max() <= RIM_REACH
-    # Each resolved cell lists exactly the values within its bound that the
-    # value u nearest its centre does not beat at every point of the cell.
-    # Where several values tie for nearest, u may be any of them.
-    codebook.nearest_values(centres)
-    table = codebook._grid.T
-    resolved = np.flatnonzero(table[:, 0] >= 0)
-    c = np.column_stack([centres.real, centres.imag])[resolved]
-    ties = tree.query_ball_point(c, u[resolved] + 1e-12)
-    within = tree.query_ball_point(c, bound[resolved])
+    table = _shipped_grid()[0].T
+    ties = tree.query_ball_point(c, u + 1e-12)
+    within = tree.query_ball_point(c, bound)
     single = np.array([len(t) == 1 for t in ties])
     counts = [len(w) for w in within]
-    cell = np.repeat(resolved, counts)
+    cell = np.repeat(np.arange(centres.size), counts)
     index = np.concatenate(within).astype(np.int64)
     nearest = np.repeat([t[0] for t in ties], counts)
     kept = ~beaten_in_cell(codebook.values, centres[cell], index, nearest)
     key = cell * VALUE_COUNT + index
     expected = np.unique(key[kept & np.repeat(single, counts)])
-    listed = resolved[single, None] * VALUE_COUNT + table[resolved[single]].astype(np.int64)
+    listed = np.flatnonzero(single)[:, None] * VALUE_COUNT + table[single].astype(np.int64)
     assert np.array_equal(np.unique(listed), expected)
     assert 0.2 < 1 - np.mean(kept) < 0.35     # share of the within-bound pairs dropped
     assert 0 < np.count_nonzero(~single) < 200
     for tied_cell in np.flatnonzero(~single):
         candidates = np.array(within[tied_cell])
-        centre = centres[resolved[tied_cell]]
-        rules = [candidates[~beaten_in_cell(codebook.values, centre, candidates, tie)].tolist()
+        rules = [candidates[~beaten_in_cell(codebook.values, centres[tied_cell], candidates, tie)].tolist()
                  for tie in ties[tied_cell]]
-        assert np.unique(table[resolved[tied_cell]]).tolist() in rules
-
-
-def test_grid_rows_do_not_depend_on_the_query_order():
-    # A row is built when a query first lands in its cell.  Cell centres
-    # queried in shuffled batches of uneven size, a cell or two to
-    # thousands, each batch with cells its predecessors built, must leave
-    # the table one query of every centre leaves, width included.
-    centres, _ = grid_cells()
-    whole = build_codebook()
-    whole.nearest_values(centres)
-    pieces = build_codebook()
-    rng = np.random.default_rng(12)
-    order = rng.permutation(centres.size)
-    cuts = np.sort(rng.choice(np.arange(1, centres.size), 8, replace=False))
-    for batch in [order[:1], order[:2], *np.split(order, cuts)]:
-        pieces.nearest_values(centres[batch])
-    assert pieces._grid.dtype == whole._grid.dtype
-    assert np.array_equal(pieces._grid, whole._grid)
-    assert pieces._counts.dtype == whole._counts.dtype
-    assert np.array_equal(pieces._counts, whole._counts)
+        assert np.unique(table[tied_cell]).tolist() in rules
 
 
 def test_grid_counts_match_the_columns(codebook):
-    # Each built cell stores the number of distinct values its column lists;
-    # the column holds them ascending, and every entry past the count repeats
-    # the last candidate, so ranking may stop at the count.  Unbuilt and
-    # unresolved cells count 0.  Table and counts together stay small.
-    centres, _ = grid_cells()
-    codebook.nearest_values(centres)
-    table, counts = codebook._grid.T, codebook._counts
+    # Each cell stores the number of distinct values its column lists; the
+    # column holds them ascending, and every entry past the count repeats
+    # the last candidate, so ranking may stop at the count.  The table is
+    # shared by every codebook, so it is read-only, and with the counts it
+    # stays small.
+    table, counts = _shipped_grid()
+    assert not table.flags.writeable and not counts.flags.writeable
+    assert table.dtype == np.int16 and table.flags.c_contiguous
     assert counts.dtype == np.uint8 and counts.shape == (GRID_CELLS ** 2,)
-    assert codebook._grid.nbytes + counts.nbytes < 1.25e6
-    built = table[:, 0] >= 0
-    assert np.all(counts[~built] == 0)
-    listed, n = table[built].astype(np.int64), counts[built].astype(np.int64)
+    assert table.nbytes + counts.nbytes < 1.25e6
+    listed, n = table.T.astype(np.int64), counts.astype(np.int64)
     distinct = 1 + np.count_nonzero(np.diff(np.sort(listed, axis=1), axis=1), axis=1)
     assert np.array_equal(n, distinct)
-    position = np.arange(table.shape[1])
+    position = np.arange(listed.shape[1])
     assert np.all(np.diff(listed, axis=1)[position[:-1] < n[:, None] - 1] > 0)
     last = listed[np.arange(listed.shape[0]), n - 1]
     assert np.array_equal(np.where(position < n[:, None], listed, last[:, None]), listed)
-    assert n.min() == 1 and n.max() == table.shape[1]
+    assert n.min() == 1 and n.max() == listed.shape[1]
 
 
 def test_ragged_ranking_in_one_chunk(codebook):
@@ -366,8 +343,8 @@ def test_ragged_ranking_in_one_chunk(codebook):
     # only a strict comparison keeps the first minimum.  Shuffled, so the
     # count ordering inside the chunk has work to do.
     centres, _ = grid_cells()
-    codebook.nearest_values(centres)
-    table, counts = codebook._grid.T, codebook._counts
+    table, counts = _shipped_grid()
+    table = table.T
     rng = np.random.default_rng(31)
 
     def inside(cells, per_cell):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,34 @@ def test_normalize_rejects_bad_input():
         normalize_field(np.array([[np.nan + 0j]]))
     with pytest.raises(ValueError):
         normalize_field(np.array([[np.inf + 0j]]))
+
+
+@pytest.mark.parametrize("peak", [1.5e308 + 1.5e308j, 1.7e308 + 1e308j, 1e-320, 5e-324j, 1e-310 - 1e-311j])
+def test_normalize_refuses_a_peak_or_scale_past_float64(peak):
+    # A finite sample whose modulus overflows would give scale 0, and a peak
+    # so small that the scale overflows would give inf * 0 = NaN samples.
+    field = np.zeros((4, 4), dtype=complex)
+    field[1, 2] = peak
+    field[3, 0] = peak / 4
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="peak modulus"):
+            normalize_field(field)
+
+
+@pytest.mark.parametrize("peak", [1.2e308, 1e308 + 1e307j, 1e-300, 3e-308j])
+def test_normalize_scales_fields_near_the_float64_limits(peak):
+    # The largest and smallest peaks whose modulus and scale stay finite
+    # normalize as any other field does.
+    field = np.zeros((4, 4), dtype=complex)
+    field[1, 2] = peak
+    field[3, 0] = peak / 4
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scaled, scale = normalize_field(field)
+    assert scale == 0.8 * MAX_MODULUS / np.abs(field).max()
+    assert np.array_equal(scaled, field * scale)
+    assert np.abs(scaled).max() == pytest.approx(0.8 * MAX_MODULUS, rel=1e-12)
 
 
 def test_quantize_matches_scan(codebook):

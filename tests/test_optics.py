@@ -678,6 +678,20 @@ def test_field_correlation_properties():
                 field_correlation(*pair)
 
 
+@pytest.mark.parametrize("factor", [1e200, -1e200, 1e300, -1e300, 1e-300, -1e-300j])
+def test_field_correlation_of_scaled_copies(factor):
+    # A copy scaled near either end of the float64 range correlates as the
+    # copy itself does: no norm or inner product overflows or underflows.
+    a = random_field(13, (20, 20))
+    b = a + 0.5 * random_field(14, (20, 20))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert field_correlation(a, factor * a) == pytest.approx(field_correlation(a, a), abs=1e-12)
+        assert field_correlation(factor * a, b) == pytest.approx(field_correlation(a, b), abs=1e-12)
+        assert field_correlation(b, factor * a) == pytest.approx(field_correlation(b, a), abs=1e-12)
+        assert field_correlation(factor * a, factor * b) == pytest.approx(field_correlation(a, b), abs=1e-12)
+
+
 def naive_ssim(a, b):
     a = a.astype(np.float64)
     b = b.astype(np.float64)

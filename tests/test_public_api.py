@@ -36,6 +36,10 @@ def test_all_names():
     # share, and _draws_below takes its high words from _mul_high_into alone.
     ("dmdstego.modulator", ["encode_field", "EncodeResult"]),
     ("dmdstego.rng", ["mul_high"]),
+    # The lazy grid builder: the candidate table ships as package data, made
+    # by the brute-force grid_table in tests/scalar_reference.py.
+    ("dmdstego.codebook", ["_build_cells", "_resolve", "_cell_pairs", "_values_near", "UNBUILT",
+                           "FIRST_REACH", "NEAR_REACH", "RIM_REACH"]),
 ])
 def test_scalar_helpers_left_the_library(module, names):
     # The scalar definitions live in tests/scalar_reference.py as oracles.
@@ -47,7 +51,7 @@ def test_scalar_helpers_left_the_library(module, names):
 def test_removed_methods_and_attributes(codebook):
     for name in ("phase_index", "phase_of", "to_string", "bit_by_index"):
         assert not hasattr(DEFAULT_ASSIGNMENT, name)
-    for name in ("group", "nearest_value", "assignment", "_coeff_table"):
+    for name in ("group", "nearest_value", "assignment", "_coeff_table", "_build_touched"):
         assert not hasattr(codebook, name)
     assert not hasattr(StegoKey(0), "to_hex")
 
