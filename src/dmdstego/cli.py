@@ -6,7 +6,9 @@ pattern decoding, capacity reports, numerical reconstruction, the 4f
 filter simulation, and SSIM scoring.  Reports go to stdout as JSON with
 sorted keys; artifacts go to files.  Exit codes: 0 success, 1 I/O errors
 or bad input data, 2 capacity or usage errors (including out-of-range flag
-values), each failure reported as one "error:" line on stderr.
+values), each failure reported as one "error:" line on stderr.  `run` is
+the process entry of `python -m dmdstego` and the `dmdstego` script; a report
+that cannot be written to stdout exits 1 there.
 
 --pitch is always the micromirror pitch; commands operating on fields
 sampled at one value per 4x4 block scale it internally.
@@ -15,10 +17,12 @@ sampled at one value per 4x4 block scale it internally.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 import warnings
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -355,5 +359,35 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
+
+def run() -> NoReturn:
+    """Run `main` on the command line as a whole process, and end it.
+
+    Every output file is written and closed before `main` returns, so the
+    process is done then.  stdout is flushed here, where a report that
+    cannot be written (a full disk, a closed pipe) still exits 1 with one
+    "error:" line; fd 1 then points at os.devnull, so the interpreter's own
+    flush at exit does not fail again.  `gc.freeze()` keeps the shutdown
+    collections from walking the objects numpy and the package leave
+    tracked, which took most of the time after `main` returned.  Reference
+    counting, atexit handlers and the stream flushes still run.  In-process
+    callers use `main`, which keeps a normal collector.
+    """
+    try:
+        try:
+            status = main()
+        finally:
+            sys.stdout.flush()
+    except OSError as exc:
+        print(f"error: cannot write to stdout: {exc}", file=sys.stderr)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        status = 1
+    finally:
+        gc.freeze()
+    sys.exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -553,6 +554,97 @@ def test_module_entry_point(tmp_path, synthetic_object):
                        capture_output=True, text=True)
     assert r.returncode == 0
     assert json.loads(r.stdout)["width"] == 32
+
+
+def _buffered_env():
+    """The environment of a user's shell: stdout block-buffered into files and pipes."""
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["capacity", "--input", "{field}"], 0),
+    (["capacity", "--input", "{inf}"], 1),
+    # main returns 2 for the payload, argparse raises SystemExit(2) for the flag.
+    (["embed", "--input", "{field}", "--payload", "{payload}", "--output", "{tmp}/e.pbm", "--key", KEY], 2),
+    (["capacity"], 2),
+], ids=["report", "bad-data", "payload-too-large", "missing-input"])
+def test_process_entry_keeps_exit_codes(tmp_path, argv, code):
+    files = {"tmp": tmp_path, "field": tmp_path / "f.bin", "inf": tmp_path / "inf.bin",
+             "payload": tmp_path / "p.bin"}
+    write_field(files["field"], np.zeros((4, 4), dtype=complex))
+    field = np.ones((4, 4), dtype=complex)
+    field[1, 2] = complex(1, np.inf)
+    write_field(files["inf"], field)
+    files["payload"].write_bytes(bytes(16))  # 128 bits, past the 4x4 field's 128-bit capacity with the header
+    r = subprocess.run([sys.executable, "-m", "dmdstego", *(a.format(**files) for a in argv)],
+                       capture_output=True, text=True, env=_buffered_env())
+    assert r.returncode == code, r.stderr
+    if code == 0:
+        assert json.loads(r.stdout) == {"capacity_bits": 128}
+        assert r.stderr == ""
+    else:
+        assert r.stdout == ""
+        assert sum("error:" in line for line in r.stderr.splitlines()) == 1
+        assert "Traceback" not in r.stderr
+
+
+def _run_into(stdout, field, unbuffered):
+    env = _buffered_env()
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run([sys.executable, "-m", "dmdstego", "capacity", "--input", str(field)],
+                          stdout=stdout, stderr=subprocess.PIPE, text=True, env=env)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("target", ["full-device", "closed-pipe"])
+def test_unwritable_report_exits_1(tmp_path, target, unbuffered):
+    # Buffered, the report is written at the flush after main returns, not
+    # by print; unbuffered, print itself fails inside main.
+    field = tmp_path / "f.bin"
+    write_field(field, np.zeros((4, 4), dtype=complex))
+    if target == "full-device":
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        with open("/dev/full", "w") as full:
+            r = _run_into(full, field, unbuffered)
+    else:
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            r = _run_into(write_end, field, unbuffered)
+        finally:
+            os.close(write_end)
+    assert r.returncode == 1, r.stderr
+    lines = r.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), r.stderr
+
+
+def test_process_entry_freezes_the_collector(tmp_path):
+    # The entry freezes what is tracked before the interpreter shuts down;
+    # atexit handlers still run after it.
+    field, seen = tmp_path / "f.bin", tmp_path / "freeze.txt"
+    write_field(field, np.zeros((4, 4), dtype=complex))
+    code = ("import atexit, gc, pathlib, sys\n"
+            "seen = pathlib.Path(sys.argv[1])\n"
+            "atexit.register(lambda: seen.write_text(str(gc.get_freeze_count())))\n"
+            "sys.argv[1:] = ['capacity', '--input', sys.argv[2]]\n"
+            "from dmdstego.cli import run\n"
+            "run()\n")
+    r = subprocess.run([sys.executable, "-c", code, str(seen), str(field)], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout) == {"capacity_bits": 128}
+    assert int(seen.read_text()) > 10_000
+
+
+def test_main_leaves_the_collector_alone(capsys, tmp_path):
+    field = tmp_path / "f.bin"
+    write_field(field, np.zeros((4, 4), dtype=complex))
+    before = gc.get_freeze_count()
+    assert run(capsys, "capacity", "--input", str(field)) == '{"capacity_bits": 128}\n'
+    assert gc.get_freeze_count() == before
 
 
 @pytest.mark.parametrize("argv, code", [
