@@ -10,7 +10,7 @@ pattern first and the most-ON pattern last.
 The nearest-value quantizer ranks, for each target, the candidate list of
 its cell in a bucket grid.  The values, and so the lists, are the same for
 every phase assignment, so the list table ships with the package
-(grid_candidates.npy and grid_counts.npy, made by the brute-force generator
+(grid_candidates.npy and grid_starts.npy, made by the brute-force generator
 in tests/scalar_reference.py) and is read on a process's first quantization.
 """
 
@@ -39,16 +39,17 @@ STRATEGIES = ("random", "min", "max")
 # TOMS 1980.  Square cells of side GRID_STEP tile |re|, |im| <=
 # GRID_HALF_CELLS * GRID_STEP, which holds the disk |t| <= MAX_MODULUS that
 # normalized fields fill.
-GRID_STEP = 0.05
+GRID_STEP = 0.025
 GRID_HALF_CELLS = int(np.ceil(MAX_MODULUS / GRID_STEP))
 GRID_CELLS = 2 * GRID_HALF_CELLS
 # Margin over float rounding in the candidate lists and the query's distances.
 GRID_TOLERANCE = 1e-9
 QUERY_CHUNK = 8192          # targets per grid query; temporaries stay at a few MB
 SCAN_ELEMENTS = 1 << 18     # targets x values per chunk of the linear scan
-# The candidate table of build_codebook's values, shipped with the package:
-# (K, cells) int16, one column per cell, and the (cells,) uint8 candidate counts.
-_GRID_FILES = ("grid_candidates.npy", "grid_counts.npy")
+# The candidate table of build_codebook's values, shipped with the package: every
+# cell's candidates, cell by cell, as one int16 array, and the (cells + 1,) int32
+# offsets of the cells' runs in it.
+_GRID_FILES = ("grid_candidates.npy", "grid_starts.npy")
 
 
 class Codebook:
@@ -92,27 +93,28 @@ class Codebook:
         the cell centre, h its half side and u the value nearest c, at
         distance U, the nearest value v to a target t in the cell has
         |v - t| <= |u - t| <= U + h*sqrt(2), so |v - c| <= U + 2h*sqrt(2).
-        Of the values within that bound the cell lists those that u does not
-        beat at every point of the cell by more than GRID_TOLERANCE in
-        squared distance; any value left out is farther than u from every
-        point of the cell by more than 1e-9 / 1.5, which no rounding can
-        close, so every value that ties the minimum is listed.  The
+        Of the values within that bound the cell lists those that no other
+        value beats at every point of the cell by more than GRID_TOLERANCE in
+        squared distance.  Beating adds up along a chain, so any value left
+        out is beaten in that way by a listed one, a margin no rounding can
+        close, and every value that ties the minimum is listed.  The
         candidates, sorted by index, are ranked with _scan_nearest's own
         arithmetic, np.abs(values - t), and the first minimum wins, so the
         smallest-canonical-index tie rule holds.  Each target ranks its own
-        cell's candidates and no padding, near-ties included: at most 14 for
-        the default codebook, 6.36 on average over the full-frame benchmark
-        hologram.  The table holds one column per cell, so each query chunk,
-        ordered by candidate count, ranks candidate k over the contiguous
-        prefix of targets whose cell lists more than k values.
+        cell's candidates and no padding, near-ties included: at most 7 for
+        the default codebook, 2.51 on average over the full-frame benchmark
+        hologram.  The lists run cell by cell in one flat array, and a query
+        chunk, ordered by candidate count, ranks candidate k over the
+        contiguous prefix of targets whose cell lists more than k values,
+        each reading the entry after its last.
 
         The values do not depend on the phase assignment, so one table, made
         offline by a brute-force scan over every cell and shipped with the
         package, serves every codebook build_codebook makes.  It is loaded
         on the first such query in a process.  A Codebook made by hand has no
         table and ranks every target by _scan_nearest, as does a target
-        outside the grid: len(values) distances each, about 200 times a grid
-        query (for the default codebook about 23 us against 0.1 us per
+        outside the grid: len(values) distances each, about 300 times a grid
+        query (for the default codebook about 23 us against 0.05-0.08 us per
         target on a 2-core x86 host).  Every normalized field lies on the
         grid.
         """
@@ -122,34 +124,34 @@ class Codebook:
         flat = t.ravel()
         if not self._gridded:
             return _scan_nearest(self.values, flat).reshape(t.shape)
-        table, counts = _shipped_grid()
+        candidates, starts = _shipped_grid()
         out = np.empty(flat.size, dtype=np.int64)
         for lo in range(0, flat.size, QUERY_CHUNK):
-            out[lo:lo + QUERY_CHUNK] = self._nearest_in_grid(flat[lo:lo + QUERY_CHUNK], table, counts)
+            out[lo:lo + QUERY_CHUNK] = self._nearest_in_grid(flat[lo:lo + QUERY_CHUNK], candidates, starts)
         return out.reshape(t.shape)
 
-    def _nearest_in_grid(self, t: np.ndarray, table: np.ndarray, counts: np.ndarray) -> np.ndarray:
-        """Nearest value index of each target, by its cell's column of `table`, or the scan off the grid."""
+    def _nearest_in_grid(self, t: np.ndarray, candidates: np.ndarray, starts: np.ndarray) -> np.ndarray:
+        """Nearest value index of each target, by its cell's run of `candidates`, or the scan off the grid."""
         inside, cell = _grid_cells(t)
         if not inside.all():
             out = np.empty(t.size, dtype=np.int64)
             out[~inside] = _scan_nearest(self.values, t[~inside])
-            out[inside] = self._nearest_in_grid(t[inside], table, counts)
+            out[inside] = self._nearest_in_grid(t[inside], candidates, starts)
             return out
         # Targets ordered by their cell's candidate count, largest first, so the
         # targets that rank candidate k are a prefix: those whose cell lists more
-        # than k values.  The padding past a cell's count never wins, so it is skipped.
-        count = counts[cell]
+        # than k values.  A uint8 key lets numpy radix-sort it.
+        pos = starts[cell]
+        count = (starts[cell + 1] - pos).astype(np.uint8)
         order = np.argsort(~count, kind="stable")
-        cell, t = cell[order], t[order]
-        ranked = np.cumsum(np.bincount(count, minlength=table.shape[0] + 1)[::-1])[::-1]
-        best = table[0].take(cell)
+        pos, t = pos[order], t[order]
+        ranked = np.cumsum(np.bincount(count)[::-1])[::-1]
+        best = candidates.take(pos)
         dist = np.abs(self.values.take(best) - t)
-        for k in range(1, table.shape[0]):
+        for k in range(1, ranked.size - 1):
             m = ranked[k + 1]
-            if m == 0:
-                break
-            candidate = table[k].take(cell[:m])
+            pos[:m] += 1
+            candidate = candidates.take(pos[:m])
             d = np.abs(self.values.take(candidate) - t[:m])
             # Strictly closer only: the first minimum in candidate order wins, as in np.argmin.
             np.putmask(best[:m], d < dist[:m], candidate)
@@ -161,7 +163,7 @@ class Codebook:
 
 @functools.cache
 def _shipped_grid():
-    """The package's candidate table and counts, read-only, loaded once per process."""
+    """The package's flat candidate lists and cell offsets, read-only, loaded once per process."""
     here = os.path.dirname(__file__)
     arrays = tuple(np.load(os.path.join(here, name)) for name in _GRID_FILES)
     for a in arrays:

@@ -83,37 +83,54 @@ def scan_nearest(codebook, t):
 
 
 def grid_table(values):
-    """The bucket grid's (K, cells) int16 candidate table and (cells,) uint8 counts, by brute force.
+    """The bucket grid's flat int16 candidate lists and int32 cell offsets, by brute force.
 
-    For the cell around centre c, u is the value nearest c: the smallest
-    index among the values within 1e-12 of the least squared distance, so
-    near-ties resolve alike on any numpy build.  Every value that can be
-    nearest to a point of the cell lies within U + 2r of c (U = |u - c|,
-    r the half diagonal).  Of those the cell lists, ascending, each x that
-    u does not beat at every point of the cell by more than GRID_TOLERANCE
-    in squared distance: with a = x - c, b = u - c, that least margin is
-    |a|^2 - |b|^2 - GRID_STEP * (|a.re - b.re| + |a.im - b.im|).  Columns
-    are padded with their last candidate.  One row of cells (fixed real
-    part) at a time.
+    From a cell centre c, every value that can be nearest to a point of the
+    cell lies within U + 2r of c (U: the least distance from c to a value,
+    r: the half diagonal).  Of those the cell lists, ascending, each x that
+    no other y among them beats at every point of the cell by more than
+    GRID_TOLERANCE in squared distance: with a = x - c, b = y - c, that
+    least margin is |a|^2 - |b|^2 - GRID_STEP * (|a.re - b.re| + |a.im - b.im|).
+    The lists run cell by cell: cell i lists candidates[starts[i]:starts[i + 1]].
+
+    One row of cells (fixed real part re) at a time, first over the values
+    with |x.re - re| <= w = 0.125 only, then, for the cells whose bound that
+    band does not settle, over bands four times as wide.  A value outside
+    the band has (x.re - re)^2 > w^2, so its squared distance rounds to no
+    less than w * w; once bound * bound < w * w, neither the least distance
+    nor the values within the bound can differ from a scan of every value.
     """
     from dmdstego.codebook import GRID_CELLS, GRID_HALF_CELLS, GRID_STEP, GRID_TOLERANCE
 
     axis = (np.arange(GRID_CELLS) - GRID_HALF_CELLS + 0.5) * GRID_STEP
-    columns = []
-    for re in axis:
-        im = values.imag - axis[:, None]
-        d2 = (values.real - re) ** 2 + im * im
-        u = np.argmax(d2 <= d2.min(axis=1, keepdims=True) + 1e-12, axis=1)
-        b2 = d2[np.arange(GRID_CELLS), u]
-        bound = np.sqrt(b2) + GRID_STEP * np.sqrt(2) + GRID_TOLERANCE
-        cell, x = np.nonzero(d2 <= (bound * bound)[:, None])
-        step = values[x] - values[u[cell]]
-        margin = d2[cell, x] - b2[cell] - GRID_STEP * (np.abs(step.real) + np.abs(step.imag))
-        keep = margin <= GRID_TOLERANCE
-        columns += np.split(x[keep], np.cumsum(np.bincount(cell[keep], minlength=GRID_CELLS))[:-1])
-    counts = np.array([c.size for c in columns], dtype=np.uint8)
-    table = np.array([np.pad(c, (0, counts.max() - c.size), mode="edge") for c in columns])
-    return np.ascontiguousarray(table.T, dtype=np.int16), counts
+    cells, listed = [], []
+    for row, re in enumerate(axis):
+        unsettled, w = np.arange(GRID_CELLS), 0.125
+        while unsettled.size:
+            band = np.flatnonzero(np.abs(values.real - re) <= w)
+            im = values.imag[band] - axis[unsettled, None]
+            d2 = (values.real[band] - re) ** 2 + im * im
+            bound = np.sqrt(d2.min(axis=1, initial=np.inf)) + GRID_STEP * np.sqrt(2) + GRID_TOLERANCE
+            settled = bound * bound < w * w
+            d2, bound = d2[settled], bound[settled]
+            cell, x = np.nonzero(d2 <= (bound * bound)[:, None])
+            # Every ordered pair (i, j) of entries of one cell: entry i repeats
+            # once per entry of its cell, and j runs over that cell's entries.
+            per_cell = np.bincount(cell)
+            n = per_cell[cell]
+            i = np.repeat(np.arange(cell.size), n)
+            j = (np.cumsum(per_cell) - per_cell)[cell[i]] + np.arange(i.size) - np.repeat(np.cumsum(n) - n, n)
+            step = values[band[x[i]]] - values[band[x[j]]]
+            d2 = d2[cell, x]
+            margin = d2[i] - d2[j] - GRID_STEP * (np.abs(step.real) + np.abs(step.imag))
+            keep = np.bincount(i[margin > GRID_TOLERANCE], minlength=cell.size) == 0
+            cells.append(row * GRID_CELLS + unsettled[settled][cell[keep]])
+            listed.append(band[x[keep]])
+            unsettled, w = unsettled[~settled], 4 * w
+    cell, listed = np.concatenate(cells), np.concatenate(listed)
+    starts = np.zeros(GRID_CELLS ** 2 + 1, dtype=np.int32)
+    np.cumsum(np.bincount(cell, minlength=GRID_CELLS ** 2), out=starts[1:])
+    return listed[np.lexsort((listed, cell))].astype(np.int16), starts
 
 
 def codebook_tables(assignment=None):

@@ -59,8 +59,8 @@ from scalar_reference import (
 
 
 # Most candidates any cell of the default codebook's grid may list; every
-# target then costs at most this many distances.  The shipped table lists 14.
-MAX_CANDIDATES = 14
+# target then costs at most this many distances.  The shipped table lists 7.
+MAX_CANDIDATES = 7
 
 
 def scan_nearest_all(values, targets):
@@ -77,6 +77,16 @@ def grid_cells():
     gap = np.maximum(0.0, np.maximum(lo, -(lo + GRID_STEP)))
     centres = (centre[:, None] + 1j * centre[None, :]).ravel()
     return centres, np.hypot(gap[:, None], gap[None, :]).ravel()
+
+
+def same_cell_pairs(cell):
+    """Every ordered pair (i, j), i != j, of entries that share a cell; `cell` is sorted."""
+    i, j = [], []
+    for k in range(1, np.bincount(cell).max()):
+        e = np.flatnonzero(cell[k:] == cell[:-k])
+        i += [e, e + k]
+        j += [e + k, e]
+    return np.concatenate(i), np.concatenate(j)
 
 
 def beaten_in_cell(values, centre, index, nearest):
@@ -275,65 +285,61 @@ def test_grid_resolves_the_whole_disk(codebook):
     # Every cell of the grid, and so every cell a normalized field can reach
     # (alpha <= 1), has its candidate list, so CLI input never falls back to
     # the linear scan, and no cell lists more than MAX_CANDIDATES values.
-    table, counts = _shipped_grid()
-    assert table.shape[1] == counts.size == GRID_CELLS ** 2
-    assert table.shape[0] <= MAX_CANDIDATES
-    assert counts.min() >= 1
+    candidates, starts = _shipped_grid()
+    counts = np.diff(starts)
+    assert counts.size == GRID_CELLS ** 2
+    assert counts.min() >= 1 and counts.max() <= MAX_CANDIDATES
+    assert candidates.min() >= 0 and candidates.max() < VALUE_COUNT
 
 
 def test_grid_reach_constants_by_brute_force(codebook):
     # From each cell centre c, every value that can be nearest to a point of
     # the cell lies within U + 2r (U: distance to the nearest value, r: half
-    # diagonal).  Each cell lists exactly the values within that bound that
-    # the value u nearest its centre does not beat at every point of the
-    # cell.  Where several values tie for nearest, u may be any of them.
+    # diagonal).  Each cell lists, ascending, exactly the values within that
+    # bound that no other value within it beats at every point of the cell.
     centres, _ = grid_cells()
-    points = np.column_stack([codebook.values.real, codebook.values.imag])
-    tree = cKDTree(points)
+    tree = cKDTree(np.column_stack([codebook.values.real, codebook.values.imag]))
     c = np.column_stack([centres.real, centres.imag])
     u, _ = tree.query(c, workers=-1)
-    bound = u + GRID_STEP * np.sqrt(2) + GRID_TOLERANCE
-    table = _shipped_grid()[0].T
-    ties = tree.query_ball_point(c, u + 1e-12)
-    within = tree.query_ball_point(c, bound)
-    single = np.array([len(t) == 1 for t in ties])
-    counts = [len(w) for w in within]
-    cell = np.repeat(np.arange(centres.size), counts)
+    within = tree.query_ball_point(c, u + GRID_STEP * np.sqrt(2) + GRID_TOLERANCE, workers=-1)
+    cell = np.repeat(np.arange(centres.size), [len(w) for w in within])
     index = np.concatenate(within).astype(np.int64)
-    nearest = np.repeat([t[0] for t in ties], counts)
-    kept = ~beaten_in_cell(codebook.values, centres[cell], index, nearest)
-    key = cell * VALUE_COUNT + index
-    expected = np.unique(key[kept & np.repeat(single, counts)])
-    listed = np.flatnonzero(single)[:, None] * VALUE_COUNT + table[single].astype(np.int64)
-    assert np.array_equal(np.unique(listed), expected)
-    assert 0.2 < 1 - np.mean(kept) < 0.35     # share of the within-bound pairs dropped
-    assert 0 < np.count_nonzero(~single) < 200
-    for tied_cell in np.flatnonzero(~single):
-        candidates = np.array(within[tied_cell])
-        rules = [candidates[~beaten_in_cell(codebook.values, centres[tied_cell], candidates, tie)].tolist()
-                 for tie in ties[tied_cell]]
-        assert np.unique(table[tied_cell]).tolist() in rules
+    i, j = same_cell_pairs(cell)
+    beaten = beaten_in_cell(codebook.values, centres[cell[i]], index[i], index[j])
+    kept = np.bincount(i[beaten], minlength=cell.size) == 0
+    candidates, starts = _shipped_grid()
+    listed = np.repeat(np.arange(centres.size), np.diff(starts)) * VALUE_COUNT + candidates
+    assert np.array_equal(listed, np.unique((cell * VALUE_COUNT + index)[kept]))
+    assert 0.15 < 1 - np.mean(kept) < 0.3     # share of the within-bound values dropped
 
 
-def test_grid_counts_match_the_columns(codebook):
-    # Each cell stores the number of distinct values its column lists; the
-    # column holds them ascending, and every entry past the count repeats
-    # the last candidate, so ranking may stop at the count.  The table is
-    # shared by every codebook, so it is read-only, and with the counts it
-    # stays small.
-    table, counts = _shipped_grid()
-    assert not table.flags.writeable and not counts.flags.writeable
-    assert table.dtype == np.int16 and table.flags.c_contiguous
-    assert counts.dtype == np.uint8 and counts.shape == (GRID_CELLS ** 2,)
-    assert table.nbytes + counts.nbytes < 1.25e6
-    listed, n = table.T.astype(np.int64), counts.astype(np.int64)
-    distinct = 1 + np.count_nonzero(np.diff(np.sort(listed, axis=1), axis=1), axis=1)
-    assert np.array_equal(n, distinct)
-    position = np.arange(listed.shape[1])
-    assert np.all(np.diff(listed, axis=1)[position[:-1] < n[:, None] - 1] > 0)
-    last = listed[np.arange(listed.shape[0]), n - 1]
-    assert np.array_equal(np.where(position < n[:, None], listed, last[:, None]), listed)
-    assert n.min() == 1 and n.max() == listed.shape[1]
+def test_grid_lists_are_minimal(codebook):
+    # No listed value is beaten at all four corners of its cell by another
+    # value its cell lists, so every candidate can win somewhere in the
+    # cell, up to GRID_TOLERANCE.  Lists pruned against the centre's nearest
+    # value alone keep values that a third one beats.
+    candidates, starts = _shipped_grid()
+    centres, _ = grid_cells()
+    cell = np.repeat(np.arange(centres.size), np.diff(starts))
+    i, j = same_cell_pairs(cell)
+    assert i.size > 0.2 * cell.size
+    assert not np.any(beaten_in_cell(codebook.values, centres[cell[i]], candidates[i], candidates[j]))
+
+
+def test_grid_starts_delimit_ascending_runs():
+    # Cell i lists candidates[starts[i]:starts[i + 1]], ascending, so a query
+    # ranks a cell's candidates by stepping one entry on.  The table is shared
+    # by every codebook, so it is read-only, and it stays small.
+    candidates, starts = _shipped_grid()
+    assert not candidates.flags.writeable and not starts.flags.writeable
+    assert candidates.dtype == np.int16 and candidates.ndim == 1
+    assert starts.dtype == np.int32 and starts.shape == (GRID_CELLS ** 2 + 1,)
+    assert starts[0] == 0 and starts[-1] == candidates.size
+    assert np.all(np.diff(starts) > 0)
+    cell = np.repeat(np.arange(GRID_CELLS ** 2), np.diff(starts))
+    step = np.diff(candidates.astype(np.int64))
+    assert np.all(step[cell[1:] == cell[:-1]] > 0)
+    assert candidates.nbytes + starts.nbytes < 1.2e6
 
 
 def test_ragged_ranking_in_one_chunk(codebook):
@@ -343,8 +349,8 @@ def test_ragged_ranking_in_one_chunk(codebook):
     # only a strict comparison keeps the first minimum.  Shuffled, so the
     # count ordering inside the chunk has work to do.
     centres, _ = grid_cells()
-    table, counts = _shipped_grid()
-    table = table.T
+    candidates, starts = _shipped_grid()
+    counts = np.diff(starts)
     rng = np.random.default_rng(31)
 
     def inside(cells, per_cell):
@@ -352,7 +358,7 @@ def test_ragged_ranking_in_one_chunk(codebook):
         return (centres[cells, None] + jitter * (GRID_STEP / 2 * (1 - 1e-12))).ravel()
 
     widest_cells = np.flatnonzero(counts == counts.max())
-    widest = inside(widest_cells, 400)
+    widest = inside(widest_cells, 200)
     single = inside(rng.choice(np.flatnonzero(counts == 1), 1500), 1)
     diagonal = np.linspace(-MAX_MODULUS, MAX_MODULUS, 6001) * (1 + 1j) / np.sqrt(2)
     tied = np.concatenate([
@@ -365,7 +371,7 @@ def test_ragged_ranking_in_one_chunk(codebook):
     expected = scan_nearest_all(codebook.values, pool)
     order = rng.permutation(pool.size)
     assert np.array_equal(codebook.nearest_values(pool[order]), expected[order])
-    last = table[np.repeat(widest_cells, 400), counts.max() - 1]
+    last = candidates[np.repeat(starts[widest_cells + 1] - 1, 200)]
     assert np.any(expected[:widest.size] == last)
 
 
@@ -416,7 +422,7 @@ def test_touched_cells_agree_with_the_scan_at_corners_edges_and_inside(codebook)
         np.floor(f.real / GRID_STEP + GRID_HALF_CELLS).astype(np.int64) * GRID_CELLS
         + np.floor(f.imag / GRID_STEP + GRID_HALF_CELLS).astype(np.int64)
         for f in map(np.ravel, benchmark_fields())]))
-    assert 6000 < cells.size < 10000
+    assert 14000 < cells.size < 19000
     i, j = np.divmod(cells, GRID_CELLS)
     centres = ((i - GRID_HALF_CELLS + 0.5) + 1j * (j - GRID_HALF_CELLS + 0.5)) * GRID_STEP
     rim = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j, 1, -1, 1j, -1j])
@@ -435,8 +441,8 @@ def test_touched_cells_agree_with_the_scan_at_corners_edges_and_inside(codebook)
 
 def test_nearest_values_peak_memory():
     # A warm query of the full-frame field holds its int64 result (8 bytes a
-    # target) and, per chunk, one column's candidates and distances: the peak
-    # measured 1.76x the result.  Ranking whole padded rows at once peaked at
+    # target) and, per chunk, one rank's candidates and distances: the peak
+    # measured 1.60x the result.  Ranking whole padded rows at once peaked at
     # 4.08x.
     field = benchmark_fields()[1]
     book = build_codebook()
