@@ -26,17 +26,6 @@ def check_seed(seed: int) -> int:
     return seed
 
 
-def _mix_steps(seed: int, z: np.ndarray) -> np.ndarray:
-    """mix(seed + z * gamma) for each step count in the uint64 array z, in place.
-
-    Every scalar is an np.uint64, so numpy 1.x's value-based casting keeps
-    each operation in uint64; the work runs in z and one shift buffer.
-    """
-    z *= np.uint64(_GAMMA)                          # wraps mod 2**64
-    z += np.uint64(seed)
-    return _finalize(z, np.empty_like(z))
-
-
 def _finalize(z: np.ndarray, shifted: np.ndarray) -> np.ndarray:
     """SplitMix64's xor-shift-multiply finalizer on each uint64 state of z, in place.
 
@@ -51,24 +40,21 @@ def _finalize(z: np.ndarray, shifted: np.ndarray) -> np.ndarray:
     return z
 
 
-def stream_u64(seed: int, count: int) -> np.ndarray:
-    """First `count` outputs of SplitMix64(seed) as a uint64 array.
-
-    Output n is mix(seed + (n + 1) * gamma), so the whole stream is
-    computed at once, without the sequential dependency.
-    """
-    check_seed(seed)
-    return _mix_steps(seed, np.arange(1, count + 1, dtype=np.uint64))
-
-
 def _stream_at(seed: int, positions: np.ndarray) -> np.ndarray:
-    """Outputs of SplitMix64(seed) at the non-negative integer `positions`:
-    stream_u64(seed, n)[positions] for any n past the largest, without
-    computing the outputs in between."""
+    """Outputs of SplitMix64(seed) at the non-negative integer `positions`,
+    as a uint64 array of their shape: output n is mix(seed + (n + 1) * gamma),
+    so no output waits for the ones before it.
+
+    Every scalar is an np.uint64, so numpy 1.x's value-based casting keeps
+    each operation in uint64; the work runs in one copy of the positions and
+    one shift buffer.
+    """
     check_seed(seed)
     z = np.asarray(positions).astype(np.uint64)
     z += np.uint64(1)
-    return _mix_steps(seed, z)
+    z *= np.uint64(_GAMMA)                          # wraps mod 2**64
+    z += np.uint64(seed)
+    return _finalize(z, np.empty_like(z))
 
 
 def _check_bounds(bounds: np.ndarray) -> None:
@@ -180,11 +166,9 @@ def _swap_rounds(draws: np.ndarray):
 
 
 def permutation(x, seed: int) -> np.ndarray:
-    """Shuffled copy of `x` by the Fisher-Yates shuffle keyed with SplitMix64(seed).
+    """Shuffled copy of the 1-D array `x`, in its own dtype, by the
+    Fisher-Yates shuffle keyed with SplitMix64(seed).
 
-    As with numpy's `Generator.permutation`, `x` is an int, whose items are
-    arange(x) as int64, or a 1-D array, whose items are a copy of it in its
-    own dtype.  The result for an array equals x[permutation(len(x), seed)].
     The sequential shuffle of n items runs i from n-1 down to 1 and swaps
     items i and j[i], the next bounded draw from 0..i: step i takes draw
     n-1-i of `_draws_below` (`_step_draws`).
@@ -215,7 +199,7 @@ def permutation(x, seed: int) -> np.ndarray:
     window of 1/32 of them loses few steps per round.  At n = 379,541 this
     takes 133-144 rounds (median 137) over 200 seeds.
     """
-    items = np.arange(x, dtype=np.int64) if np.ndim(x) == 0 else np.array(x)
+    items = np.array(x)
     if len(items) < 2:
         return items
     for i, j, won in _swap_rounds(_step_draws(len(items), seed)):

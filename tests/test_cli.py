@@ -705,6 +705,12 @@ def test_main_leaves_the_collector_alone(capsys, tmp_path):
     (["encode", "--input", "{tiny}", "--output", "{tmp}/p.pbm"], 1),
     (["embed", "--input", "{tiny}", "--payload", "{image}", "--output", "{tmp}/e.pbm", "--key", KEY], 1),
     (["capacity", "--input", "{tiny}"], 1),
+    # Flag values their parsers refuse: a zero or missing superpixel count,
+    # a single aperture coordinate, and an assignment that is not integers.
+    (["hologram", "--input", "{image}", "--output", "{tmp}/h.bin", *GEO, "--superpixels", "0x8"], 2),
+    (["hologram", "--input", "{image}", "--output", "{tmp}/h.bin", *GEO, "--superpixels", "8x"], 2),
+    (["sim4f", "--input", "{pattern}", "--output", "{tmp}/s.bin", "--aperture-center=0.1"], 2),
+    (["decode", "--input", "{pattern}", "--output", "{tmp}/d.bin", "--assignment", "1,2,x"], 2),
 ], ids=["alpha", "alpha-zero", "wavelength", "pitch", "diffuser-seed", "aperture-radius", "ssim-8x8",
         "distance-nan", "wavelength-nan", "pitch-inf", "aperture-radius-nan", "aperture-center-nan",
         "aperture-center-negative-spaced",
@@ -715,7 +721,9 @@ def test_main_leaves_the_collector_alone(capsys, tmp_path):
         "hologram-pitch-1e160", "hologram-pitch-1e150", "hologram-pitch-1e-160",
         "hologram-distance-1e300-pitch-1e-100", "reconstruct-pitch-1e160", "reconstruct-pitch-1e-160",
         "encode-peak-overflows", "embed-peak-overflows", "capacity-peak-overflows",
-        "encode-scale-overflows", "embed-scale-overflows", "capacity-scale-overflows"])
+        "encode-scale-overflows", "embed-scale-overflows", "capacity-scale-overflows",
+        "superpixels-zero-width", "superpixels-no-height", "aperture-center-one-number",
+        "assignment-unparseable"])
 def test_bad_values_exit_without_traceback(tmp_path, argv, code):
     files = {"tmp": tmp_path, "field": tmp_path / "f.bin", "image": tmp_path / "i.pgm",
              "pattern": tmp_path / "p.pbm", "nan": tmp_path / "nan.bin", "inf": tmp_path / "inf.bin",

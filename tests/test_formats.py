@@ -136,6 +136,34 @@ def test_image_errors_name_byte_offsets(tmp_path):
         read_image(p)
 
 
+@pytest.mark.parametrize("read, data, message", [
+    (read_image, b"P5\n0 2\n255\n", "zero image dimension in header"),
+    (read_pattern, b"P4\n8 0\n", "zero image dimension in header"),
+    # Long enough that five maxval digits pass the length check.
+    (read_image, b"P5\n40 40\n65535\n" + bytes(2 * 40 * 40), "unsupported maxval 65535, only 255 is handled"),
+    # A token runs to the next whitespace, so only the end of the file can follow it.
+    (read_image, b"P5\n2 2\n255", "expected single whitespace before raster at byte 10"),
+    (read_pattern, b"P4\n8 4", "expected single whitespace before raster at byte 6"),
+    (read_field, struct.pack("<4sBII4x", b"CFLD", 1, 0, 2), "zero field dimension in header"),
+], ids=["pgm-zero-width", "pbm-zero-height", "pgm-maxval-65535", "pgm-raster-at-eof", "pbm-raster-at-eof",
+        "cfld-zero-width"])
+def test_header_refusals(tmp_path, read, data, message):
+    p = tmp_path / "bad"
+    p.write_bytes(data)
+    with pytest.raises(FormatError, match=re.escape(message)):
+        read(p)
+
+
+@pytest.mark.parametrize("write, message", [(write_pattern, "pattern must be a non-empty 2-D array"),
+                                            (write_field, "field must be a non-empty 2-D array")],
+                         ids=["pattern", "field"])
+def test_writers_refuse_empty_arrays(tmp_path, write, message):
+    p = tmp_path / "empty"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        write(p, np.zeros((0, 4)))
+    assert not p.exists()
+
+
 def test_image_rejects_bad_arrays(tmp_path):
     with pytest.raises(ValueError):
         write_image(tmp_path / "z.pgm", np.zeros((2, 2), dtype=np.float64))

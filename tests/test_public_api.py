@@ -2,11 +2,17 @@ import importlib
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import dmdstego
-from dmdstego.stego import StegoKey
-from dmdstego.superpixel import DEFAULT_ASSIGNMENT
+from dmdstego.modulator import quantize_field
+from dmdstego.optics import PropagationParams, fresnel_propagate, generate_hologram, resample_bilinear
+from dmdstego.stego import StegoKey, embed
+from dmdstego.superpixel import DEFAULT_ASSIGNMENT, codes_to_mirrors, mirrors_to_codes
+
+GEOMETRY = PropagationParams(wavelength=520e-9, distance=0.01, pitch=30.24e-6)
+EMPTY, FLAT = np.zeros((0, 4)), np.zeros(16)
 
 
 def test_all_names():
@@ -40,12 +46,35 @@ def test_all_names():
     # by the brute-force grid_table in tests/scalar_reference.py.
     ("dmdstego.codebook", ["_build_cells", "_resolve", "_cell_pairs", "_values_near", "UNBUILT",
                            "FIRST_REACH", "NEAR_REACH", "RIM_REACH"]),
+    # The sequential stream is _stream_at at arange(n), pinned against the
+    # scalar SplitMix64, and _stream_at does its own step mixing.
+    ("dmdstego.rng", ["stream_u64", "_mix_steps"]),
 ])
 def test_scalar_helpers_left_the_library(module, names):
     # The scalar definitions live in tests/scalar_reference.py as oracles.
     mod = importlib.import_module(module)
     for name in names:
         assert not hasattr(mod, name), f"{module}.{name}"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda cb: quantize_field(EMPTY, cb), "field must be a non-empty 2-D array"),
+    (lambda cb: quantize_field(FLAT, cb), "field must be a non-empty 2-D array"),
+    (lambda cb: fresnel_propagate(EMPTY, GEOMETRY), "field must be a non-empty 2-D array"),
+    (lambda cb: fresnel_propagate(FLAT, GEOMETRY), "field must be a non-empty 2-D array"),
+    (lambda cb: resample_bilinear(EMPTY, (4, 4)), "array must be a non-empty 2-D array"),
+    (lambda cb: resample_bilinear(FLAT, (4, 4)), "array must be a non-empty 2-D array"),
+    (lambda cb: generate_hologram(EMPTY, GEOMETRY, (4, 4)), "object must be a non-empty 2-D array"),
+    (lambda cb: generate_hologram(FLAT, GEOMETRY, (4, 4)), "object must be a non-empty 2-D array"),
+    (lambda cb: codes_to_mirrors(FLAT.astype(np.uint16)), "block code array must be 2-D"),
+    (lambda cb: mirrors_to_codes(FLAT), "mirror array must be 2-D"),
+    (lambda cb: embed(np.zeros((2, 2), dtype=np.int64), np.zeros(0), StegoKey(0), cb, fill="bogus"),
+     "fill must be one of"),
+], ids=["quantize-empty", "quantize-1d", "fresnel-empty", "fresnel-1d", "resample-empty", "resample-1d",
+        "hologram-empty", "hologram-1d", "codes-1d", "mirrors-1d", "embed-fill"])
+def test_library_refuses_bad_arrays(codebook, call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(codebook)
 
 
 def test_removed_methods_and_attributes(codebook):

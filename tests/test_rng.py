@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dmdstego import rng
-from dmdstego.rng import _DRAW_BLOCK, WINDOW_FLOOR, permutation, stream_u64
+from dmdstego.rng import _DRAW_BLOCK, WINDOW_FLOOR, _stream_at, permutation
 
 from scalar_reference import SplitMix64
 
@@ -28,6 +28,12 @@ def _shuffled(n, seed):
     items = list(range(n))
     SplitMix64(seed).shuffle(items)
     return items
+
+
+def _scalar_stream(seed, n):
+    """The first n outputs of the scalar SplitMix64(seed), as uint64."""
+    g = SplitMix64(seed)
+    return np.array([g.next_u64() for _ in range(n)], dtype=np.uint64)
 
 
 def test_known_first_output():
@@ -64,34 +70,34 @@ def test_stream_matches_generator():
     for seed in (0, 1, 0xDEADBEEF, MASK):
         g = SplitMix64(seed)
         seq = [g.next_u64() for _ in range(100)]
-        assert stream_u64(seed, 100).tolist() == seq
+        assert _stream_at(seed, np.arange(100)).tolist() == seq
 
 
 def test_stream_empty():
-    out = stream_u64(5, 0)
+    out = _stream_at(5, np.arange(0))
     assert out.dtype == np.uint64 and out.size == 0
 
 
 @pytest.mark.parametrize("seed", [0, 42, MASK])
 def test_stream_at_positions_matches_stream(seed):
     n = 5000
-    stream = stream_u64(seed, n)
+    stream = _scalar_stream(seed, n)
     scattered = np.random.default_rng(seed % 1000).integers(0, n, 300)  # unsorted, repeats
     for positions in ([], [0], [n - 1], [0, n - 1], np.flatnonzero(stream % np.uint64(3) == 0),
                       scattered):
         positions = np.asarray(positions, dtype=np.intp)
         kept = positions.copy()
-        got = rng._stream_at(seed, positions)
+        got = _stream_at(seed, positions)
         assert got.dtype == np.uint64 and got.shape == positions.shape
         assert np.array_equal(got, stream[positions])
         assert np.array_equal(positions, kept)
     with pytest.raises(ValueError):
-        rng._stream_at(MASK + 1, np.arange(3))
+        _stream_at(MASK + 1, np.arange(3))
 
 
 def test_below_is_high_multiply():
     g = SplitMix64(42)
-    raw = stream_u64(42, 50)
+    raw = _stream_at(42, np.arange(50))
     for i, bound in enumerate(range(1, 51)):
         assert g.below(bound) == (int(raw[i]) * bound) >> 64
 
@@ -144,10 +150,10 @@ def test_mul_high_matches_python_ints():
     edges_x = [MASK, MASK - 1, 1 << 63, (1 << 63) - 1, (1 << 32) - 1, 1 << 32, 0]
     edges_b = [1, 2, 255, 256, (1 << 31) + 1, (1 << 32) - 2, (1 << 32) - 1]
     cases = [
-        (stream_u64(9, 200), np.arange(1, 201, dtype=np.uint64)),
+        (_stream_at(9, np.arange(200)), np.arange(1, 201, dtype=np.uint64)),
         (np.array(edges_x * len(edges_b), dtype=np.uint64),
          np.repeat(np.array(edges_b, dtype=np.uint64), len(edges_x))),
-        (stream_u64(11, 1000), (stream_u64(12, 1000) >> np.uint64(32)) | np.uint64(1)),
+        (_stream_at(11, np.arange(1000)), (_stream_at(12, np.arange(1000)) >> np.uint64(32)) | np.uint64(1)),
     ]
     for xs, bounds in cases:
         # As _draws_below calls it: x is also the low scratch buffer, and the
@@ -159,13 +165,13 @@ def test_mul_high_matches_python_ints():
 
 
 def test_permutation_is_bijection():
-    p = permutation(100, 7)
+    p = permutation(np.arange(100), 7)
     assert sorted(p.tolist()) == list(range(100))
 
 
 def test_permutation_matches_shuffle_method():
     for n, seed in [(1, 0), (2, 3), (17, 99), (256, 0xABCDEF)]:
-        assert permutation(n, seed).tolist() == _shuffled(n, seed)
+        assert permutation(np.arange(n), seed).tolist() == _shuffled(n, seed)
 
 
 # Sizes straddling the window floor: one round holds every step, or the
@@ -192,14 +198,14 @@ def _check_array_shuffle(x, seed):
     # neither call touches its input.
     back = rng._unpermute(got, seed)
     assert back.dtype == x.dtype and np.array_equal(back, x)
-    assert np.array_equal(got, x[permutation(x.size, seed)])
+    assert np.array_equal(got, x[permutation(np.arange(x.size), seed)])
     assert np.array_equal(x, kept)
 
 
 @pytest.mark.parametrize("n", WINDOW_AND_BLOCK_SIZES)
 @pytest.mark.parametrize("seed", SEEDS)
 def test_permutation_matches_shuffle_large(n, seed):
-    got = permutation(n, seed)
+    got = permutation(np.arange(n), seed)
     assert got.dtype == np.int64
     assert got.tolist() == _shuffled(n, seed)
 
@@ -223,7 +229,7 @@ def test_permutation_of_an_array_is_a_copy():
 
 @given(st.integers(min_value=0, max_value=300), st.integers(min_value=0, max_value=MASK))
 def test_permutation_matches_shuffle_any_seed(n, seed):
-    assert permutation(n, seed).tolist() == _shuffled(n, seed)
+    assert permutation(np.arange(n), seed).tolist() == _shuffled(n, seed)
 
 
 @settings(max_examples=200, deadline=None)
@@ -235,7 +241,7 @@ def test_permutation_tiny_windows(n, seed, floor, divisor):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rng, "WINDOW_FLOOR", floor)
         mp.setattr(rng, "WINDOW_DIVISOR", divisor)
-        got = permutation(n, seed)
+        got = permutation(np.arange(n), seed)
         for dtype in ITEM_DTYPES:
             _check_array_shuffle(_items(n, dtype), seed)
     assert got.dtype == np.int64
@@ -245,11 +251,13 @@ def test_permutation_tiny_windows(n, seed, floor, divisor):
 def test_permutation_peak_memory():
     # The output, the descending steps, their draws and the reservation
     # table are four n-element int64 arrays; the draws are made a block at
-    # a time, so no stream-sized temporary adds to them.
+    # a time, so no stream-sized temporary adds to them.  The input is made
+    # before the trace starts.
     n = 379_541
+    items = np.arange(n)
     tracemalloc.start()
     try:
-        permutation(n, 1)
+        permutation(items, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -257,10 +265,13 @@ def test_permutation_peak_memory():
 
 
 def test_permutation_smallest_sizes():
-    assert permutation(0, 1).tolist() == []
-    assert permutation(1, 1).tolist() == [0]
+    assert permutation(np.arange(0), 1).tolist() == []
+    assert permutation(np.arange(1), 1).tolist() == [0]
+    # x is the array to shuffle; an int is not one.
+    with pytest.raises(TypeError):
+        permutation(5, 1)
 
 
 def test_different_seeds_differ():
-    assert permutation(64, 1).tolist() != permutation(64, 2).tolist()
-    assert stream_u64(1, 8).tolist() != stream_u64(2, 8).tolist()
+    assert permutation(np.arange(64), 1).tolist() != permutation(np.arange(64), 2).tolist()
+    assert _stream_at(1, np.arange(8)).tolist() != _stream_at(2, np.arange(8)).tolist()
