@@ -129,10 +129,10 @@ def _collect_warnings(caught) -> list[str]:
     return [str(w.message) for w in caught if issubclass(w.category, AliasingGuardWarning)]
 
 
-def _quantize(field: np.ndarray, args):
-    """Codebook of --assignment, and the plan and scale of `field` normalized by --alpha."""
-    codebook = build_codebook(args.assignment)
-    scaled, scale = normalize_field(field, NormalizationParams(peak_fraction=args.alpha))
+def _quantize(field: np.ndarray, alpha: float, assignment: PhaseAssignment | None):
+    """Codebook of `assignment`, and the plan and scale of `field` normalized to peak fraction `alpha`."""
+    codebook = build_codebook(assignment)
+    scaled, scale = normalize_field(field, NormalizationParams(peak_fraction=alpha))
     return codebook, quantize_field(scaled, codebook), scale
 
 
@@ -157,7 +157,7 @@ def cmd_hologram(args) -> int:
 def cmd_encode(args) -> int:
     if args.strategy == "random" and args.key is None:
         raise UsageError("--key is required with --strategy random")
-    codebook, plan, scale = _quantize(read_field(args.input), args)
+    codebook, plan, scale = _quantize(read_field(args.input), args.alpha, args.assignment)
     mirrors = codes_to_mirrors(select_patterns(plan, codebook, args.strategy, args.key))
     write_pattern(args.output, mirrors)
     _emit({"height": mirrors.shape[0], "scale": scale, "width": mirrors.shape[1]})
@@ -167,7 +167,7 @@ def cmd_encode(args) -> int:
 def cmd_embed(args) -> int:
     field = read_field(args.input)
     with open(args.payload, "rb") as payload_file:
-        codebook, plan, scale = _quantize(field, args)
+        codebook, plan, scale = _quantize(field, args.alpha, args.assignment)
         capacity = capacity_of_plan(plan, codebook)
         # Refuse an oversized payload by its file size, before it is read and unpacked.
         size_bits = 8 * os.fstat(payload_file.fileno()).st_size
@@ -208,7 +208,8 @@ def cmd_decode(args) -> int:
 
 
 def cmd_capacity(args) -> int:
-    codebook, plan, _ = _quantize(read_field(args.input), args)
+    # Values and capacities are the same under every phase assignment, so the report is too.
+    codebook, plan, _ = _quantize(read_field(args.input), args.alpha, None)
     _emit({"capacity_bits": capacity_of_plan(plan, codebook)})
     return 0
 
@@ -315,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("capacity", help="report the hiding capacity of a field")
     p.add_argument("--input", required=True, help="input field (CFLD)")
     p.add_argument("--alpha", type=_alpha_type, default=0.8, help="peak modulus fraction (default 0.8)")
-    _add_assignment(p)
     p.set_defaults(func=cmd_capacity)
 
     p = subs.add_parser("reconstruct", help="back-propagate a field to an 8-bit image")

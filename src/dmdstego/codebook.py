@@ -5,7 +5,8 @@ is its number of zero coefficients (each zero pair may be both-OFF or
 both-ON).  Group sizes are therefore exact powers of two and every group
 hides floor(log2(size)) = z bits of choice.  Patterns inside a group are
 kept in ascending 16-bit code order, which puts the fewest-mirrors-ON
-pattern first and the most-ON pattern last.
+pattern first and the most-ON pattern last.  A Codebook is made from its
+phase assignment alone, which decides only which patterns form each group.
 
 The nearest-value quantizer ranks, for each target, the candidate list of
 its cell in a bucket grid.  The values, and so the lists, are the same for
@@ -46,7 +47,7 @@ GRID_CELLS = 2 * GRID_HALF_CELLS
 GRID_TOLERANCE = 1e-9
 QUERY_CHUNK = 8192          # targets per grid query; temporaries stay at a few MB
 SCAN_ELEMENTS = 1 << 18     # targets x values per chunk of the linear scan
-# The candidate table of build_codebook's values, shipped with the package: every
+# The candidate table of the codebook's values, shipped with the package: every
 # cell's candidates, cell by cell, as one int16 array, and the (cells + 1,) int32
 # offsets of the cells' runs in it.
 _GRID_FILES = ("grid_candidates.npy", "grid_starts.npy")
@@ -55,25 +56,53 @@ _GRID_FILES = ("grid_candidates.npy", "grid_starts.npy")
 class Codebook:
     """Lookup tables over the full pattern space for one phase assignment."""
 
-    def __init__(self, values, capacities, patterns_sorted, group_starts,
-                 group_of_pattern, position_of_pattern):
-        self.values = values                        # (6561,) complex128
-        self.capacities = capacities                # (6561,) int64
-        self.patterns_sorted = patterns_sorted      # (65536,) uint16, grouped
-        self.group_starts = group_starts            # (6562,) int64 prefix offsets
-        self.group_of_pattern = group_of_pattern    # (65536,) int64
-        self.position_of_pattern = position_of_pattern  # (65536,) int64
-        self.group_sizes = np.diff(group_starts)
-        # Whether the shipped candidate table serves these values; build_codebook sets it.
-        self._gridded = False
+    def __init__(self, assignment: PhaseAssignment | None = None):
+        """Enumerate all 65536 patterns into their 6561 value groups.
 
-    @functools.cached_property
-    def capacity_of_pattern(self) -> np.ndarray:
-        """(65536,) uint8 capacity of each pattern's group, capacities[group_of_pattern].
-
-        Built on first use, so only `stego.extract` pays for it.
+        A pattern's group index, sum_j (on[j] - on[j+8] + 1) * 3**j over the
+        phases j = 1..8, is linear in its 16 bits: phase k adds 3**(k-1) when
+        k <= 8 and takes 3**(k-9) away otherwise.  So the index of every code
+        is the sum of two 256-entry tables, one per byte, and a stable sort of
+        the indices as uint16 keys (a radix sort in numpy) orders the patterns
+        by group, in ascending code order inside each.  A few milliseconds, so
+        no cache is kept between runs.  The values and capacities come from
+        the block algebra alone; the assignment only relabels which pattern
+        is which.
         """
-        return self.capacities.astype(np.uint8)[self.group_of_pattern]
+        phase = (assignment or DEFAULT_ASSIGNMENT).index_by_bit
+        weight = np.where(phase <= PAIRS, 1, -1) * 3 ** ((phase - 1) % PAIRS)
+        byte_bits = (np.arange(256)[:, None] >> np.arange(8)) & 1
+        low = byte_bits @ weight[:8] + (VALUE_COUNT - 1) // 2   # all-OFF is the all-zero group
+        high = byte_bits @ weight[8:]
+        group_idx = (high[:, None] + low).ravel()               # code = 256 * high byte + low byte
+
+        order_by_group = np.argsort(group_idx.astype(np.uint16), kind="stable")
+        counts = np.bincount(group_idx, minlength=VALUE_COUNT)
+        group_starts = np.zeros(VALUE_COUNT + 1, dtype=np.int64)
+        np.cumsum(counts, out=group_starts[1:])
+        position = np.empty(PATTERN_COUNT, dtype=np.int64)
+        position[order_by_group] = np.arange(PATTERN_COUNT) - np.repeat(group_starts[:-1], counts)
+
+        digits = np.arange(VALUE_COUNT, dtype=np.int64)
+        coeff_table = np.empty((VALUE_COUNT, PAIRS), dtype=np.int8)
+        for j in range(PAIRS):
+            coeff_table[:, j] = digits % 3 - 1
+            digits //= 3
+        # coeff_table @ PAIR_PHASORS, summed in the order numpy's bundled OpenBLAS sums it
+        # on x86-64: the same bits, without the cost of a process's first BLAS call.
+        t = coeff_table.astype(np.float64) * PAIR_PHASORS
+        values = (t[:, 0] + t[:, 2] + t[:, 4] + t[:, 6]) + (t[:, 1] + t[:, 3] + t[:, 5] + t[:, 7])
+        capacities = np.count_nonzero(coeff_table == 0, axis=1).astype(np.int64)
+
+        self.values = values                                # (6561,) complex128
+        self.capacities = capacities                        # (6561,) int64
+        self.patterns_sorted = order_by_group.astype(np.uint16)  # (65536,) uint16, grouped
+        self.group_starts = group_starts                    # (6562,) int64 prefix offsets
+        self.group_sizes = counts                           # (6561,) int64
+        self.group_of_pattern = group_idx                   # (65536,) int64
+        self.position_of_pattern = position                 # (65536,) int64
+        # (65536,) uint8 capacity of each pattern's group, read by stego.extract.
+        self.capacity_of_pattern = capacities.astype(np.uint8)[group_idx]
 
     def pattern_codes(self, groups: np.ndarray, positions: np.ndarray) -> np.ndarray:
         """Code of the pattern at each in-group position of each group.
@@ -110,20 +139,16 @@ class Codebook:
 
         The values do not depend on the phase assignment, so one table, made
         offline by a brute-force scan over every cell and shipped with the
-        package, serves every codebook build_codebook makes.  It is loaded
-        on the first such query in a process.  A Codebook made by hand has no
-        table and ranks every target by _scan_nearest, as does a target
-        outside the grid: len(values) distances each, about 300 times a grid
-        query (for the default codebook about 23 us against 0.05-0.08 us per
-        target on a 2-core x86 host).  Every normalized field lies on the
-        grid.
+        package, serves every codebook.  It is loaded on the first query in a
+        process.  A target on the grid ranks its cell's list; a target off it
+        ranks every value by _scan_nearest: len(values) distances each, about
+        300 times a grid query (about 23 us against 0.05-0.08 us per target
+        on a 2-core x86 host).  Every normalized field lies on the grid.
         """
         t = np.asarray(targets, dtype=np.complex128)
         if not np.all(np.isfinite(t)):
             raise ValueError("quantization targets must be finite")
         flat = t.ravel()
-        if not self._gridded:
-            return _scan_nearest(self.values, flat).reshape(t.shape)
         candidates, starts = _shipped_grid()
         out = np.empty(flat.size, dtype=np.int64)
         for lo in range(0, flat.size, QUERY_CHUNK):
@@ -222,53 +247,5 @@ def pick_in_groups(sizes: np.ndarray, strategy: str, seed: int | None = None) ->
 
 
 def build_codebook(assignment: PhaseAssignment | None = None) -> Codebook:
-    """Enumerate all 65536 patterns into their 6561 value groups.
-
-    A pattern's group index, sum_j (on[j] - on[j+8] + 1) * 3**j over the
-    phases j = 1..8, is linear in its 16 bits: phase k adds 3**(k-1) when
-    k <= 8 and takes 3**(k-9) away otherwise.  So the index of every code
-    is the sum of two 256-entry tables, one per byte, and a stable sort of
-    the indices as uint16 keys (a radix sort in numpy) orders the patterns
-    by group, in ascending code order inside each.  A few milliseconds, so
-    no cache is kept between runs.
-    """
-    assignment = assignment or DEFAULT_ASSIGNMENT
-
-    phase = assignment.index_by_bit
-    weight = np.where(phase <= PAIRS, 1, -1) * 3 ** ((phase - 1) % PAIRS)
-    byte_bits = (np.arange(256)[:, None] >> np.arange(8)) & 1
-    low = byte_bits @ weight[:8] + (VALUE_COUNT - 1) // 2   # all-OFF is the all-zero group
-    high = byte_bits @ weight[8:]
-    group_idx = (high[:, None] + low).ravel()               # code = 256 * high byte + low byte
-
-    order_by_group = np.argsort(group_idx.astype(np.uint16), kind="stable")
-    patterns_sorted = order_by_group.astype(np.uint16)
-    counts = np.bincount(group_idx, minlength=VALUE_COUNT)
-    group_starts = np.zeros(VALUE_COUNT + 1, dtype=np.int64)
-    np.cumsum(counts, out=group_starts[1:])
-
-    position = np.empty(PATTERN_COUNT, dtype=np.int64)
-    position[order_by_group] = np.arange(PATTERN_COUNT) - np.repeat(group_starts[:-1], counts)
-
-    digits = np.arange(VALUE_COUNT, dtype=np.int64)
-    coeff_table = np.empty((VALUE_COUNT, PAIRS), dtype=np.int8)
-    for j in range(PAIRS):
-        coeff_table[:, j] = digits % 3 - 1
-        digits //= 3
-    # coeff_table @ PAIR_PHASORS, summed in the order numpy's bundled OpenBLAS sums it
-    # on x86-64: the same bits, without the cost of a process's first BLAS call.
-    t = coeff_table.astype(np.float64) * PAIR_PHASORS
-    values = (t[:, 0] + t[:, 2] + t[:, 4] + t[:, 6]) + (t[:, 1] + t[:, 3] + t[:, 5] + t[:, 7])
-
-    capacities = np.count_nonzero(coeff_table == 0, axis=1).astype(np.int64)
-
-    codebook = Codebook(
-        values=values,
-        capacities=capacities,
-        patterns_sorted=patterns_sorted,
-        group_starts=group_starts,
-        group_of_pattern=group_idx,
-        position_of_pattern=position,
-    )
-    codebook._gridded = True
-    return codebook
+    """The codebook of a phase assignment (the default one when None)."""
+    return Codebook(assignment)

@@ -711,6 +711,8 @@ def test_main_leaves_the_collector_alone(capsys, tmp_path):
     (["hologram", "--input", "{image}", "--output", "{tmp}/h.bin", *GEO, "--superpixels", "8x"], 2),
     (["sim4f", "--input", "{pattern}", "--output", "{tmp}/s.bin", "--aperture-center=0.1"], 2),
     (["decode", "--input", "{pattern}", "--output", "{tmp}/d.bin", "--assignment", "1,2,x"], 2),
+    # capacity has no --assignment: its report is the same under every assignment.
+    (["capacity", "--input", "{field}", "--assignment", REVERSED], 2),
 ], ids=["alpha", "alpha-zero", "wavelength", "pitch", "diffuser-seed", "aperture-radius", "ssim-8x8",
         "distance-nan", "wavelength-nan", "pitch-inf", "aperture-radius-nan", "aperture-center-nan",
         "aperture-center-negative-spaced",
@@ -723,7 +725,7 @@ def test_main_leaves_the_collector_alone(capsys, tmp_path):
         "encode-peak-overflows", "embed-peak-overflows", "capacity-peak-overflows",
         "encode-scale-overflows", "embed-scale-overflows", "capacity-scale-overflows",
         "superpixels-zero-width", "superpixels-no-height", "aperture-center-one-number",
-        "assignment-unparseable"])
+        "assignment-unparseable", "capacity-assignment"])
 def test_bad_values_exit_without_traceback(tmp_path, argv, code):
     files = {"tmp": tmp_path, "field": tmp_path / "f.bin", "image": tmp_path / "i.pgm",
              "pattern": tmp_path / "p.pbm", "nan": tmp_path / "nan.bin", "inf": tmp_path / "inf.bin",

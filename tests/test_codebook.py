@@ -26,7 +26,6 @@ from dmdstego.codebook import (
     GRID_TOLERANCE,
     QUERY_CHUNK,
     STRATEGIES,
-    Codebook,
     _grid_cells,
     _scan_nearest,
     _shipped_grid,
@@ -68,6 +67,28 @@ def scan_nearest_all(values, targets):
         np.argmin(np.abs(values[None, :] - chunk[:, None]), axis=1)
         for chunk in np.array_split(targets, targets.size // 256 + 1)
     ])
+
+
+def nearest_by_tree(values, targets, k=16, chunk=1 << 15):
+    """scan_nearest_all's answer, ranked over each target's k nearest values only.
+
+    cKDTree gives the k nearest; sorted by index and ranked with the scan's
+    own np.abs(values - t), their first minimum is the scan's whenever the
+    k-th lies farther than that minimum by more than any rounding, which is
+    asserted.
+    """
+    tree = cKDTree(np.column_stack([values.real, values.imag]))
+    out = np.empty(targets.size, dtype=np.int64)
+    for lo in range(0, targets.size, chunk):
+        t = targets[lo:lo + chunk]
+        farthest, index = tree.query(np.column_stack([t.real, t.imag]), k=k, workers=-1)
+        index.sort(axis=1)
+        d = np.abs(values[index] - t[:, None])
+        best = np.argmin(d, axis=1)
+        rows = np.arange(t.size)
+        assert np.all(farthest[:, -1] > d[rows, best] + 1e-9)
+        out[lo:lo + chunk] = index[rows, best]
+    return out
 
 
 def grid_cells():
@@ -159,13 +180,10 @@ def test_patterns_ascending_within_group(codebook):
         assert np.all(np.diff(pats.astype(np.int64)) > 0)
 
 
-def test_capacity_of_pattern_is_built_on_first_use():
-    cb = build_codebook()
-    assert "capacity_of_pattern" not in vars(cb)
-    table = cb.capacity_of_pattern
+def test_capacity_of_pattern_is_its_groups_capacity(codebook):
+    table = codebook.capacity_of_pattern
     assert table.dtype == np.uint8 and table.shape == (PATTERN_COUNT,)
-    assert np.array_equal(table, cb.capacities[cb.group_of_pattern])
-    assert cb.capacity_of_pattern is table
+    assert np.array_equal(table, codebook.capacities[codebook.group_of_pattern])
 
 
 def test_zero_group(codebook):
@@ -246,7 +264,9 @@ def test_nearest_values_exact_ties_beyond_the_first_query():
     # The codebook's own near-ties are not exact in floating point, so exact
     # ones come from lattice points: twelve at distance exactly 5 from the
     # origin, plus forty on a circle of radius 20, shuffled so that tied
-    # values come in an order unrelated to their indices.
+    # values come in an order unrelated to their indices.  Such values make
+    # no Codebook, so the linear scan, which ranks every target off the
+    # grid, is called on them directly.
     ring = np.array([5, 5j, -5, -5j, 3 + 4j, 4 + 3j, -3 + 4j, -4 + 3j,
                      3 - 4j, 4 - 3j, -3 - 4j, -4 - 3j])
     far = 20 * np.exp(2j * np.pi * np.arange(40) / 40)
@@ -254,20 +274,19 @@ def test_nearest_values_exact_ties_beyond_the_first_query():
     rng = np.random.default_rng(21)
     books = [ring] + [np.concatenate([ring, far])[rng.permutation(52)] for _ in range(10)]
     for values in books:
-        book = Codebook(values, None, None, np.zeros(1, dtype=np.int64), None, None)
         expected = [int(np.argmin(np.abs(values - t))) for t in targets]
-        assert book.nearest_values(targets).tolist() == expected
+        assert _scan_nearest(values, targets).tolist() == expected
 
 
 def test_crowded_cells_outgrow_the_count_type():
     # 300 values on a circle much smaller than a cell: every one of them is
     # nearest somewhere in the cells around it, more than a uint8 count
-    # holds.  A Codebook made by hand has no table, so each target takes the scan.
+    # holds, so no grid list could carry them.  The linear scan ranks them
+    # in chunks of its own and must still take each target's first argmin.
     values = 0.3 + 0.2j + 1e-3 * np.exp(2j * np.pi * (np.arange(300) + 0.5) / 300)
-    book = Codebook(values, None, None, np.zeros(1, dtype=np.int64), None, None)
     rng = np.random.default_rng(41)
     targets = 0.3 + 0.2j + 0.05 * (rng.uniform(-1, 1, 2000) + 1j * rng.uniform(-1, 1, 2000))
-    assert np.array_equal(book.nearest_values(targets), scan_nearest_all(values, targets))
+    assert np.array_equal(_scan_nearest(values, targets), scan_nearest_all(values, targets))
 
 
 def test_shipped_grid_matches_the_generator(codebook):
@@ -418,6 +437,8 @@ def test_touched_cells_agree_with_the_scan_at_corners_edges_and_inside(codebook)
     # Every cell the benchmark's fields touch, at its four corners and four
     # edge midpoints (a hair inside, so the cell's own row answers, and
     # exactly on them, where a neighbouring row may) and at a random point.
+    # The oracle ranks each target's 16 nearest values, and it is held to the
+    # full scan on every 64th target.
     cells = np.unique(np.concatenate([
         np.floor(f.real / GRID_STEP + GRID_HALF_CELLS).astype(np.int64) * GRID_CELLS
         + np.floor(f.imag / GRID_STEP + GRID_HALF_CELLS).astype(np.int64)
@@ -436,7 +457,9 @@ def test_touched_cells_agree_with_the_scan_at_corners_edges_and_inside(codebook)
         (centres[:, None] + rim * (GRID_STEP / 2 * (1 - 1e-12))).ravel(),
         on_rim,
         centres + inside * GRID_STEP / 2])
-    assert np.array_equal(codebook.nearest_values(targets), scan_nearest_all(codebook.values, targets))
+    expected = nearest_by_tree(codebook.values, targets)
+    assert np.array_equal(expected[::64], scan_nearest_all(codebook.values, targets[::64]))
+    assert np.array_equal(codebook.nearest_values(targets), expected)
 
 
 def test_nearest_values_peak_memory():

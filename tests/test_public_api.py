@@ -80,8 +80,12 @@ def test_library_refuses_bad_arrays(codebook, call, message):
 def test_removed_methods_and_attributes(codebook):
     for name in ("phase_index", "phase_of", "to_string", "bit_by_index"):
         assert not hasattr(DEFAULT_ASSIGNMENT, name)
-    for name in ("group", "nearest_value", "assignment", "_coeff_table", "_build_touched"):
+    for name in ("group", "nearest_value", "assignment", "_coeff_table", "_build_touched", "_gridded"):
         assert not hasattr(codebook, name)
+    # A Codebook is made from its phase assignment alone, not from hand-made tables.
+    with pytest.raises(TypeError):
+        dmdstego.Codebook(codebook.values, codebook.capacities, codebook.patterns_sorted,
+                          codebook.group_starts, codebook.group_of_pattern, codebook.position_of_pattern)
     assert not hasattr(StegoKey(0), "to_hex")
 
 
