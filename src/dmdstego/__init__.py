@@ -1,6 +1,7 @@
 """Superpixel DMD modulation with redundancy-based data hiding."""
 
-from .codebook import Codebook, STRATEGIES, build_codebook
+from .codebook import Codebook, build_codebook
+from .modulator import STRATEGIES
 from .superpixel import (
     DEFAULT_ASSIGNMENT,
     MAX_MODULUS,

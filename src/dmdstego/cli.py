@@ -26,7 +26,7 @@ from typing import NoReturn
 
 import numpy as np
 
-from .codebook import STRATEGIES, build_codebook
+from .codebook import build_codebook
 from .formats import (
     read_field,
     read_image,
@@ -37,6 +37,7 @@ from .formats import (
     write_report,
 )
 from .modulator import (
+    STRATEGIES,
     NormalizationParams,
     decode_field,
     normalize_field,
@@ -158,7 +159,8 @@ def cmd_encode(args) -> int:
     if args.strategy == "random" and args.key is None:
         raise UsageError("--key is required with --strategy random")
     codebook, plan, scale = _quantize(read_field(args.input), args.alpha, args.assignment)
-    mirrors = codes_to_mirrors(select_patterns(plan, codebook, args.strategy, args.key))
+    seed = None if args.key is None else args.key.seed
+    mirrors = codes_to_mirrors(select_patterns(plan, codebook, args.strategy, seed))
     write_pattern(args.output, mirrors)
     _emit({"height": mirrors.shape[0], "scale": scale, "width": mirrors.shape[1]})
     return 0

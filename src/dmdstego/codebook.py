@@ -22,7 +22,6 @@ import os
 
 import numpy as np
 
-from .rng import _draws_below
 from .superpixel import (
     DEFAULT_ASSIGNMENT,
     MAX_MODULUS,
@@ -32,8 +31,6 @@ from .superpixel import (
     PhaseAssignment,
     VALUE_COUNT,
 )
-
-STRATEGIES = ("random", "min", "max")
 
 # Bucket grid of the nearest-value search: the cell method of Bentley, Weide
 # & Yao, "Optimal expected-time algorithms for closest-point problems", ACM
@@ -225,25 +222,6 @@ def _scan_nearest(values: np.ndarray, targets: np.ndarray) -> np.ndarray:
         chunk = targets[lo:lo + rows]
         out[lo:lo + rows] = np.argmin(np.abs(values[None, :] - chunk[:, None]), axis=1)
     return out
-
-
-def pick_in_groups(sizes: np.ndarray, strategy: str, seed: int | None = None) -> np.ndarray:
-    """Position of the chosen pattern inside each group of a 1-D array of sizes.
-
-    "min" takes position 0 (fewest mirrors ON), "max" the last position
-    (most ON), and "random" one bounded SplitMix64(seed) draw per group in
-    array order.
-    """
-    if strategy not in STRATEGIES:
-        raise ValueError(f"strategy must be one of {STRATEGIES}")
-    sizes = np.asarray(sizes, dtype=np.int64)
-    if strategy == "min":
-        return np.zeros(sizes.shape, dtype=np.int64)
-    if strategy == "max":
-        return sizes - 1
-    if seed is None:
-        raise ValueError("random selection needs a key seed")
-    return _draws_below(seed, sizes)
 
 
 def build_codebook(assignment: PhaseAssignment | None = None) -> Codebook:

@@ -5,7 +5,8 @@ configurable fraction of the codebook's reach, `quantize_field` maps every
 sample to the index of its nearest group value, and `select_patterns`
 picks one representative pattern per superpixel under a strategy.  There
 is no one-call encoder: the CLI's encode, embed and capacity share the
-first two steps, and embed picks its patterns through `stego.embed`.
+first two steps, and `stego.embed` picks its fill patterns through
+`select_patterns`.
 `decode_field` reads the patterns back into group indices and canonical
 complex values; the pattern choice inside each group is invisible to it.
 """
@@ -16,9 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codebook import Codebook, pick_in_groups
-from .stego import StegoKey
+from .codebook import Codebook
+from .rng import _draws_below
 from .superpixel import MAX_MODULUS, mirrors_to_codes
+
+STRATEGIES = ("random", "min", "max")
 
 # Largest distance from any point of the working disk (radius 0.8 * MAX_MODULUS)
 # to its nearest codebook value, measured once by brute force over a refined
@@ -71,15 +74,26 @@ def quantize_field(field: np.ndarray, codebook: Codebook) -> np.ndarray:
 
 
 def select_patterns(plan: np.ndarray, codebook: Codebook, strategy: str,
-                    key: StegoKey | None = None) -> np.ndarray:
+                    seed: int | None = None) -> np.ndarray:
     """Pick a pattern code for every plan entry under one strategy.
 
-    Random selection draws one bounded SplitMix64 sample per superpixel in
-    row-major order, seeded by the key, so repeated runs agree bit for bit.
+    "min" takes each group's first pattern (fewest mirrors ON), "max" its
+    last (most ON), and "random" one bounded SplitMix64(seed) draw per
+    superpixel in row-major order, so repeated runs agree bit for bit.
     """
+    if strategy not in STRATEGIES:
+        raise ValueError(f"strategy must be one of {STRATEGIES}")
     plan = np.asarray(plan)
     groups = plan.ravel().astype(np.int64)
-    pick = pick_in_groups(codebook.group_sizes[groups], strategy, None if key is None else key.seed)
+    sizes = codebook.group_sizes[groups]
+    if strategy == "min":
+        pick = np.zeros(sizes.shape, dtype=np.int64)
+    elif strategy == "max":
+        pick = sizes - 1
+    elif seed is None:
+        raise ValueError("random selection needs a key seed")
+    else:
+        pick = _draws_below(seed, sizes)
     return codebook.pattern_codes(groups, pick).reshape(plan.shape)
 
 

@@ -62,9 +62,9 @@ class PropagationParams:
             return math.inf
 
 
-_FFT_ROWS = 16     # rows per first-pass strip of _fft2
-_FFT_COLUMNS = 32  # columns per second-pass strip of _fft2
-_FOLD_ROWS = 32    # superpixel rows per strip of simulate_4f's alias fold
+# Rows or columns per strip of _fft2, and superpixel rows per strip of
+# simulate_4f's alias fold.
+_STRIP = 32
 
 
 def _fft2(a: np.ndarray, row_transform, column_transform) -> np.ndarray:
@@ -76,13 +76,13 @@ def _fft2(a: np.ndarray, row_transform, column_transform) -> np.ndarray:
     and ifft2 make, in their order, so the result is theirs bit for bit.
     Only the output is full size; the temporaries are a strip each.
     """
-    first = row_transform(a[:_FFT_ROWS])
+    first = row_transform(a[:_STRIP])
     out = np.empty((a.shape[0], first.shape[1]), dtype=np.complex128)
-    out[:_FFT_ROWS] = first
-    for r0 in range(_FFT_ROWS, a.shape[0], _FFT_ROWS):
-        out[r0:r0 + _FFT_ROWS] = row_transform(a[r0:r0 + _FFT_ROWS])
-    for c0 in range(0, out.shape[1], _FFT_COLUMNS):
-        columns = out[:, c0:c0 + _FFT_COLUMNS]
+    out[:_STRIP] = first
+    for r0 in range(_STRIP, a.shape[0], _STRIP):
+        out[r0:r0 + _STRIP] = row_transform(a[r0:r0 + _STRIP])
+    for c0 in range(0, out.shape[1], _STRIP):
+        columns = out[:, c0:c0 + _STRIP]
         columns[...] = column_transform(columns, axis=0)
     return out
 
@@ -353,7 +353,7 @@ def simulate_4f(mirrors: np.ndarray, aperture: ApertureSpec | None = None,
 
     Both transforms run in strips of rows, then of columns (_fft2), and
     give whole-array np.fft's result bit for bit; the fold runs in strips
-    of at most _FOLD_ROWS superpixel rows and gives the block-at-a-time
+    of at most _STRIP superpixel rows and gives the block-at-a-time
     fold's result bit for bit.  The passband P is never built: each
     spectrum row r has one threshold T[r] (_passband_thresholds), and
     frequency (r, c) is inside exactly when dx2[c] <= T[r], which is when
@@ -362,7 +362,7 @@ def simulate_4f(mirrors: np.ndarray, aperture: ApertureSpec | None = None,
     thresholds all reach its columns' greatest dx2 is added whole, and only
     the rest compare dx2 with T for a mask.  The working set is the half
     spectrum, (N1, N2/2 + 1) complex, one (H, W) accumulator and
-    (_FOLD_ROWS, W) strip buffers; no full-size float plane of the mirrors
+    (_STRIP, W) strip buffers; no full-size float plane of the mirrors
     is built, and the half spectrum is freed before the inverse transform.
     """
     assignment = assignment or DEFAULT_ASSIGNMENT
@@ -398,11 +398,11 @@ def simulate_4f(mirrors: np.ndarray, aperture: ApertureSpec | None = None,
     # outside the passband is exactly +-0, and `folded` starts at +0 and so
     # never holds -0; skipping such terms (add's where=, and blocks with no
     # frequency inside) changes no bit.  The strips split H evenly, at most
-    # _FOLD_ROWS rows each, so none has one row while H has more: np.matmul
+    # _STRIP rows each, so none has one row while H has more: np.matmul
     # takes its vector-matrix path for a single row, and that can round the
     # rank-4 weight differently.
     folded = np.zeros((h, w), dtype=np.complex128)
-    strips = -(-h // _FOLD_ROWS)
+    strips = -(-h // _STRIP)
     edges = [h * i // strips for i in range(strips + 1)]
     size = -(-h // strips)
     weight = np.empty((size, w), dtype=np.complex128)

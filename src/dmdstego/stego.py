@@ -8,10 +8,11 @@ swaps the bits themselves through the shuffle's rounds, and `extract` swaps
 them back through the same rounds in reverse order.  Superpixels are
 visited row-major and each consumes its d stream bits MSB-first as an index
 into the group's pattern list.  Once the stream runs out, the remaining
-superpixels fall back to a fill strategy.  Both directions work on the
-packed stream bytes: `embed` reads each superpixel's d bits from the two
-bytes at its bit offset, and `extract` adds each superpixel's index back
-into those two bytes.
+superpixels take their fill strategy's patterns from
+`modulator.select_patterns`.  Both directions work on the packed stream
+bytes: `embed` reads each superpixel's d bits from the two bytes at its bit
+offset, and `extract` adds each superpixel's index back into those two
+bytes.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codebook import STRATEGIES, Codebook, pick_in_groups
+from .codebook import Codebook
+from .modulator import STRATEGIES, select_patterns
 from .rng import _unpermute, check_seed, permutation
 from .superpixel import codes_to_mirrors, mirrors_to_codes
 
@@ -84,10 +86,6 @@ def capacity_of_plan(plan: np.ndarray, codebook: Codebook) -> int:
     return int(codebook.capacities[np.asarray(plan)].sum())
 
 
-def _header(length: int) -> np.ndarray:
-    return np.unpackbits(np.frombuffer(struct.pack(">I", length), dtype=np.uint8))
-
-
 def embed(plan: np.ndarray, payload_bits: np.ndarray, key: StegoKey,
           codebook: Codebook, fill: str = "min") -> np.ndarray:
     """Choose one pattern per superpixel so the mirror array carries the payload.
@@ -113,26 +111,28 @@ def embed(plan: np.ndarray, payload_bits: np.ndarray, key: StegoKey,
     if HEADER_BITS + payload_bits.size > total:
         raise PayloadTooLargeError(payload_bits.size, total)
 
-    stream = np.concatenate([_header(payload_bits.size), permute_bits(payload_bits, key)])
-    # Offsets never decrease, so the superpixels carrying stream bits are a
-    # row-major prefix.  Each reads the 8-bit window at its offset and keeps
-    # its top `caps` bits; one straddling the end of the stream takes what is
-    # left, zero-padded on the low side of its index.  A window spans the
-    # packed byte holding its offset and the next one; every offset is inside
-    # the stream, so one zero byte past its end is all the padding needed.
+    # The packed stream is the 4-byte big-endian length, then the shuffled
+    # payload bits, MSB-first and zero-padded to a whole byte.  Offsets never
+    # decrease, so the superpixels carrying stream bits are a row-major
+    # prefix.  Each reads the 8-bit window at its offset and keeps its top
+    # `caps` bits; one straddling the end of the stream takes what is left,
+    # zero-padded on the low side of its index.  A window spans the packed
+    # byte holding its offset and the next one; every offset is inside the
+    # stream, so one zero byte past its end is all the padding needed.
+    stream = struct.pack(">I", payload_bits.size) + np.packbits(permute_bits(payload_bits, key)).tobytes()
+    packed = np.frombuffer(stream + bytes(1), dtype=np.uint8).astype(np.uint16)
     offs = np.cumsum(caps) - caps
-    active = int(np.searchsorted(offs, stream.size))
+    active = int(np.searchsorted(offs, HEADER_BITS + payload_bits.size))
     o = offs[:active]
-    packed = np.concatenate([np.packbits(stream), np.zeros(1, dtype=np.uint8)]).astype(np.uint16)
     at = o >> 3
     windows = ((packed[at] << 8 | packed[at + 1]) >> (8 - (o & 7)).astype(np.uint16)) & 0xFF
 
     groups = plan.ravel().astype(np.int64)
-    pick = np.concatenate([
-        windows >> (8 - caps[:active]),
-        pick_in_groups(codebook.group_sizes[groups[active:]], fill, key.seed ^ FILL_SEED_XOR),
+    codes = np.concatenate([
+        codebook.pattern_codes(groups[:active], windows >> (8 - caps[:active])),
+        select_patterns(groups[active:], codebook, fill, key.seed ^ FILL_SEED_XOR),
     ])
-    return codes_to_mirrors(codebook.pattern_codes(groups, pick).reshape(plan.shape))
+    return codes_to_mirrors(codes.reshape(plan.shape))
 
 
 def _stream_bytes(codes: np.ndarray, caps: np.ndarray, ends: np.ndarray,

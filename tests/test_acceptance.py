@@ -186,7 +186,7 @@ def _pipeline_ssims(obj, grid, params, key, payload_fraction=0.9):
 
     scores = {}
     for strategy in ("random", "min", "max"):
-        codes = select_patterns(plan, codebook, strategy, key if strategy == "random" else None)
+        codes = select_patterns(plan, codebook, strategy, key.seed if strategy == "random" else None)
         _, values = decode_field(codes_to_mirrors(codes), codebook)
         scores[strategy] = ssim(reconstruct(values, params), target)
 

@@ -25,16 +25,13 @@ from dmdstego.codebook import (
     GRID_STEP,
     GRID_TOLERANCE,
     QUERY_CHUNK,
-    STRATEGIES,
     _grid_cells,
     _scan_nearest,
     _shipped_grid,
     build_codebook,
-    pick_in_groups,
 )
 from dmdstego.modulator import normalize_field
 from dmdstego.optics import PropagationParams, generate_hologram
-from dmdstego.rng import _DRAW_BLOCK
 from dmdstego.superpixel import (
     BLOCK,
     MAX_MODULUS,
@@ -44,7 +41,6 @@ from dmdstego.superpixel import (
 )
 
 from scalar_reference import (
-    SplitMix64,
     canonical_index,
     codebook_tables,
     coeffs_from_index,
@@ -563,36 +559,6 @@ def test_nearest_agrees_with_scan_anywhere(t):
     cb = _shared_codebook()
     assert cb.nearest_values(t) == scan_nearest(cb, t)
     assert cb.nearest_values(np.array([t]))[0] == scan_nearest(cb, t)
-
-
-def test_pick_in_groups_strategies(codebook):
-    sizes = codebook.group_sizes[[3280, 0, 3280, 17, 3280]]
-    assert pick_in_groups(sizes, "min").tolist() == [0] * 5
-    assert np.array_equal(pick_in_groups(sizes, "max"), sizes - 1)
-    rng = SplitMix64(11)
-    assert pick_in_groups(sizes, "random", 11).tolist() == [rng.below(int(s)) for s in sizes]
-    picks = set(pick_in_groups(np.full(200, 256), "random", 11).tolist())
-    assert picks <= set(range(256))
-    assert len(picks) > 50
-
-
-def test_pick_in_groups_random_across_draw_blocks(codebook):
-    # Three draw blocks and a partial fourth, over every group size the codebook has.
-    groups = np.random.default_rng(12).integers(0, 6561, 3 * _DRAW_BLOCK + 100)
-    sizes = codebook.group_sizes[groups]
-    rng = SplitMix64(0xA5A5)
-    assert pick_in_groups(sizes, "random", 0xA5A5).tolist() == [rng.below(int(s)) for s in sizes]
-
-
-def test_pick_in_groups_validation():
-    with pytest.raises(ValueError):
-        pick_in_groups(np.ones(2, dtype=np.int64), "random")
-    with pytest.raises(ValueError):
-        pick_in_groups(np.ones(2, dtype=np.int64), "nope", 0)
-
-
-def test_strategy_names():
-    assert STRATEGIES == ("random", "min", "max")
 
 
 @pytest.mark.parametrize("text", [None, "16,15,14,13,12,11,10,9,8,7,6,5,4,3,2,1",

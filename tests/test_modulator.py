@@ -1,3 +1,5 @@
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -5,14 +7,16 @@ import pytest
 
 from dmdstego.modulator import (
     COVERING_RADIUS,
+    STRATEGIES,
     NormalizationParams,
     decode_field,
     normalize_field,
     quantize_field,
     select_patterns,
 )
-from dmdstego.stego import StegoKey
+from dmdstego.rng import _DRAW_BLOCK
 from dmdstego.superpixel import MAX_MODULUS, codes_to_mirrors
+from scalar_reference import SplitMix64
 
 
 def random_field(rng, shape, scale=3.0):
@@ -133,25 +137,60 @@ def test_select_patterns_random_needs_key(codebook):
     with pytest.raises(ValueError):
         select_patterns(plan, codebook, "random")
     with pytest.raises(ValueError):
-        select_patterns(plan, codebook, "bogus", key=StegoKey(seed=0))
+        select_patterns(plan, codebook, "bogus", seed=0)
 
 
 def test_select_patterns_random_deterministic(codebook):
     rng = np.random.default_rng(6)
     plan = rng.integers(0, 6561, (10, 10), dtype=np.int64)
-    a = select_patterns(plan, codebook, "random", key=StegoKey(seed=9))
-    b = select_patterns(plan, codebook, "random", key=StegoKey(seed=9))
-    c = select_patterns(plan, codebook, "random", key=StegoKey(seed=10))
+    a = select_patterns(plan, codebook, "random", seed=9)
+    b = select_patterns(plan, codebook, "random", seed=9)
+    c = select_patterns(plan, codebook, "random", seed=10)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert np.array_equal(codebook.group_of_pattern[a], plan)
 
 
-def _encode(field, codebook, strategy="min", key=None):
+def test_strategy_names():
+    assert STRATEGIES == ("random", "min", "max")
+
+
+def test_select_patterns_picks_in_groups(codebook):
+    groups = np.array([3280, 0, 3280, 17, 3280])
+    sizes = codebook.group_sizes[groups]
+    rng = SplitMix64(11)
+    for strategy, seed, want in [("min", None, [0] * 5), ("max", None, (sizes - 1).tolist()),
+                                 ("random", 11, [rng.below(int(s)) for s in sizes])]:
+        codes = select_patterns(groups, codebook, strategy, seed)
+        assert np.array_equal(codebook.group_of_pattern[codes], groups), strategy
+        assert codebook.position_of_pattern[codes].tolist() == want, strategy
+    # Group 3280 (the zero value) holds 256 patterns.
+    picks = set(codebook.position_of_pattern[select_patterns(np.full(200, 3280), codebook, "random", 11)].tolist())
+    assert picks <= set(range(256))
+    assert len(picks) > 50
+
+
+def test_select_patterns_random_across_draw_blocks(codebook):
+    # Three draw blocks and a partial fourth, over every group size the codebook has.
+    groups = np.random.default_rng(12).integers(0, 6561, 3 * _DRAW_BLOCK + 100)
+    rng = SplitMix64(0xA5A5)
+    codes = select_patterns(groups, codebook, "random", 0xA5A5)
+    assert np.array_equal(codebook.group_of_pattern[codes], groups)
+    assert codebook.position_of_pattern[codes].tolist() == [rng.below(int(s)) for s in codebook.group_sizes[groups]]
+
+
+def test_importing_the_modulator_loads_no_stego():
+    code = "import sys, dmdstego.modulator; print(sorted(m for m in sys.modules if m.startswith('dmdstego')))"
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert "dmdstego.stego" not in r.stdout
+
+
+def _encode(field, codebook, strategy="min", seed=None):
     """normalize -> quantize -> select -> assemble, as the encode command runs them."""
     scaled, scale = normalize_field(field)
     plan = quantize_field(scaled, codebook)
-    return codes_to_mirrors(select_patterns(plan, codebook, strategy, key)), plan, scale
+    return codes_to_mirrors(select_patterns(plan, codebook, strategy, seed)), plan, scale
 
 
 def test_encode_shapes_and_scale(codebook):
@@ -167,8 +206,8 @@ def test_encode_shapes_and_scale(codebook):
 def test_encode_decode_round_trip_all_strategies(codebook):
     rng = np.random.default_rng(8)
     field = random_field(rng, (10, 14))
-    for strategy, key in [("min", None), ("max", None), ("random", StegoKey(seed=77))]:
-        mirrors, expected_plan, _ = _encode(field, codebook, strategy, key)
+    for strategy, seed in [("min", None), ("max", None), ("random", 77)]:
+        mirrors, expected_plan, _ = _encode(field, codebook, strategy, seed)
         plan, values = decode_field(mirrors, codebook)
         assert np.array_equal(plan, expected_plan), strategy
         assert np.array_equal(values, codebook.values[expected_plan]), strategy

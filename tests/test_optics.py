@@ -420,11 +420,11 @@ def bits_of(a):
     return np.ascontiguousarray(a).view(np.uint64)
 
 
-# 1x1, 1xN and Nx1; sizes that are no multiple of either strip size; sizes
-# past both, with a remainder strip on each axis.
+# 1x1, 1xN and Nx1; sizes that are no multiple of the strip size; sizes
+# past it, with a remainder strip on each axis.
 STRIP_SHAPES = [(1, 1), (1, 7), (1, 100), (5, 1), (100, 1), (17, 33), (45, 97),
-                (optics._FFT_ROWS, optics._FFT_COLUMNS),
-                (3 * optics._FFT_ROWS + 1, 2 * optics._FFT_COLUMNS - 1), (270, 480), (300, 301)]
+                (optics._STRIP, optics._STRIP),
+                (3 * optics._STRIP + 1, 2 * optics._STRIP - 1), (270, 480), (300, 301)]
 
 
 @pytest.mark.parametrize("shape", STRIP_SHAPES)
@@ -473,8 +473,8 @@ def block_fold_4f(mirrors, aperture, assignment):
 
 # superpixel heights: one row, below the fold strip, equal to it, one past
 # it (an uneven split must leave no one-row strip) and no multiple of it
-FOLD_HEIGHTS = [1, optics._FOLD_ROWS - 1, optics._FOLD_ROWS, optics._FOLD_ROWS + 1,
-                2 * optics._FOLD_ROWS + 7]
+FOLD_HEIGHTS = [1, optics._STRIP - 1, optics._STRIP, optics._STRIP + 1,
+                2 * optics._STRIP + 7]
 
 
 def assert_fold_matches_block_oracle(shape, aperture, assignment, seed):

@@ -49,6 +49,10 @@ def test_all_names():
     # The sequential stream is _stream_at at arange(n), pinned against the
     # scalar SplitMix64, and _stream_at does its own step mixing.
     ("dmdstego.rng", ["stream_u64", "_mix_steps"]),
+    # modulator.select_patterns is the one pattern picker, and embed packs
+    # the 4 length bytes extract reads without unpacking them to bits.
+    ("dmdstego.codebook", ["pick_in_groups", "STRATEGIES"]),
+    ("dmdstego.stego", ["_header"]),
 ])
 def test_scalar_helpers_left_the_library(module, names):
     # The scalar definitions live in tests/scalar_reference.py as oracles.

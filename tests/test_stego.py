@@ -16,8 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dmdstego.codebook import STRATEGIES, build_codebook
-from dmdstego.modulator import select_patterns
+from dmdstego.codebook import build_codebook
+from dmdstego.modulator import STRATEGIES, select_patterns
 from dmdstego.rng import _DRAW_BLOCK
 from dmdstego.stego import (
     FILL_SEED_XOR,
