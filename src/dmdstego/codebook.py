@@ -13,6 +13,8 @@ its cell in a bucket grid.  The values, and so the lists, are the same for
 every phase assignment, so the list table ships with the package
 (grid_candidates.npy and grid_starts.npy, made by the brute-force generator
 in tests/scalar_reference.py) and is read on a process's first quantization.
+The grid holds the disk of reachable values, and so every normalized field;
+a target off it, which no block could show, is refused.
 """
 
 from __future__ import annotations
@@ -34,16 +36,15 @@ from .superpixel import (
 
 # Bucket grid of the nearest-value search: the cell method of Bentley, Weide
 # & Yao, "Optimal expected-time algorithms for closest-point problems", ACM
-# TOMS 1980.  Square cells of side GRID_STEP tile |re|, |im| <=
-# GRID_HALF_CELLS * GRID_STEP, which holds the disk |t| <= MAX_MODULUS that
-# normalized fields fill.
+# TOMS 1980.  Square cells of side GRID_STEP tile the real and imaginary
+# parts in [-GRID_HALF_CELLS * GRID_STEP, GRID_HALF_CELLS * GRID_STEP), which
+# holds the disk |t| <= MAX_MODULUS that normalized fields fill.
 GRID_STEP = 0.025
 GRID_HALF_CELLS = int(np.ceil(MAX_MODULUS / GRID_STEP))
 GRID_CELLS = 2 * GRID_HALF_CELLS
 # Margin over float rounding in the candidate lists and the query's distances.
 GRID_TOLERANCE = 1e-9
 QUERY_CHUNK = 8192          # targets per grid query; temporaries stay at a few MB
-SCAN_ELEMENTS = 1 << 18     # targets x values per chunk of the linear scan
 # The candidate table of the codebook's values, shipped with the package: every
 # cell's candidates, cell by cell, as one int16 array, and the (cells + 1,) int32
 # offsets of the cells' runs in it.
@@ -112,39 +113,37 @@ class Codebook:
     def nearest_values(self, targets: np.ndarray) -> np.ndarray:
         """Index of the nearest value to each target of an arbitrary-shape complex array.
 
-        Exact: the result, ties included, is _scan_nearest's for every
-        target, the first argmin of np.abs(values - t), so ties resolve to
-        the smallest canonical index.  A bucket grid lists for each square
-        cell every value that can be nearest to a point of the cell.  With c
-        the cell centre, h its half side and u the value nearest c, at
-        distance U, the nearest value v to a target t in the cell has
-        |v - t| <= |u - t| <= U + h*sqrt(2), so |v - c| <= U + 2h*sqrt(2).
-        Of the values within that bound the cell lists those that no other
-        value beats at every point of the cell by more than GRID_TOLERANCE in
-        squared distance.  Beating adds up along a chain, so any value left
-        out is beaten in that way by a listed one, a margin no rounding can
-        close, and every value that ties the minimum is listed.  The
-        candidates, sorted by index, are ranked with _scan_nearest's own
-        arithmetic, np.abs(values - t), and the first minimum wins, so the
-        smallest-canonical-index tie rule holds.  Each target ranks its own
-        cell's candidates and no padding, near-ties included: at most 7 for
-        the default codebook, 2.51 on average over the full-frame benchmark
-        hologram.  The lists run cell by cell in one flat array, and a query
-        chunk, ordered by candidate count, ranks candidate k over the
-        contiguous prefix of targets whose cell lists more than k values,
-        each reading the entry after its last.
+        Exact: the result, ties included, is the linear scan's for every
+        target (tests/scalar_reference.scan_nearest), the first argmin of
+        np.abs(values - t), so ties resolve to the smallest canonical index.
+        A bucket grid lists for each square cell every value that can be
+        nearest to a point of the cell.  With c the cell centre, h its half
+        side and u the value nearest c, at distance U, the nearest value v
+        to a target t in the cell has |v - t| <= |u - t| <= U + h*sqrt(2),
+        so |v - c| <= U + 2h*sqrt(2).  Of the values within that bound the
+        cell lists those that no other value beats at every point of the
+        cell by more than GRID_TOLERANCE in squared distance.  Beating adds
+        up along a chain, so any value left out is beaten in that way by a
+        listed one, a margin no rounding can close, and every value that
+        ties the minimum is listed.  The candidates, sorted by index, are
+        ranked with the scan's own arithmetic, np.abs(values - t), and the
+        first minimum wins, so the smallest-canonical-index tie rule holds.
+        Each target ranks its own cell's candidates and no padding,
+        near-ties included: at most 7 for the default codebook, 2.51 on
+        average over the full-frame benchmark hologram.  The lists run cell
+        by cell in one flat array, and a query chunk, ordered by candidate
+        count, ranks candidate k over the contiguous prefix of targets whose
+        cell lists more than k values, each reading the entry after its last.
 
         The values do not depend on the phase assignment, so one table, made
         offline by a brute-force scan over every cell and shipped with the
         package, serves every codebook.  It is loaded on the first query in a
-        process.  A target on the grid ranks its cell's list; a target off it
-        ranks every value by _scan_nearest: len(values) distances each, about
-        300 times a grid query (about 23 us against 0.05-0.08 us per target
-        on a 2-core x86 host).  Every normalized field lies on the grid.
+        process.  A target off the grid, with a part outside
+        [-GRID_HALF_CELLS * GRID_STEP, GRID_HALF_CELLS * GRID_STEP) =
+        [-5.15, 5.15) and so |t| >= 5.15 > MAX_MODULUS, raises ValueError, as
+        does NaN or infinity; every normalized field lies on the grid.
         """
         t = np.asarray(targets, dtype=np.complex128)
-        if not np.all(np.isfinite(t)):
-            raise ValueError("quantization targets must be finite")
         flat = t.ravel()
         candidates, starts = _shipped_grid()
         out = np.empty(flat.size, dtype=np.int64)
@@ -153,13 +152,12 @@ class Codebook:
         return out.reshape(t.shape)
 
     def _nearest_in_grid(self, t: np.ndarray, candidates: np.ndarray, starts: np.ndarray) -> np.ndarray:
-        """Nearest value index of each target, by its cell's run of `candidates`, or the scan off the grid."""
+        """Nearest value index of each target, by its cell's run of `candidates`."""
         inside, cell = _grid_cells(t)
         if not inside.all():
-            out = np.empty(t.size, dtype=np.int64)
-            out[~inside] = _scan_nearest(self.values, t[~inside])
-            out[inside] = self._nearest_in_grid(t[inside], candidates, starts)
-            return out
+            bound = GRID_HALF_CELLS * GRID_STEP
+            raise ValueError(f"quantization targets must be finite with real and imaginary parts in "
+                             f"[-{bound:g}, {bound:g}); scale the field with normalize_field first")
         # Targets ordered by their cell's candidate count, largest first, so the
         # targets that rank candidate k are a prefix: those whose cell lists more
         # than k values.  A uint8 key lets numpy radix-sort it.
@@ -212,16 +210,6 @@ def _grid_cells(t: np.ndarray):
         x *= GRID_CELLS
         x += np.floor(y, out=y)
     return inside, np.where(inside, x, 0).astype(np.int64)
-
-
-def _scan_nearest(values: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """First argmin of np.abs(values - t) for each target: the exact linear scan."""
-    rows = max(1, SCAN_ELEMENTS // values.size)
-    out = np.empty(targets.size, dtype=np.int64)
-    for lo in range(0, targets.size, rows):
-        chunk = targets[lo:lo + rows]
-        out[lo:lo + rows] = np.argmin(np.abs(values[None, :] - chunk[:, None]), axis=1)
-    return out
 
 
 def build_codebook(assignment: PhaseAssignment | None = None) -> Codebook:

@@ -46,10 +46,6 @@ class PhaseAssignment:
             raise ValueError("assignment must be a permutation of the phase indices 1..16")
 
     @classmethod
-    def default(cls) -> "PhaseAssignment":
-        return cls(tuple(range(1, PHASES + 1)))
-
-    @classmethod
     def from_string(cls, text: str) -> "PhaseAssignment":
         """Parse a comma-separated list of 16 phase indices (row-major)."""
         try:
@@ -69,7 +65,7 @@ class PhaseAssignment:
         return self.index_by_bit.reshape(BLOCK, BLOCK) * np.pi / 8.0
 
 
-DEFAULT_ASSIGNMENT = PhaseAssignment.default()
+DEFAULT_ASSIGNMENT = PhaseAssignment(tuple(range(1, PHASES + 1)))
 
 
 def codes_to_mirrors(codes: np.ndarray) -> np.ndarray:

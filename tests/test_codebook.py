@@ -9,6 +9,7 @@ import functools
 import hashlib
 import io
 import os
+import re
 import tracemalloc
 import warnings
 
@@ -26,7 +27,6 @@ from dmdstego.codebook import (
     GRID_TOLERANCE,
     QUERY_CHUNK,
     _grid_cells,
-    _scan_nearest,
     _shipped_grid,
     build_codebook,
 )
@@ -56,6 +56,10 @@ from scalar_reference import (
 # Most candidates any cell of the default codebook's grid may list; every
 # target then costs at most this many distances.  The shipped table lists 7.
 MAX_CANDIDATES = 7
+
+# The quantizer's refusal of a target off the grid names the bound and the cure.
+HALF = GRID_HALF_CELLS * GRID_STEP
+REFUSAL = re.escape(f"[-{HALF:g}, {HALF:g})") + ".*normalize_field"
 
 
 def scan_nearest_all(values, targets):
@@ -229,8 +233,18 @@ def test_nearest_value_idempotent_on_exact_values(codebook):
 
 
 def test_nearest_values_matches_scan_oracle(codebook):
+    # Targets on the grid take the scalar scan's answer; a batch holding one
+    # off it (|re| or |im| >= 5.15, a few of these) is refused.
     rng = np.random.default_rng(6)
     pts = rng.normal(scale=2.5, size=400) + 1j * rng.normal(scale=2.5, size=400)
+    on_grid = reference_grid_cells(pts)[0]
+    assert 0 < np.count_nonzero(~on_grid) < 40
+    with pytest.raises(ValueError, match=REFUSAL):
+        codebook.nearest_values(pts)
+    for t in pts[~on_grid]:
+        with pytest.raises(ValueError, match=REFUSAL):
+            codebook.nearest_values(t)
+    pts = pts[on_grid]
     expected = np.array([scan_nearest(codebook, t) for t in pts])
     assert np.array_equal(codebook.nearest_values(pts), expected)
     for t, e in zip(pts[:50], expected[:50]):
@@ -254,35 +268,6 @@ def test_nearest_value_ties_take_smallest_index(codebook):
     assert np.array_equal(codebook.nearest_values(targets), expected)
     for t, e in zip(targets[::97], expected[::97]):
         assert codebook.nearest_values(t) == e
-
-
-def test_nearest_values_exact_ties_beyond_the_first_query():
-    # The codebook's own near-ties are not exact in floating point, so exact
-    # ones come from lattice points: twelve at distance exactly 5 from the
-    # origin, plus forty on a circle of radius 20, shuffled so that tied
-    # values come in an order unrelated to their indices.  Such values make
-    # no Codebook, so the linear scan, which ranks every target off the
-    # grid, is called on them directly.
-    ring = np.array([5, 5j, -5, -5j, 3 + 4j, 4 + 3j, -3 + 4j, -4 + 3j,
-                     3 - 4j, 4 - 3j, -3 - 4j, -4 - 3j])
-    far = 20 * np.exp(2j * np.pi * np.arange(40) / 40)
-    targets = np.array([0j, 3.5 + 3.5j, 4 + 3j])
-    rng = np.random.default_rng(21)
-    books = [ring] + [np.concatenate([ring, far])[rng.permutation(52)] for _ in range(10)]
-    for values in books:
-        expected = [int(np.argmin(np.abs(values - t))) for t in targets]
-        assert _scan_nearest(values, targets).tolist() == expected
-
-
-def test_crowded_cells_outgrow_the_count_type():
-    # 300 values on a circle much smaller than a cell: every one of them is
-    # nearest somewhere in the cells around it, more than a uint8 count
-    # holds, so no grid list could carry them.  The linear scan ranks them
-    # in chunks of its own and must still take each target's first argmin.
-    values = 0.3 + 0.2j + 1e-3 * np.exp(2j * np.pi * (np.arange(300) + 0.5) / 300)
-    rng = np.random.default_rng(41)
-    targets = 0.3 + 0.2j + 0.05 * (rng.uniform(-1, 1, 2000) + 1j * rng.uniform(-1, 1, 2000))
-    assert np.array_equal(_scan_nearest(values, targets), scan_nearest_all(values, targets))
 
 
 def test_shipped_grid_matches_the_generator(codebook):
@@ -476,30 +461,40 @@ def test_nearest_values_peak_memory():
 
 
 def test_nearest_values_outside_the_grid(codebook):
-    # Targets off the grid take the linear scan, alone and mixed with grid
-    # targets in one batch; targets on the grid's border may take either.
+    # Targets off the grid are refused, alone and mixed with grid targets in
+    # one batch, in any query chunk.  Of the grid's border its lower edges
+    # (scaled x or y = 0 exactly) are on the grid and answered; its upper
+    # edges (scaled x or y = GRID_CELLS) are off it.
     rng = np.random.default_rng(8)
-    half = GRID_HALF_CELLS * GRID_STEP
-    far = np.sqrt(2) * half * rng.uniform(1, 8, 2000) * np.exp(2j * np.pi * rng.uniform(size=2000))
-    side = np.linspace(-half, half, 101)
-    edge = np.concatenate([half + 1j * side, side + 1j * half, -half + 1j * side, side - 1j * half])
+    far = np.sqrt(2) * HALF * rng.uniform(1, 8, 2000) * np.exp(2j * np.pi * rng.uniform(size=2000))
+    side = np.linspace(-HALF, HALF, 101)
+    edge = np.concatenate([HALF + 1j * side, side + 1j * HALF, -HALF + 1j * side, side - 1j * HALF])
     outside = np.concatenate([far, edge])
-    assert np.array_equal(codebook.nearest_values(outside), scan_nearest_all(codebook.values, outside))
+    on_grid = reference_grid_cells(outside)[0]
+    lower = outside[on_grid]
+    assert np.array_equal(lower, np.concatenate([-HALF + 1j * side[:-1], side[:-1] - 1j * HALF]))
+    assert np.array_equal(codebook.nearest_values(lower), scan_nearest_all(codebook.values, lower))
+    for t in outside[~on_grid]:
+        with pytest.raises(ValueError, match=REFUSAL):
+            codebook.nearest_values(t)
     inside = 4 * (rng.uniform(-1, 1, QUERY_CHUNK) + 1j * rng.uniform(-1, 1, QUERY_CHUNK))
     mixed = rng.permutation(np.concatenate([outside, inside])).reshape(-1, 2)
-    expected = scan_nearest_all(codebook.values, mixed.ravel()).reshape(mixed.shape)
-    assert np.array_equal(codebook.nearest_values(mixed), expected)
+    with pytest.raises(ValueError, match=REFUSAL):
+        codebook.nearest_values(mixed)
+    for late in (far[0], HALF + 0j, 1j * HALF):
+        with pytest.raises(ValueError, match=REFUSAL):
+            codebook.nearest_values(np.append(inside, late))
 
 
-def test_huge_targets_take_the_scan_without_a_warning(codebook):
+def test_huge_targets_are_refused_without_a_warning(codebook):
     # Scaling a part beyond about 9e306 by 1 / GRID_STEP overflows; such a
-    # target is off the grid and must reach the scan silently.
+    # target is off the grid and must be refused silently.
     huge = np.array([1e308 + 1e308j, -1.7e308 + 0j, 3e307 - 2e307j])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        found = codebook.nearest_values(huge)
-        expected = _scan_nearest(codebook.values, huge)
-    assert np.array_equal(found, expected)
+        for t in (huge, *huge):
+            with pytest.raises(ValueError, match=REFUSAL):
+                codebook.nearest_values(t)
 
 
 def reference_grid_cells(t):
@@ -543,9 +538,11 @@ def test_grid_cells_at_the_grid_edges():
 
 
 def test_nearest_values_rejects_non_finite_targets(codebook):
-    for bad in (complex(np.nan, 0), complex(0, np.inf), np.array([0j, complex(-np.inf, 1)])):
-        with pytest.raises(ValueError):
-            codebook.nearest_values(bad)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (complex(np.nan, 0), complex(0, np.inf), np.array([0j, complex(-np.inf, 1)])):
+            with pytest.raises(ValueError, match="finite.*" + REFUSAL):
+                codebook.nearest_values(bad)
 
 
 @functools.lru_cache(maxsize=1)
@@ -556,9 +553,15 @@ def _shared_codebook():
 @settings(max_examples=50, deadline=None)
 @given(st.complex_numbers(max_magnitude=6.0, allow_nan=False, allow_infinity=False))
 def test_nearest_agrees_with_scan_anywhere(t):
+    # On the grid the answer is the scan's; off it (a part beyond 5.15) the target is refused.
     cb = _shared_codebook()
-    assert cb.nearest_values(t) == scan_nearest(cb, t)
-    assert cb.nearest_values(np.array([t]))[0] == scan_nearest(cb, t)
+    if reference_grid_cells(np.array([t]))[0][0]:
+        assert cb.nearest_values(t) == scan_nearest(cb, t)
+        assert cb.nearest_values(np.array([t]))[0] == scan_nearest(cb, t)
+    else:
+        for query in (t, np.array([t])):
+            with pytest.raises(ValueError, match=REFUSAL):
+                cb.nearest_values(query)
 
 
 @pytest.mark.parametrize("text", [None, "16,15,14,13,12,11,10,9,8,7,6,5,4,3,2,1",

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from dmdstego.codebook import GRID_HALF_CELLS, GRID_STEP
 from dmdstego.modulator import (
     COVERING_RADIUS,
     STRATEGIES,
@@ -90,12 +91,21 @@ def test_normalize_scales_fields_near_the_float64_limits(peak):
 
 
 def test_quantize_matches_scan(codebook):
+    # Samples on the quantizer's grid take the scan's answer; a field holding
+    # one off it (a part beyond 5.15, so past every value) is refused.
     rng = np.random.default_rng(1)
     field = random_field(rng, (9, 7))
-    plan = quantize_field(field, codebook)
-    for i in range(9):
-        for j in range(7):
-            assert plan[i, j] == np.argmin(np.abs(codebook.values - field[i, j]))
+    half = GRID_HALF_CELLS * GRID_STEP
+    on_grid = (np.abs(field.real) < half) & (np.abs(field.imag) < half)
+    assert 0 < np.count_nonzero(~on_grid) < 10
+    with pytest.raises(ValueError, match="normalize_field"):
+        quantize_field(field, codebook)
+    for i, j in zip(*np.nonzero(~on_grid)):
+        with pytest.raises(ValueError, match="normalize_field"):
+            quantize_field(field[i:i + 1, j:j + 1], codebook)
+    plan = quantize_field(field[on_grid][None, :], codebook)[0]
+    for p, t in zip(plan, field[on_grid]):
+        assert p == np.argmin(np.abs(codebook.values - t))
 
 
 def test_quantize_idempotent_on_codebook_values(codebook):
@@ -111,6 +121,32 @@ def test_quantization_error_bounded_after_normalize(codebook):
     plan = quantize_field(scaled, codebook)
     err = np.abs(codebook.values[plan] - scaled)
     assert err.max() <= COVERING_RADIUS + 1e-12
+
+
+def test_covering_radius_holds_to_alpha_0_8_only(codebook):
+    # The bound covers the 0.8 disk; the 1.0 rim lies past it (about 0.5055).
+    rim = np.exp(2j * np.pi * np.arange(200_001) / 200_001)
+    error = {}
+    for alpha in (0.8, 1.0):
+        t = alpha * MAX_MODULUS * rim
+        error[alpha] = np.abs(codebook.values[quantize_field(t[None, :], codebook)[0]] - t).max()
+    assert error[0.8] <= COVERING_RADIUS
+    assert error[1.0] > COVERING_RADIUS
+    assert error[1.0] == pytest.approx(0.5055, abs=1e-3)
+
+
+@pytest.mark.parametrize("alpha", [0.8, 1.0])
+def test_normalized_fields_stay_on_the_quantizer_grid(codebook, alpha):
+    # The refusal of targets off the grid relies on the grid holding the
+    # whole disk, with room to spare on its refused upper edges.  A field
+    # peaking on each axis and each diagonal quantizes after normalization.
+    assert MAX_MODULUS < GRID_HALF_CELLS * GRID_STEP
+    params = NormalizationParams(peak_fraction=alpha)
+    for k in range(8):
+        field = np.full((3, 4), 0.25 + 0.1j)
+        field[1, 2] = 7.0 * np.exp(1j * np.pi / 4 * k)
+        scaled, _ = normalize_field(field, params)
+        assert quantize_field(scaled, codebook).shape == scaled.shape
 
 
 def test_covering_radius_spot_check(codebook):

@@ -53,6 +53,8 @@ def test_all_names():
     # the 4 length bytes extract reads without unpacking them to bits.
     ("dmdstego.codebook", ["pick_in_groups", "STRATEGIES"]),
     ("dmdstego.stego", ["_header"]),
+    # The quantizer ranks the shipped grid only and refuses targets off it.
+    ("dmdstego.codebook", ["_scan_nearest", "SCAN_ELEMENTS"]),
 ])
 def test_scalar_helpers_left_the_library(module, names):
     # The scalar definitions live in tests/scalar_reference.py as oracles.
@@ -82,7 +84,7 @@ def test_library_refuses_bad_arrays(codebook, call, message):
 
 
 def test_removed_methods_and_attributes(codebook):
-    for name in ("phase_index", "phase_of", "to_string", "bit_by_index"):
+    for name in ("phase_index", "phase_of", "to_string", "bit_by_index", "default"):
         assert not hasattr(DEFAULT_ASSIGNMENT, name)
     for name in ("group", "nearest_value", "assignment", "_coeff_table", "_build_touched", "_gridded"):
         assert not hasattr(codebook, name)
