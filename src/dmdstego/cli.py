@@ -6,9 +6,10 @@ pattern decoding, capacity reports, numerical reconstruction, the 4f
 filter simulation, and SSIM scoring.  Reports go to stdout as JSON with
 sorted keys; artifacts go to files.  Exit codes: 0 success, 1 I/O errors
 or bad input data, 2 capacity or usage errors (including out-of-range flag
-values), each failure reported as one "error:" line on stderr.  `run` is
-the process entry of `python -m dmdstego` and the `dmdstego` script; a report
-that cannot be written to stdout exits 1 there.
+values, and a geometry the grid cannot carry, which optics.GeometryError
+reports when propagation starts), each failure reported as one "error:"
+line on stderr.  `run` is the process entry of `python -m dmdstego` and the
+`dmdstego` script; a report that cannot be written to stdout exits 1 there.
 
 --pitch is always the micromirror pitch; commands operating on fields
 sampled at one value per 4x4 block scale it internally.
@@ -47,8 +48,8 @@ from .modulator import (
 from .optics import (
     AliasingGuardWarning,
     ApertureSpec,
+    GeometryError,
     PropagationParams,
-    _check_geometry,
     field_correlation,
     generate_hologram,
     reconstruct,
@@ -116,14 +117,9 @@ def _emit(report: dict) -> None:
     print(write_report(report))
 
 
-def _propagation(args, shape: tuple[int, int]) -> PropagationParams:
-    """The geometry flags for a field of `shape`; a geometry that grid cannot carry is a usage error."""
-    params = PropagationParams(wavelength=args.wavelength, distance=args.distance, pitch=args.pitch * BLOCK)
-    try:
-        _check_geometry(params, shape)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    return params
+def _propagation(args) -> PropagationParams:
+    """The geometry flags, at the superpixel pitch of the fields they propagate."""
+    return PropagationParams(wavelength=args.wavelength, distance=args.distance, pitch=args.pitch * BLOCK)
 
 
 def _collect_warnings(caught) -> list[str]:
@@ -140,7 +136,7 @@ def _quantize(field: np.ndarray, alpha: float, assignment: PhaseAssignment | Non
 def cmd_hologram(args) -> int:
     obj = read_image(args.input)
     width, height = args.superpixels
-    params = _propagation(args, (height, width))
+    params = _propagation(args)
     seed = None if args.no_diffuser else args.diffuser_seed
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", AliasingGuardWarning)
@@ -218,7 +214,7 @@ def cmd_capacity(args) -> int:
 
 def cmd_reconstruct(args) -> int:
     field = read_field(args.input)
-    params = _propagation(args, field.shape)
+    params = _propagation(args)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", AliasingGuardWarning)
         image = reconstruct(field, params)
@@ -353,8 +349,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    # A MemoryError comes from an array sized by a flag, such as a huge --superpixels grid.
-    except (PayloadTooLargeError, UsageError, MemoryError) as exc:
+    # A MemoryError comes from an array sized by a flag, such as a huge --superpixels grid,
+    # and a GeometryError from flags whose geometry the grid cannot carry.
+    except (PayloadTooLargeError, UsageError, GeometryError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (OSError, ValueError) as exc:
@@ -389,7 +386,3 @@ def run() -> NoReturn:
     finally:
         gc.freeze()
     sys.exit(status)
-
-
-if __name__ == "__main__":
-    run()

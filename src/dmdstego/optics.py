@@ -21,6 +21,10 @@ class AliasingGuardWarning(UserWarning):
     """Propagation distance exceeds the alias-free range of the grid."""
 
 
+class GeometryError(ValueError):
+    """The grid cannot carry the propagation geometry in float64."""
+
+
 def _check_positive(name: str, value: float) -> None:
     # Written so that NaN fails too.
     if not (value > 0 and math.isfinite(value)):
@@ -92,36 +96,6 @@ def _mirror_rfft(rows: np.ndarray) -> np.ndarray:
     return np.fft.rfft((rows != 0).astype(np.float64))
 
 
-def _transfer_phase(params: PropagationParams, fy: np.ndarray, fx: np.ndarray) -> np.ndarray:
-    """-i*pi*lambda*z*(fx**2 + fy**2) on the grid of frequencies fy (rows) by fx (columns)."""
-    return -1j * np.pi * params.wavelength * params.distance * (fx[None, :] ** 2 + fy[:, None] ** 2)
-
-
-def _check_geometry(params: PropagationParams, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """The np.fft.fftfreq entries 0..n//2 of each axis of a grid of `shape`, as (fy, fx).
-
-    Raises ValueError for a geometry the grid cannot carry: one whose
-    alias-free range overflows (a pitch too large for the wavelength), or
-    whose transfer phase overflows at some frequency (a pitch too small for
-    the wavelength and distance), which would make the propagated field NaN.
-    The last entry of each axis has the largest magnitude, and rounding is
-    monotone, so the phase is finite everywhere exactly when it is finite at
-    that corner; no grid-sized array is made.
-    """
-    ny, nx = shape
-    if not all(math.isfinite(params.alias_free_distance(n)) for n in shape):
-        raise ValueError(f"the alias-free range of a {nx}x{ny} grid overflows: "
-                         "the pitch is too large for the wavelength")
-    with np.errstate(over="ignore", invalid="ignore"):
-        fx = np.fft.fftfreq(nx, d=params.pitch)[:nx // 2 + 1]
-        fy = np.fft.fftfreq(ny, d=params.pitch)[:ny // 2 + 1]
-        corner = _transfer_phase(params, fy[-1:], fx[-1:])
-    if not np.isfinite(corner).all():
-        raise ValueError(f"the transfer phase of a {nx}x{ny} grid overflows: "
-                         "the pitch is too small for the wavelength and distance")
-    return fy, fx
-
-
 def fresnel_propagate(field: np.ndarray, params: PropagationParams) -> np.ndarray:
     """Propagate a sampled complex field by the transfer-function method.
 
@@ -135,24 +109,37 @@ def fresnel_propagate(field: np.ndarray, params: PropagationParams) -> np.ndarra
     the whole grid.  The working set is the field plus field-sized
     temporaries: the transfer function and the two spectra.
 
-    A geometry the grid cannot carry (see _check_geometry), and a field
-    whose propagation is not finite, such as a non-finite field or one near
-    the float64 limit, raise ValueError: the result is always finite.
+    A geometry the grid cannot carry raises GeometryError: one whose
+    alias-free range overflows (a pitch too large for the wavelength), or
+    whose transfer phase overflows somewhere on the quadrant (a pitch too
+    small for the wavelength and distance), which would make the field NaN.
+    A field whose propagation is not finite, such as a non-finite field or
+    one near the float64 limit, raises ValueError: the result is always finite.
     """
     f = np.asarray(field, dtype=np.complex128)
     if f.ndim != 2 or f.size == 0:
         raise ValueError("field must be a non-empty 2-D array")
     ny, nx = f.shape
-    fy, fx = _check_geometry(params, f.shape)
-    for n in (ny, nx):
-        if abs(params.distance) > params.alias_free_distance(n):
+    ranges = [params.alias_free_distance(n) for n in (ny, nx)]
+    if not all(map(math.isfinite, ranges)):
+        raise GeometryError(f"the alias-free range of a {nx}x{ny} grid overflows: "
+                            "the pitch is too large for the wavelength")
+    with np.errstate(over="ignore", invalid="ignore"):
+        fx = np.fft.fftfreq(nx, d=params.pitch)[:nx // 2 + 1]
+        fy = np.fft.fftfreq(ny, d=params.pitch)[:ny // 2 + 1]
+        phase = -1j * np.pi * params.wavelength * params.distance * (fx[None, :] ** 2 + fy[:, None] ** 2)
+    if not np.isfinite(phase).all():
+        raise GeometryError(f"the transfer phase of a {nx}x{ny} grid overflows: "
+                            "the pitch is too small for the wavelength and distance")
+    for n, limit in zip((ny, nx), ranges):
+        if abs(params.distance) > limit:
             warnings.warn(
                 f"|z| = {abs(params.distance):g} m exceeds the alias-free range "
-                f"{params.alias_free_distance(n):g} m of a {n}-sample axis",
+                f"{limit:g} m of a {n}-sample axis",
                 AliasingGuardWarning,
                 stacklevel=2,
             )
-    quadrant = np.exp(_transfer_phase(params, fy, fx))
+    quadrant = np.exp(phase, out=phase)
     ky, kx = np.arange(ny), np.arange(nx)
     transfer = quadrant[np.minimum(ky, ny - ky)][:, np.minimum(kx, nx - kx)]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -497,10 +484,10 @@ def _correlate_valid(v: np.ndarray, axis: int, out: np.ndarray, tmp: np.ndarray)
         out += tmp
 
 
-def _window_mean(v: np.ndarray) -> np.ndarray:
-    """Gaussian window mean of each image of `v` wherever the 11x11 window fits inside it.
+def _window_mean(stack: np.ndarray) -> np.ndarray:
+    """Gaussian window mean of each image of `stack` wherever the 11x11 window fits inside it.
 
-    `v` is one (H, W) image or a stack (k, H, W) of them.  Bit for bit
+    `stack` is a (k, H, W) stack of images.  Bit for bit
     scipy.ndimage.gaussian_filter(image, 1.5, truncate=5 / 1.5)[5:-5, 5:-5]
     of each image: the separable filter runs along axis 0 first, then along
     axis 1, over the valid region only, one block of _WINDOW_ROWS output
@@ -509,7 +496,6 @@ def _window_mean(v: np.ndarray) -> np.ndarray:
     straddles the end of a row are dropped; each kept output adds the same
     values, in the same order, as the taps along its own row.
     """
-    stack = v.reshape(-1, *v.shape[-2:])
     k, h, w = stack.shape
     out = np.empty((k, h - 10, w - 10))
     rows = min(_WINDOW_ROWS, h - 10)
@@ -521,7 +507,7 @@ def _window_mean(v: np.ndarray) -> np.ndarray:
                          tmp[:size].reshape(k, r, w))
         _correlate_valid(mid[:size], 0, run[:size - 10], tmp[:size - 10])
         out[:, r0:r0 + r] = run[:size].reshape(k, r, w)[:, :, :w - 10]
-    return out.reshape(v.shape[:-2] + out.shape[-2:])
+    return out
 
 
 def ssim(a: np.ndarray, b: np.ndarray) -> float:

@@ -697,6 +697,10 @@ def test_main_leaves_the_collector_alone(capsys, tmp_path):
       "--distance", "0.05", "--pitch", "1e160"], 2),
     (["reconstruct", "--input", "{field}", "--output", "{tmp}/r.pgm", "--wavelength", "520e-9",
       "--distance", "0.05", "--pitch", "1e-160"], 2),
+    # The geometry is refused when propagation starts, so a non-finite field
+    # is refused first, as bad data.
+    (["reconstruct", "--input", "{nan}", "--output", "{tmp}/r.pgm", "--wavelength", "520e-9",
+      "--distance", "0.05", "--pitch", "1e160"], 1),
     # Finite fields that cannot be normalized: a peak modulus past float64,
     # and a peak so small that the scale is.
     (["encode", "--input", "{huge}", "--output", "{tmp}/p.pbm"], 1),
@@ -722,6 +726,7 @@ def test_main_leaves_the_collector_alone(capsys, tmp_path):
         "pgm-width-5000-digits", "pbm-width-5000-digits",
         "hologram-pitch-1e160", "hologram-pitch-1e150", "hologram-pitch-1e-160",
         "hologram-distance-1e300-pitch-1e-100", "reconstruct-pitch-1e160", "reconstruct-pitch-1e-160",
+        "reconstruct-field-nan-pitch-1e160",
         "encode-peak-overflows", "embed-peak-overflows", "capacity-peak-overflows",
         "encode-scale-overflows", "embed-scale-overflows", "capacity-scale-overflows",
         "superpixels-zero-width", "superpixels-no-height", "aperture-center-one-number",

@@ -23,6 +23,7 @@ from dmdstego.codebook import build_codebook
 from dmdstego.optics import (
     AliasingGuardWarning,
     ApertureSpec,
+    GeometryError,
     PropagationParams,
     field_correlation,
     fresnel_propagate,
@@ -83,12 +84,16 @@ OVERFLOWING_GEOMETRIES = [
 @pytest.mark.parametrize("params", OVERFLOWING_GEOMETRIES)
 @pytest.mark.parametrize("shape", [(1, 8), (8, 8), (7, 12)])
 def test_fresnel_refuses_a_geometry_that_overflows(params, shape):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="overflows"):
-            fresnel_propagate(np.ones(shape, dtype=complex), params)
-        with pytest.raises(ValueError, match="overflows"):
-            fresnel_propagate(np.ones(shape, dtype=complex), replace(params, distance=-params.distance))
+    # The library entries that propagate refuse through fresnel_propagate,
+    # with a ValueError, so callers that catch ValueError still do.
+    assert issubclass(GeometryError, ValueError)
+    for propagate in (fresnel_propagate, reconstruct, lambda obj, p: generate_hologram(obj, p, obj.shape)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GeometryError, match="overflows"):
+                propagate(np.ones(shape), params)
+            with pytest.raises(GeometryError, match="overflows"):
+                propagate(np.ones(shape), replace(params, distance=-params.distance))
 
 
 def test_fresnel_refuses_a_field_it_cannot_propagate_finitely():
@@ -104,8 +109,9 @@ def test_fresnel_refuses_a_field_it_cannot_propagate_finitely():
 
 
 def test_geometry_check_agrees_with_the_whole_transfer_phase():
-    # The check reads only the corner of the frequency quadrant; every phase
-    # of the whole quadrant is finite exactly when it passes.
+    # fresnel_propagate refuses a geometry exactly when an alias-free range
+    # overflows or some phase -i pi lambda z (fx^2 + fy^2) of the whole
+    # frequency quadrant is not finite.
     pitches = [1e-320, 1e-200, 1e-160, 1e-155, 1e-154, 1e-100, 1e-6, 1.0, 1e100, 1e150, 1e154]
     for shape in ((1, 1), (2, 3), (8, 8), (9, 16)):
         for pitch in pitches:
@@ -115,14 +121,16 @@ def test_geometry_check_agrees_with_the_whole_transfer_phase():
                 with np.errstate(all="ignore"):
                     fx = np.fft.fftfreq(nx, d=pitch)[:nx // 2 + 1]
                     fy = np.fft.fftfreq(ny, d=pitch)[:ny // 2 + 1]
-                    whole = np.isfinite(optics._transfer_phase(params, fy, fx)).all()
+                    phase = -1j * np.pi * 520e-9 * distance * (fx[None, :] ** 2 + fy[:, None] ** 2)
                 finite_range = all(np.isfinite(params.alias_free_distance(n)) for n in shape)
-                try:
-                    optics._check_geometry(params, shape)
-                    passed = True
-                except ValueError:
-                    passed = False
-                assert passed == (whole and finite_range), (shape, pitch, distance)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", AliasingGuardWarning)
+                    try:
+                        fresnel_propagate(np.ones(shape), params)
+                        refused = False
+                    except GeometryError:
+                        refused = True
+                assert refused == (not (np.isfinite(phase).all() and finite_range)), (shape, pitch, distance)
 
 
 def test_zero_distance_identity():
@@ -756,7 +764,7 @@ def test_ssim_matches_gaussian_filter(shape):
     for x, y in ((a, b), (a, 255 - a), (a, a), (f, g), (g, a)):
         assert ssim(x, y) == reference_ssim(x, y)
     for v in (a.astype(np.float64), f, f * g):
-        assert np.array_equal(optics._window_mean(v), gaussian_filter(v, 1.5, truncate=5 / 1.5)[5:-5, 5:-5])
+        assert np.array_equal(optics._window_mean(v[None])[0], gaussian_filter(v, 1.5, truncate=5 / 1.5)[5:-5, 5:-5])
 
 
 def test_ssim_peak_memory():

@@ -55,6 +55,9 @@ def test_all_names():
     ("dmdstego.stego", ["_header"]),
     # The quantizer ranks the shipped grid only and refuses targets off it.
     ("dmdstego.codebook", ["_scan_nearest", "SCAN_ELEMENTS"]),
+    # fresnel_propagate decides the geometry on the quadrant phase it
+    # exponentiates; the CLI maps its GeometryError to exit 2.
+    ("dmdstego.optics", ["_check_geometry", "_transfer_phase"]),
 ])
 def test_scalar_helpers_left_the_library(module, names):
     # The scalar definitions live in tests/scalar_reference.py as oracles.
