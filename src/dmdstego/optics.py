@@ -218,12 +218,13 @@ def generate_hologram(obj: np.ndarray, params: PropagationParams,
     onto `shape`, and propagated by params.distance.
 
     Object pixel n, in row-major order, takes the phase 2*pi*u with
-    u = output n of SplitMix64(diffuser_seed) / 2**64.  Phases are drawn,
-    and np.exp taken, only at pixels of non-zero amplitude; the field is +0
-    elsewhere.  The result is still amp * np.exp(2j*pi*u) over every pixel,
-    resampled and propagated, bit for bit: a zero amplitude there gives
-    parts of +-0, but resample_bilinear adds its terms from 0.0, no partial
-    sum begun at +0 can be -0, and adding a signed zero to it changes no bit.
+    u = output n of SplitMix64(diffuser_seed) / 2**64.  The diffuser is a
+    fixed phase plate, np.exp(2j*pi*u) at every pixel: the process keeps the
+    plate of the last object shape and seed, so only the first hologram of a
+    shape and seed pays for the exponential, over every pixel, lit or not.
+    The field is amp * plate.  A zero amplitude gives parts of +-0 there,
+    but resample_bilinear adds its terms from 0.0, no partial sum begun at
+    +0 can be -0, and adding a signed zero to it changes no bit.
     """
     a = np.asarray(obj, dtype=np.float64)
     if a.ndim != 2 or a.size == 0:
@@ -232,25 +233,32 @@ def generate_hologram(obj: np.ndarray, params: PropagationParams,
         raise ValueError("object amplitudes must be finite and non-negative")
     peak = a.max()
     amp = a / peak if peak > 0 else a
-    field = amp.astype(np.complex128) if diffuser_seed is None else _diffused(amp, diffuser_seed)
+    field = amp.astype(np.complex128) if diffuser_seed is None else amp * _diffuser_plate(a.shape, diffuser_seed)
     del amp  # the scaled copy, before the resampling allocates
     return fresnel_propagate(resample_bilinear(field, shape), params)
 
 
-def _diffused(amp: np.ndarray, seed: int) -> np.ndarray:
-    """amp * np.exp(2j*pi*u), u the diffuser phase of each pixel, taken only
-    where amp is non-zero (see generate_hologram).  Each temporary is freed
-    once used, so the peak stays below that of the whole-array formula."""
-    nz = np.flatnonzero(amp != 0)
-    u = _stream_at(seed, nz).astype(np.float64)
+# (object shape, seed, plate) of the last diffuser made, or None.
+_plate_entry = None
+
+
+def _diffuser_plate(shape: tuple[int, int], seed: int) -> np.ndarray:
+    """The read-only plate np.exp(2j*pi*u) over an object of `shape` (see
+    generate_hologram), kept until another shape or seed comes; the old
+    plate is dropped before the new one is made, so one plate is held."""
+    global _plate_entry
+    entry = _plate_entry
+    if entry is not None and entry[0] == shape and entry[1] == seed:
+        return entry[2]
+    _plate_entry = entry = None
+    u = _stream_at(seed, np.arange(shape[0] * shape[1])).astype(np.float64)
     u /= 2.0 ** 64
-    phasor = 2j * np.pi * u
+    plate = 2j * np.pi * u
     del u
-    np.exp(phasor, out=phasor)
-    np.multiply(amp.ravel()[nz], phasor, out=phasor)
-    field = np.zeros(amp.shape, dtype=np.complex128)
-    field.ravel()[nz] = phasor
-    return field
+    plate = np.exp(plate, out=plate).reshape(shape)
+    plate.flags.writeable = False
+    _plate_entry = (shape, seed, plate)
+    return plate
 
 
 def reconstruct(field: np.ndarray, params: PropagationParams) -> np.ndarray:

@@ -186,6 +186,21 @@ def test_capacity_of_pattern_is_its_groups_capacity(codebook):
     assert np.array_equal(table, codebook.capacities[codebook.group_of_pattern])
 
 
+@pytest.mark.parametrize("text", [None, "3,9,1,16,5,12,7,2,14,10,4,8,11,6,15,13"])
+def test_one_mirror_flip_moves_capacity_by_exactly_one(text):
+    # A pattern's capacity counts its balanced pairs, phases k and k+8 both
+    # ON or both OFF.  One flipped mirror unbalances or balances exactly one
+    # pair, so a damaged pattern always changes its capacity, and with it
+    # every later bit offset of the stream.
+    cb = build_codebook(PhaseAssignment.from_string(text) if text else None)
+    capacity = cb.capacity_of_pattern.astype(np.int64)
+    codes = np.arange(PATTERN_COUNT)
+    flipped = codes[:, None] ^ (1 << np.arange(BLOCK * BLOCK))
+    change = capacity[flipped] - capacity[:, None]
+    assert np.count_nonzero(change == 1) == np.count_nonzero(change == -1) == PATTERN_COUNT * 8
+    assert np.all(np.abs(change) == 1)
+
+
 def test_zero_group(codebook):
     idx = scan_nearest(codebook, 0j)
     assert idx == 3280

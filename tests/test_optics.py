@@ -616,6 +616,12 @@ def whole_array_hologram(obj, params, shape, phasor):
     return whole_array_fresnel(resample_bilinear(field, shape), params)
 
 
+def diffuser_phasor(seed, shape):
+    """np.exp(2j*pi*u) over every pixel of an object of `shape`, drawn afresh."""
+    u = _stream_at(seed, np.arange(shape[0] * shape[1])).reshape(shape).astype(np.float64) / 2.0 ** 64
+    return np.exp(2j * np.pi * u)
+
+
 def hologram_object(kind, shape):
     h, w = shape
     y, x = np.ogrid[0:h, 0:w]
@@ -640,17 +646,65 @@ def hologram_object(kind, shape):
                                                  ((90, 125), (64, 50))])
 @pytest.mark.parametrize("seed", [0, 7, (1 << 64) - 1, None])
 def test_hologram_matches_whole_array_diffuser(seed, in_shape, out_shape):
-    # generate_hologram draws the diffuser only where the amplitude is
-    # non-zero; its bits must be those of the phasor taken everywhere.
-    phasor = None
-    if seed is not None:
-        u = _stream_at(seed, np.arange(in_shape[0] * in_shape[1])).reshape(in_shape).astype(np.float64) / 2.0 ** 64
-        phasor = np.exp(2j * np.pi * u)
+    # generate_hologram multiplies the amplitude by its kept diffuser plate,
+    # zeros included; a zero amplitude there gives +-0 parts, and the bits
+    # must still be those of the phasor taken afresh, for the all-black and
+    # negative-zero objects too.
+    phasor = None if seed is None else diffuser_phasor(seed, in_shape)
     for kind in ("bars", "dense", "single", "black", "negative zeros"):
         obj = hologram_object(kind, in_shape)
         out = generate_hologram(obj, SHORT, out_shape, diffuser_seed=seed)
         expected = whole_array_hologram(obj, SHORT, out_shape, phasor)
         assert np.array_equal(bits_of(out), bits_of(expected)), kind
+
+
+def test_kept_diffuser_follows_shape_and_seed():
+    # The plate kept between holograms must be the one of this call's object
+    # shape and seed, whichever came before.
+    a, b = hologram_object("bars", (90, 125)), hologram_object("bars", (125, 90))
+    for obj, seed in ((a, 0), (b, 0), (a, 7), (a, 0)):
+        out = generate_hologram(obj, SHORT, (64, 50), diffuser_seed=seed)
+        expected = whole_array_hologram(obj, SHORT, (64, 50), diffuser_phasor(seed, obj.shape))
+        assert np.array_equal(bits_of(out), bits_of(expected)), (obj.shape, seed)
+
+
+def test_diffuser_is_drawn_once_per_shape_and_seed(monkeypatch):
+    draws = []
+    monkeypatch.setattr(optics, "_stream_at",
+                        lambda seed, positions: draws.append(seed) or _stream_at(seed, positions))
+    obj = hologram_object("bars", (40, 30))
+    generate_hologram(np.ones((3, 3)), SHORT, (16, 16), diffuser_seed=5)
+    del draws[:]
+    first = generate_hologram(obj, SHORT, (16, 16), diffuser_seed=5)
+    again = generate_hologram(obj, SHORT, (16, 16), diffuser_seed=5)
+    assert draws == [5] and np.array_equal(bits_of(first), bits_of(again))
+    generate_hologram(obj, SHORT, (16, 16), diffuser_seed=6)
+    assert draws == [5, 6]
+
+
+def test_callers_cannot_change_the_kept_diffuser():
+    obj = hologram_object("dense", (48, 40))
+    expected = whole_array_hologram(obj, SHORT, (32, 32), diffuser_phasor(3, obj.shape))
+    mutated = obj.copy()
+    out = generate_hologram(mutated, SHORT, (32, 32), diffuser_seed=3)
+    out[...] = 1.0
+    mutated[...] = 2.0
+    out = generate_hologram(obj, SHORT, (32, 32), diffuser_seed=3)
+    assert np.array_equal(bits_of(out), bits_of(expected))
+
+
+def test_one_diffuser_plate_is_kept():
+    # After holograms at two object shapes, only the second one's plate
+    # stays allocated: memory is one object-sized complex field.
+    plate_bytes = 512 * 512 * 16
+    tracemalloc.start()
+    try:
+        generate_hologram(np.ones((512, 512)), SHORT, (16, 16), diffuser_seed=11)
+        generate_hologram(np.ones((512, 511)), SHORT, (16, 16), diffuser_seed=11)
+        current = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert current < 1.5 * plate_bytes
 
 
 def test_sim4f_peak_memory_stays_near_the_half_spectrum():
