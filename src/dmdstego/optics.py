@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .rng import _stream_at
+from .rng import _stream_blocks, check_seed
 from .superpixel import BLOCK, DEFAULT_ASSIGNMENT, PhaseAssignment
 
 
@@ -221,7 +221,9 @@ def generate_hologram(obj: np.ndarray, params: PropagationParams,
     u = output n of SplitMix64(diffuser_seed) / 2**64.  The diffuser is a
     fixed phase plate, np.exp(2j*pi*u) at every pixel: the process keeps the
     plate of the last object shape and seed, so only the first hologram of a
-    shape and seed pays for the exponential, over every pixel, lit or not.
+    shape and seed pays for the exponential, over every pixel, lit or not,
+    one stream block at a time.  The seed is an integer in 0..2**64-1; a
+    numpy integer is taken by value, and a float is refused (ValueError).
     The field is amp * plate.  A zero amplitude gives parts of +-0 there,
     but resample_bilinear adds its terms from 0.0, no partial sum begun at
     +0 can be -0, and adding a signed zero to it changes no bit.
@@ -245,29 +247,35 @@ _plate_entry = None
 def _diffuser_plate(shape: tuple[int, int], seed: int) -> np.ndarray:
     """The read-only plate np.exp(2j*pi*u) over an object of `shape` (see
     generate_hologram), kept until another shape or seed comes; the old
-    plate is dropped before the new one is made, so one plate is held."""
+    plate is dropped before the new one is made, so one plate is held; it
+    is filled a stream block at a time, with no stream-sized temporary."""
     global _plate_entry
+    seed = check_seed(seed)
     entry = _plate_entry
     if entry is not None and entry[0] == shape and entry[1] == seed:
         return entry[2]
     _plate_entry = entry = None
-    u = _stream_at(seed, np.arange(shape[0] * shape[1])).astype(np.float64)
-    u /= 2.0 ** 64
-    plate = 2j * np.pi * u
-    del u
-    plate = np.exp(plate, out=plate).reshape(shape)
+    plate = np.empty(shape, dtype=np.complex128)
+    for lo, z in _stream_blocks(seed, plate.size):
+        u = z.astype(np.float64)
+        u /= 2.0 ** 64
+        np.exp(2j * np.pi * u, out=plate.reshape(-1)[lo:lo + z.size])
     plate.flags.writeable = False
     _plate_entry = (shape, seed, plate)
     return plate
 
 
 def reconstruct(field: np.ndarray, params: PropagationParams) -> np.ndarray:
-    """Back-propagate a finite hologram field and return the 8-bit modulus image."""
+    """Back-propagate a finite hologram field and return the 8-bit modulus
+    image; a modulus that overflows float64 has no peak to scale by, and is
+    refused with ValueError."""
     if not np.all(np.isfinite(field)):
         raise ValueError("field must be finite")
     back = fresnel_propagate(field, replace(params, distance=-params.distance))
     amp = np.abs(back)
     peak = amp.max()
+    if not math.isfinite(peak):
+        raise ValueError("the reconstructed modulus overflows float64")
     if peak == 0.0:
         return np.zeros(amp.shape, dtype=np.uint8)
     return np.clip(np.rint(amp * (255.0 / peak)), 0, 255).astype(np.uint8)

@@ -1,14 +1,16 @@
-"""SplitMix64 in numpy: counter-mode streams, bounded draws, keyed shuffles.
+"""SplitMix64 in numpy: one blocked stream, bounded draws, keyed shuffles.
 
 Output n (n = 0, 1, ...) of SplitMix64(seed) is mix(seed + (n + 1) * gamma)
-modulo 2**64, with mix the generator's xor-shift-multiply finalizer, so any
-output is computed without the ones before it.  All randomness in this
-package that must be reproducible across platforms (permutation ciphers,
-random pattern selection, diffuser phases) flows through this module rather
-than numpy's own generators.
+modulo 2**64, with mix the generator's xor-shift-multiply finalizer; it is
+read in order, a block at a time, from `_stream_blocks` alone.  All
+randomness in this package that must be reproducible across platforms
+(permutation ciphers, random pattern selection, diffuser phases) flows
+through this module rather than numpy's own generators.
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
@@ -19,8 +21,13 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 
-def check_seed(seed: int) -> int:
-    """Return `seed` unchanged if it fits in 64 bits; raise ValueError otherwise."""
+def check_seed(seed) -> int:
+    """`seed` as a Python int (numpy integers by value); ValueError for a
+    non-integer, a float included, or a value outside 0..2**64-1."""
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise ValueError("seed must be an integer") from None
     if not 0 <= seed <= _MASK64:
         raise ValueError("seed must fit in 64 bits")
     return seed
@@ -38,23 +45,6 @@ def _finalize(z: np.ndarray, shifted: np.ndarray) -> np.ndarray:
     np.right_shift(z, np.uint64(31), out=shifted)
     z ^= shifted
     return z
-
-
-def _stream_at(seed: int, positions: np.ndarray) -> np.ndarray:
-    """Outputs of SplitMix64(seed) at the non-negative integer `positions`,
-    as a uint64 array of their shape: output n is mix(seed + (n + 1) * gamma),
-    so no output waits for the ones before it.
-
-    Every scalar is an np.uint64, so numpy 1.x's value-based casting keeps
-    each operation in uint64; the work runs in one copy of the positions and
-    one shift buffer.
-    """
-    check_seed(seed)
-    z = np.asarray(positions).astype(np.uint64)
-    z += np.uint64(1)
-    z *= np.uint64(_GAMMA)                          # wraps mod 2**64
-    z += np.uint64(seed)
-    return _finalize(z, np.empty_like(z))
 
 
 def _check_bounds(bounds: np.ndarray) -> None:
@@ -91,9 +81,26 @@ def _mul_high_into(x, bound, high, low, out):
 # steps: 1/WINDOW_DIVISOR of them, and never fewer than WINDOW_FLOOR.
 WINDOW_FLOOR = 1024
 WINDOW_DIVISOR = 32
-# `_draws_below` mixes and bounds this many draws at a time, so the
-# temporaries of one block (128 KiB each) stay in L2.
+# `_stream_blocks` mixes this many outputs at a time, so the temporaries
+# of one block (128 KiB each) stay in L2.
 _DRAW_BLOCK = 16_384
+
+
+def _stream_blocks(seed: int, n: int):
+    """Yield (lo, z) for outputs 0..n-1 of SplitMix64(seed): z holds outputs
+    lo..lo+z.size-1 in one uint64 buffer of at most _DRAW_BLOCK, reused.
+
+    Output lo + k is mix(seed + lo * gamma + (k + 1) * gamma): one arange
+    holds the (k + 1) * gamma steps, and each block adds its own offset.
+    """
+    seed = check_seed(seed)
+    steps = np.arange(1, min(n, _DRAW_BLOCK) + 1, dtype=np.uint64)
+    steps *= np.uint64(_GAMMA)                      # wraps mod 2**64
+    z, shifted = np.empty_like(steps), np.empty_like(steps)
+    for lo in range(0, n, _DRAW_BLOCK):
+        m = min(_DRAW_BLOCK, n - lo)
+        np.add(steps[:m], np.uint64((seed + lo * _GAMMA) & _MASK64), out=z[:m])
+        yield lo, _finalize(z[:m], shifted[:m])
 
 
 def _draws_below(seed: int, bounds: np.ndarray) -> np.ndarray:
@@ -101,26 +108,19 @@ def _draws_below(seed: int, bounds: np.ndarray) -> np.ndarray:
 
     Draw k is the high 64 bits of stream output k times bounds[k] (see
     _mul_high_into), with no rejection step.  The bounds are checked once,
-    and the draws are computed a block of _DRAW_BLOCK at a time in four
-    block-sized buffers made once per call, so no stream-sized temporary is
-    made.  Output lo + k of a block is mix(seed + lo * gamma + (k + 1) *
-    gamma): the (k + 1) * gamma steps come from one arange, and each block
-    adds its own offset to them.  The high words are shifted straight into
-    the int64 output.
+    and each block of `_stream_blocks` is bounded in two block-sized buffers
+    made once per call, so no stream-sized temporary is made.  The high
+    words are shifted straight into the int64 output.
     """
-    check_seed(seed)
     bounds = np.asarray(bounds)
     _check_bounds(bounds)
     out = np.empty(bounds.size, dtype=np.int64)
-    steps = np.arange(1, min(bounds.size, _DRAW_BLOCK) + 1, dtype=np.uint64)
-    steps *= np.uint64(_GAMMA)                      # wraps mod 2**64
-    z, high, bound = np.empty_like(steps), np.empty_like(steps), np.empty_like(steps)
-    for lo in range(0, bounds.size, _DRAW_BLOCK):
-        m = min(_DRAW_BLOCK, bounds.size - lo)
-        np.add(steps[:m], np.uint64((seed + lo * _GAMMA) & _MASK64), out=z[:m])
-        _finalize(z[:m], high[:m])
+    high = np.empty(min(bounds.size, _DRAW_BLOCK), dtype=np.uint64)
+    bound = np.empty_like(high)
+    for lo, z in _stream_blocks(seed, bounds.size):
+        m = z.size
         bound[:m] = bounds[lo:lo + m]
-        _mul_high_into(z[:m], bound[:m], high[:m], z[:m], out[lo:lo + m])
+        _mul_high_into(z, bound[:m], high[:m], z, out[lo:lo + m])
     return out
 
 

@@ -53,7 +53,8 @@ class StegoKey:
     seed: int
 
     def __post_init__(self):
-        check_seed(self.seed)
+        # A numpy integer is kept as the Python int of its value.
+        object.__setattr__(self, "seed", check_seed(self.seed))
 
     @classmethod
     def from_hex(cls, text: str) -> "StegoKey":

@@ -2,8 +2,9 @@
 the SplitMix64 generator.
 
 The library builds its codebook tables, its random streams and its shuffles
-with whole-array numpy code; these are the plain per-pattern, per-target and
-per-draw definitions the tests check them against.
+with whole-array or blocked numpy code; these are the plain per-pattern,
+per-target and per-draw definitions the tests check them against, and the
+whole-array stream formula that the library reads a block at a time.
 """
 
 import numpy as np
@@ -183,6 +184,20 @@ def _mix(z):
     z ^= z >> 27
     z = (z * 0x94D049BB133111EB) & MASK64
     z ^= z >> 31
+    return z
+
+
+def whole_array_stream(seed, n):
+    """Outputs 0..n-1 of SplitMix64(seed) as uint64, by the whole-array
+    formula: output k is mix(seed + (k + 1) * gamma) modulo 2**64, made
+    without the ones before it."""
+    z = np.arange(1, n + 1, dtype=np.uint64)
+    z *= np.uint64(0x9E3779B97F4A7C15)              # wraps mod 2**64
+    z += np.uint64(seed)
+    for shift, mix in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        z ^= z >> np.uint64(shift)
+        z *= np.uint64(mix)
+    z ^= z >> np.uint64(31)
     return z
 
 

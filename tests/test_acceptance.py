@@ -30,11 +30,10 @@ from dmdstego.optics import (
     simulate_4f,
     ssim,
 )
-from dmdstego.rng import _stream_at
 from dmdstego.stego import StegoKey, capacity_of_plan, embed, extract
 from dmdstego.superpixel import codes_to_mirrors, mirrors_to_codes
 
-from scalar_reference import SplitMix64, group_patterns
+from scalar_reference import SplitMix64, group_patterns, whole_array_stream
 
 
 class criterion:
@@ -243,7 +242,7 @@ def test_09_filter_equivalence():
 def test_10_determinism(tmp_path):
     with criterion(10, "fixed generator outputs and bit-stable files"):
         assert SplitMix64(0).next_u64() == 0xE220A8397B1DCDAF
-        assert int(_stream_at(0, np.arange(1))[0]) == 0xE220A8397B1DCDAF
+        assert int(whole_array_stream(0, 1)[0]) == 0xE220A8397B1DCDAF
 
         rng = np.random.default_rng(10)
         img = rng.integers(0, 256, (24, 24), dtype=np.uint8)

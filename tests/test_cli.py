@@ -717,6 +717,9 @@ def test_main_leaves_the_collector_alone(capsys, tmp_path):
     (["decode", "--input", "{pattern}", "--output", "{tmp}/d.bin", "--assignment", "1,2,x"], 2),
     # capacity has no --assignment: its report is the same under every assignment.
     (["capacity", "--input", "{field}", "--assignment", REVERSED], 2),
+    # A finite field whose back-propagated modulus overflows float64 has no
+    # peak to scale the image by.
+    (["reconstruct", "--input", "{overflow}", "--output", "{tmp}/r.pgm", *GEO], 1),
 ], ids=["alpha", "alpha-zero", "wavelength", "pitch", "diffuser-seed", "aperture-radius", "ssim-8x8",
         "distance-nan", "wavelength-nan", "pitch-inf", "aperture-radius-nan", "aperture-center-nan",
         "aperture-center-negative-spaced",
@@ -730,12 +733,13 @@ def test_main_leaves_the_collector_alone(capsys, tmp_path):
         "encode-peak-overflows", "embed-peak-overflows", "capacity-peak-overflows",
         "encode-scale-overflows", "embed-scale-overflows", "capacity-scale-overflows",
         "superpixels-zero-width", "superpixels-no-height", "aperture-center-one-number",
-        "assignment-unparseable", "capacity-assignment"])
+        "assignment-unparseable", "capacity-assignment", "reconstruct-modulus-overflows"])
 def test_bad_values_exit_without_traceback(tmp_path, argv, code):
     files = {"tmp": tmp_path, "field": tmp_path / "f.bin", "image": tmp_path / "i.pgm",
              "pattern": tmp_path / "p.pbm", "nan": tmp_path / "nan.bin", "inf": tmp_path / "inf.bin",
              "wide_pgm": tmp_path / "w.pgm", "wide_pbm": tmp_path / "w.pbm",
-             "huge": tmp_path / "huge.bin", "tiny": tmp_path / "tiny.bin"}
+             "huge": tmp_path / "huge.bin", "tiny": tmp_path / "tiny.bin",
+             "overflow": tmp_path / "overflow.bin"}
     write_field(files["field"], np.ones((8, 8), dtype=complex))
     write_image(files["image"], np.full((8, 8), 100, dtype=np.uint8))
     write_pattern(files["pattern"], np.zeros((32, 32), dtype=np.uint8))
@@ -750,6 +754,7 @@ def test_bad_values_exit_without_traceback(tmp_path, argv, code):
         field = np.zeros((4, 4), dtype=complex)
         field[1, 2] = peak
         write_field(files[name], field)
+    write_field(files["overflow"], np.full((1, 1), 1.3e308 + 1.3e308j))
     inputs = sorted(tmp_path.iterdir())
     r = subprocess.run([sys.executable, "-m", "dmdstego", *(a.format(**files) for a in argv)],
                        capture_output=True, text=True)

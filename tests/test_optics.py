@@ -33,8 +33,10 @@ from dmdstego.optics import (
     simulate_4f,
     ssim,
 )
-from dmdstego.rng import _stream_at
+from dmdstego.rng import _stream_blocks
 from dmdstego.superpixel import BLOCK, DEFAULT_ASSIGNMENT, PhaseAssignment, codes_to_mirrors
+
+from scalar_reference import whole_array_stream
 
 PARAMS = PropagationParams(wavelength=520e-9, distance=0.05, pitch=30.24e-6)
 # short hop that stays alias-free even on 8x8 grids
@@ -289,7 +291,7 @@ def test_hologram_diffuser_matches_stream():
     obj = np.ones((8, 8))
     seed = 42
     field = generate_hologram(obj, SHORT, (8, 8), diffuser_seed=seed)
-    u = _stream_at(seed, np.arange(64)).astype(np.float64).reshape(8, 8) / 2.0**64
+    u = whole_array_stream(seed, 64).astype(np.float64).reshape(8, 8) / 2.0**64
     expected = fresnel_propagate(np.exp(2j * np.pi * u), SHORT)
     assert np.abs(field - expected).max() < 1e-12
 
@@ -326,6 +328,16 @@ def test_reconstruct_rejects_non_finite_fields():
         field[3, 5] = bad
         with pytest.raises(ValueError, match="finite"):
             reconstruct(field, SHORT)
+
+
+def test_reconstruct_refuses_a_modulus_past_float64():
+    # |1.3e308 * (1 + 1j)| is past the largest float64, so the image has no
+    # finite peak to scale by; a modulus just inside the range still scales.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AliasingGuardWarning)
+        with pytest.raises(ValueError, match="overflows float64"):
+            reconstruct(np.full((1, 1), 1.3e308 + 1.3e308j), SHORT)
+        assert reconstruct(np.full((1, 1), 1.2e308 + 1.2e308j), SHORT).tolist() == [[255]]
 
 
 def test_reconstruct_inverts_hologram(synthetic_object):
@@ -618,7 +630,7 @@ def whole_array_hologram(obj, params, shape, phasor):
 
 def diffuser_phasor(seed, shape):
     """np.exp(2j*pi*u) over every pixel of an object of `shape`, drawn afresh."""
-    u = _stream_at(seed, np.arange(shape[0] * shape[1])).reshape(shape).astype(np.float64) / 2.0 ** 64
+    u = whole_array_stream(seed, shape[0] * shape[1]).reshape(shape).astype(np.float64) / 2.0 ** 64
     return np.exp(2j * np.pi * u)
 
 
@@ -670,8 +682,8 @@ def test_kept_diffuser_follows_shape_and_seed():
 
 def test_diffuser_is_drawn_once_per_shape_and_seed(monkeypatch):
     draws = []
-    monkeypatch.setattr(optics, "_stream_at",
-                        lambda seed, positions: draws.append(seed) or _stream_at(seed, positions))
+    monkeypatch.setattr(optics, "_stream_blocks",
+                        lambda seed, n: draws.append(seed) or _stream_blocks(seed, n))
     obj = hologram_object("bars", (40, 30))
     generate_hologram(np.ones((3, 3)), SHORT, (16, 16), diffuser_seed=5)
     del draws[:]
@@ -680,6 +692,37 @@ def test_diffuser_is_drawn_once_per_shape_and_seed(monkeypatch):
     assert draws == [5] and np.array_equal(bits_of(first), bits_of(again))
     generate_hologram(obj, SHORT, (16, 16), diffuser_seed=6)
     assert draws == [5, 6]
+
+
+def test_a_refused_seed_keeps_the_diffuser(monkeypatch):
+    # The seed is checked before the kept plate is looked up, so a refused
+    # one neither draws nor drops the plate of the last good seed.
+    draws = []
+    monkeypatch.setattr(optics, "_stream_blocks",
+                        lambda seed, n: draws.append(seed) or _stream_blocks(seed, n))
+    obj = hologram_object("bars", (40, 30))
+    first = generate_hologram(obj, SHORT, (16, 16), diffuser_seed=5)
+    for bad in (5.0, -1, 1 << 64, "5"):
+        with pytest.raises(ValueError):
+            generate_hologram(obj, SHORT, (16, 16), diffuser_seed=bad)
+    again = generate_hologram(obj, SHORT, (16, 16), diffuser_seed=5)
+    assert draws == [5] and np.array_equal(bits_of(first), bits_of(again))
+
+
+def test_first_plate_holds_no_stream_sized_temporary(monkeypatch):
+    # The plate is filled one stream block at a time, so the first plate of
+    # a 540x960 object (8.29 MB) is built with little beside it.  Drawing
+    # the whole stream at once held 1.52x the plate.  The rest of the first
+    # hologram (the scaled object, the field, the transforms) is not counted.
+    shape = (540, 960)
+    monkeypatch.setattr(optics, "_plate_entry", None)
+    tracemalloc.start()
+    try:
+        optics._diffuser_plate(shape, 12345)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * shape[0] * shape[1] * 16
 
 
 def test_callers_cannot_change_the_kept_diffuser():

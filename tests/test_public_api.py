@@ -46,8 +46,8 @@ def test_all_names():
     # by the brute-force grid_table in tests/scalar_reference.py.
     ("dmdstego.codebook", ["_build_cells", "_resolve", "_cell_pairs", "_values_near", "UNBUILT",
                            "FIRST_REACH", "NEAR_REACH", "RIM_REACH"]),
-    # The sequential stream is _stream_at at arange(n), pinned against the
-    # scalar SplitMix64, and _stream_at does its own step mixing.
+    # The sequential stream is _stream_blocks, pinned against the scalar
+    # SplitMix64, and _stream_blocks does its own step mixing.
     ("dmdstego.rng", ["stream_u64", "_mix_steps"]),
     # modulator.select_patterns is the one pattern picker, and embed packs
     # the 4 length bytes extract reads without unpacking them to bits.
@@ -58,6 +58,9 @@ def test_all_names():
     # fresnel_propagate decides the geometry on the quadrant phase it
     # exponentiates; the CLI maps its GeometryError to exit 2.
     ("dmdstego.optics", ["_check_geometry", "_transfer_phase"]),
+    # The diffuser plate and the bounded draws read one block stream; the
+    # whole-array formula, random access and all, is the tests' oracle.
+    ("dmdstego.rng", ["_stream_at"]),
 ])
 def test_scalar_helpers_left_the_library(module, names):
     # The scalar definitions live in tests/scalar_reference.py as oracles.

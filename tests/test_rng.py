@@ -7,10 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dmdstego import rng
-from dmdstego.rng import _DRAW_BLOCK, WINDOW_FLOOR, _stream_at, permutation
+from dmdstego import optics, rng
+from dmdstego.modulator import select_patterns
+from dmdstego.optics import PropagationParams, generate_hologram
+from dmdstego.rng import _DRAW_BLOCK, WINDOW_FLOOR, _stream_blocks, permutation
+from dmdstego.stego import StegoKey, embed
 
-from scalar_reference import SplitMix64
+from scalar_reference import SplitMix64, whole_array_stream
 
 MASK = (1 << 64) - 1
 
@@ -66,38 +69,23 @@ def test_seed_validation():
         SplitMix64(1 << 64)
 
 
+def _blocks(seed, n):
+    """The (lo, z) pairs of `_stream_blocks`, each z copied before the next block reuses it."""
+    return [(lo, z.copy()) for lo, z in _stream_blocks(seed, n)]
+
+
 def test_stream_matches_generator():
+    # The tests' whole-array oracle against the scalar generator.
     for seed in (0, 1, 0xDEADBEEF, MASK):
         g = SplitMix64(seed)
         seq = [g.next_u64() for _ in range(100)]
-        assert _stream_at(seed, np.arange(100)).tolist() == seq
-
-
-def test_stream_empty():
-    out = _stream_at(5, np.arange(0))
-    assert out.dtype == np.uint64 and out.size == 0
-
-
-@pytest.mark.parametrize("seed", [0, 42, MASK])
-def test_stream_at_positions_matches_stream(seed):
-    n = 5000
-    stream = _scalar_stream(seed, n)
-    scattered = np.random.default_rng(seed % 1000).integers(0, n, 300)  # unsorted, repeats
-    for positions in ([], [0], [n - 1], [0, n - 1], np.flatnonzero(stream % np.uint64(3) == 0),
-                      scattered):
-        positions = np.asarray(positions, dtype=np.intp)
-        kept = positions.copy()
-        got = _stream_at(seed, positions)
-        assert got.dtype == np.uint64 and got.shape == positions.shape
-        assert np.array_equal(got, stream[positions])
-        assert np.array_equal(positions, kept)
-    with pytest.raises(ValueError):
-        _stream_at(MASK + 1, np.arange(3))
+        assert whole_array_stream(seed, 100).tolist() == seq
+    assert np.array_equal(whole_array_stream(42, 5000), _scalar_stream(42, 5000))
 
 
 def test_below_is_high_multiply():
     g = SplitMix64(42)
-    raw = _stream_at(42, np.arange(50))
+    raw = whole_array_stream(42, 50)
     for i, bound in enumerate(range(1, 51)):
         assert g.below(bound) == (int(raw[i]) * bound) >> 64
 
@@ -110,6 +98,44 @@ def test_below_in_range(seed, bound):
 # Sizes at the edges of the draw blocks: none, a partial first block, one
 # full block, and a partial block after one or two full ones.
 BLOCK_EDGE_SIZES = [0, 1, _DRAW_BLOCK - 1, _DRAW_BLOCK, _DRAW_BLOCK + 1, 2 * _DRAW_BLOCK + 3]
+
+
+@pytest.mark.parametrize("size", BLOCK_EDGE_SIZES)
+@pytest.mark.parametrize("seed", [0, MASK])
+def test_stream_blocks_match_the_scalar_generator(size, seed):
+    # Blocks of _DRAW_BLOCK outputs but the last, in order, with no gap.
+    blocks = _blocks(seed, size)
+    assert [lo for lo, _ in blocks] == list(range(0, size, _DRAW_BLOCK))
+    assert all(z.dtype == np.uint64 and 0 < z.size <= _DRAW_BLOCK for _, z in blocks)
+    got = np.concatenate([np.zeros(0, dtype=np.uint64), *(z for _, z in blocks)])
+    assert np.array_equal(got, _scalar_stream(seed, size))
+    for bad in (MASK + 1, -1, 5.0, "5"):
+        with pytest.raises(ValueError):
+            _blocks(bad, size)
+
+
+@pytest.mark.parametrize("seed", [np.uint64(5), np.int64(5)])
+def test_numpy_integer_seeds_are_taken_by_value(codebook, monkeypatch, seed):
+    # Each use reads past one draw block: the shuffle of 20,000 payload
+    # bits, the random fill after them, the 25,600 random picks of a
+    # 160x160 plan and the plate of a 130x130 object.  A float is refused.
+    plan = np.full((160, 160), int(np.argmax(codebook.capacities)))
+    bits = np.random.default_rng(5).integers(0, 2, 20_000, dtype=np.uint8)
+    params = PropagationParams(wavelength=520e-9, distance=0.01, pitch=30.24e-6)
+    obj = np.ones((130, 130))
+    key = StegoKey(seed)
+    assert type(key.seed) is int and key == StegoKey(5)
+    assert np.array_equal(embed(plan, bits, key, codebook, fill="random"),
+                          embed(plan, bits, StegoKey(5), codebook, fill="random"))
+    assert np.array_equal(select_patterns(plan, codebook, "random", seed),
+                          select_patterns(plan, codebook, "random", 5))
+    expected = generate_hologram(obj, params, (16, 16), diffuser_seed=5)
+    monkeypatch.setattr(optics, "_plate_entry", None)
+    assert np.array_equal(generate_hologram(obj, params, (16, 16), diffuser_seed=seed), expected)
+    for call in (lambda: StegoKey(5.0), lambda: select_patterns(plan, codebook, "random", 5.0),
+                 lambda: generate_hologram(obj, params, (16, 16), diffuser_seed=5.0)):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            call()
 
 
 @pytest.mark.parametrize("size", BLOCK_EDGE_SIZES)
@@ -150,10 +176,10 @@ def test_mul_high_matches_python_ints():
     edges_x = [MASK, MASK - 1, 1 << 63, (1 << 63) - 1, (1 << 32) - 1, 1 << 32, 0]
     edges_b = [1, 2, 255, 256, (1 << 31) + 1, (1 << 32) - 2, (1 << 32) - 1]
     cases = [
-        (_stream_at(9, np.arange(200)), np.arange(1, 201, dtype=np.uint64)),
+        (whole_array_stream(9, 200), np.arange(1, 201, dtype=np.uint64)),
         (np.array(edges_x * len(edges_b), dtype=np.uint64),
          np.repeat(np.array(edges_b, dtype=np.uint64), len(edges_x))),
-        (_stream_at(11, np.arange(1000)), (_stream_at(12, np.arange(1000)) >> np.uint64(32)) | np.uint64(1)),
+        (whole_array_stream(11, 1000), (whole_array_stream(12, 1000) >> np.uint64(32)) | np.uint64(1)),
     ]
     for xs, bounds in cases:
         # As _draws_below calls it: x is also the low scratch buffer, and the
@@ -274,4 +300,4 @@ def test_permutation_smallest_sizes():
 
 def test_different_seeds_differ():
     assert permutation(np.arange(64), 1).tolist() != permutation(np.arange(64), 2).tolist()
-    assert _stream_at(1, np.arange(8)).tolist() != _stream_at(2, np.arange(8)).tolist()
+    assert _blocks(1, 8)[0][1].tolist() != _blocks(2, 8)[0][1].tolist()
