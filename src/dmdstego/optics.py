@@ -74,40 +74,49 @@ _STRIP = 32
 def _fft2(a: np.ndarray, row_transform, column_transform) -> np.ndarray:
     """2-D transform of `a`, a strip of rows or columns at a time.
 
-    row_transform(rows) transforms a block of rows of `a` along the last
-    axis; column_transform(columns, axis=0) a complex block of columns along
-    axis 0.  Rows go first, then columns: the 1-D calls np.fft.rfft2, fft2
-    and ifft2 make, in their order, so the result is theirs bit for bit.
-    Only the output is full size; the temporaries are a strip each.
+    row_transform(rows, out=None) transforms a block of rows of `a` along
+    the last axis; column_transform(columns, axis=0, out=None) a complex
+    block of columns along axis 0.  Rows go first, then columns: the 1-D
+    calls np.fft.rfft2, fft2 and ifft2 make, in their order, so the result
+    is theirs bit for bit.  Each row strip is transformed straight into its
+    rows of the output, and each column strip over itself, so no strip of
+    results is allocated and copied back; the output is the only full-size
+    array.  The width of a row's transform comes from a call on no rows.
     """
-    first = row_transform(a[:_STRIP])
-    out = np.empty((a.shape[0], first.shape[1]), dtype=np.complex128)
-    out[:_STRIP] = first
-    for r0 in range(_STRIP, a.shape[0], _STRIP):
-        out[r0:r0 + _STRIP] = row_transform(a[r0:r0 + _STRIP])
-    for c0 in range(0, out.shape[1], _STRIP):
+    width = row_transform(a[:0]).shape[1]
+    out = np.empty((a.shape[0], width), dtype=np.complex128)
+    for r0 in range(0, a.shape[0], _STRIP):
+        row_transform(a[r0:r0 + _STRIP], out=out[r0:r0 + _STRIP])
+    for c0 in range(0, width, _STRIP):
         columns = out[:, c0:c0 + _STRIP]
-        columns[...] = column_transform(columns, axis=0)
+        column_transform(columns, axis=0, out=columns)
     return out
 
 
-def _mirror_rfft(rows: np.ndarray) -> np.ndarray:
-    """rfft along the last axis of mirror rows, taken as 0.0 (off) and 1.0 (on)."""
-    return np.fft.rfft((rows != 0).astype(np.float64))
+def _mirror_rfft(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """rfft along the last axis of mirror rows, taken as 0.0 (off) and 1.0
+    (on), into `out` if given."""
+    return np.fft.rfft((rows != 0).astype(np.float64), out=out)
 
 
 def fresnel_propagate(field: np.ndarray, params: PropagationParams) -> np.ndarray:
     """Propagate a sampled complex field by the transfer-function method.
 
-    Both 2-D transforms run in strips of rows, then of columns (_fft2), and
-    the result is np.fft.ifft2(np.fft.fft2(field) * transfer) bit for bit.
+    Both 2-D transforms run in strips of rows, then of columns, each written
+    in place into the output (_fft2), and the result is
+    np.fft.ifft2(np.fft.fft2(field) * transfer) bit for bit.
     The transfer function's exponent depends on the frequencies only through
     fx**2 + fy**2, and np.fft.fftfreq gives entries k and n - k as exact
     negatives.  So np.exp runs only on the |f| quadrant, entries 0..n//2 of
     each axis (about a quarter of the grid), and the transfer function is
     gathered from it with index min(k, n - k): the values np.exp gives over
-    the whole grid.  The working set is the field plus field-sized
-    temporaries: the transfer function and the two spectra.
+    the whole grid.  The process keeps the read-only np.exp quadrants of the
+    last two geometries (grid shape, wavelength, pitch and signed distance)
+    it used (_transfer_quadrant), enough for a frame's forward and backward
+    propagation, so a repeated geometry takes no np.exp; the phase, the
+    geometry check and the aliasing warning still run on every call.  The
+    working set is the field plus field-sized temporaries: the transfer
+    function and the two spectra.
 
     A geometry the grid cannot carry raises GeometryError: one whose
     alias-free range overflows (a pitch too large for the wavelength), or
@@ -139,7 +148,8 @@ def fresnel_propagate(field: np.ndarray, params: PropagationParams) -> np.ndarra
                 AliasingGuardWarning,
                 stacklevel=2,
             )
-    quadrant = np.exp(phase, out=phase)
+    quadrant = _transfer_quadrant(f.shape, params, phase)
+    del phase  # unused on a kept geometry, so freed before the transforms allocate
     ky, kx = np.arange(ny), np.arange(nx)
     transfer = quadrant[np.minimum(ky, ny - ky)][:, np.minimum(kx, nx - kx)]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -149,6 +159,34 @@ def fresnel_propagate(field: np.ndarray, params: PropagationParams) -> np.ndarra
     if not np.isfinite(out).all():
         raise ValueError("the propagated field is not finite")
     return out
+
+
+# np.exp of the transfer quadrant by geometry key, least recently used
+# first: at most _TRANSFERS entries.
+_TRANSFERS = 2
+_transfer_entries = {}
+
+
+def _transfer_quadrant(shape: tuple[int, int], params: PropagationParams,
+                       phase: np.ndarray) -> np.ndarray:
+    """The read-only np.exp(phase) of a `shape` grid under `params`, kept for
+    the last _TRANSFERS geometries used; the least recently used is dropped
+    before a new one is made.  The key holds each parameter's type and the
+    sign of the distance, which equality leaves out: -0.0 == 0.0, and a
+    float32 equals the float64 of its value but rounds the phase otherwise."""
+    values = (params.wavelength, params.pitch, params.distance)
+    key = (shape, *values, *map(type, values), math.copysign(1.0, params.distance))
+    # Each dict operation is one that another thread changing the dict
+    # between them cannot make raise.
+    quadrant = _transfer_entries.pop(key, None)
+    if quadrant is None:
+        kept = list(_transfer_entries)
+        for old in kept[:len(kept) + 1 - _TRANSFERS]:
+            _transfer_entries.pop(old, None)
+        quadrant = np.exp(phase, out=phase)
+        quadrant.flags.writeable = False
+    _transfer_entries[key] = quadrant
+    return quadrant
 
 
 def _bilinear(a: np.ndarray, yy: np.ndarray, xx: np.ndarray) -> np.ndarray:

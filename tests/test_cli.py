@@ -419,8 +419,8 @@ def test_quantizing_commands_run_without_scipy(capsys, tmp_path, synthetic_objec
     # The quantizer is numpy alone: with every scipy import made to fail,
     # encode, embed and capacity still exit 0 and write what they write
     # in this process, where scipy is importable.  Nor do they load
-    # numpy.ma, which numpy 2 imports on first use (np.unique, for one) at
-    # a cost of about 30 ms; numpy 1 imports it with numpy itself.
+    # numpy.ma, which numpy imports only on first use (np.unique, for one),
+    # at a cost of about 30 ms.
     write_image(tmp_path / "obj.pgm", synthetic_object)
     run(capsys, "hologram", "--input", str(tmp_path / "obj.pgm"), "--output",
         str(tmp_path / "h.cfld"), *GEO, "--superpixels", "24x20")

@@ -184,8 +184,9 @@ def test_distance_additivity():
 def test_aliasing_guard_warns():
     field = random_field(4, (32, 32))
     limit = PARAMS.alias_free_distance(32)
-    with pytest.warns(AliasingGuardWarning):
-        fresnel_propagate(field, PropagationParams(520e-9, limit * 1.01, 30.24e-6))
+    for _ in range(2):  # the second call takes the kept transfer, and warns too
+        with pytest.warns(AliasingGuardWarning):
+            fresnel_propagate(field, PropagationParams(520e-9, limit * 1.01, 30.24e-6))
     with warnings.catch_warnings():
         warnings.simplefilter("error", AliasingGuardWarning)
         fresnel_propagate(field, PropagationParams(520e-9, limit * 0.99, 30.24e-6))
@@ -436,7 +437,8 @@ def test_sim4f_matches_spatial_reference(shape, aperture, assignment):
 
 
 def bits_of(a):
-    # numpy 1.x returns fft2 results as transposed views
+    # np.fft promises no memory layout for its results, and a view as
+    # uint64 needs a contiguous array
     return np.ascontiguousarray(a).view(np.uint64)
 
 
@@ -748,6 +750,92 @@ def test_one_diffuser_plate_is_kept():
     finally:
         tracemalloc.stop()
     assert current < 1.5 * plate_bytes
+
+
+def whole_array_reconstruct(field, params):
+    """reconstruct's 8-bit modulus of the whole-array back-propagation."""
+    amp = np.abs(whole_array_fresnel(field, replace(params, distance=-params.distance)))
+    return np.clip(np.rint(amp * (255.0 / amp.max())), 0, 255).astype(np.uint8)
+
+
+def test_kept_transfers_follow_shape_and_distance():
+    # Shape A forward, A backward, B forward, then A forward again: each
+    # propagation must use the transfer of its own geometry, whichever were
+    # kept before it.
+    obj = hologram_object("bars", (90, 125))
+    phasor = diffuser_phasor(0, obj.shape)
+    holo = generate_hologram(obj, SHORT, (64, 50))
+    assert np.array_equal(bits_of(holo), bits_of(whole_array_hologram(obj, SHORT, (64, 50), phasor)))
+    assert np.array_equal(reconstruct(holo, SHORT), whole_array_reconstruct(holo, SHORT))
+    for shape in ((50, 64), (64, 50)):
+        out = generate_hologram(obj, SHORT, shape)
+        assert np.array_equal(bits_of(out), bits_of(whole_array_hologram(obj, SHORT, shape, phasor))), shape
+
+
+def test_signed_zero_distances_are_kept_apart(monkeypatch):
+    monkeypatch.setattr(optics, "_transfer_entries", {})
+    f = random_field(41, (9, 16))
+    for distance in (0.0, -0.0):
+        params = replace(SHORT, distance=distance)
+        out = fresnel_propagate(f, params)
+        assert np.array_equal(bits_of(out), bits_of(whole_array_fresnel(f, params)))
+    assert len(optics._transfer_entries) == 2
+
+
+def test_float32_parameters_are_kept_apart_from_equal_float64_ones(monkeypatch):
+    # A float32 wavelength equals the float64 of its value, but the phase
+    # is rounded through complex64, so its transfer differs.
+    monkeypatch.setattr(optics, "_transfer_entries", {})
+    f = random_field(43, (9, 16))
+    narrow = replace(SHORT, wavelength=np.float32(SHORT.wavelength))
+    wide = replace(SHORT, wavelength=float(narrow.wavelength))
+    assert narrow == wide
+    outs = [fresnel_propagate(f, params) for params in (narrow, wide)]
+    for params, out in zip((narrow, wide), outs):
+        assert np.array_equal(bits_of(out), bits_of(whole_array_fresnel(f, params)))
+    assert not np.array_equal(bits_of(outs[0]), bits_of(outs[1]))
+
+
+def test_at_most_two_read_only_transfers_are_kept(monkeypatch):
+    monkeypatch.setattr(optics, "_transfer_entries", {})
+    f = random_field(47, (9, 16))
+    for distance in (0.01, -0.01, 0.005, 0.01, 0.015):
+        fresnel_propagate(f, replace(SHORT, distance=distance))
+        quadrants = list(optics._transfer_entries.values())
+        assert 1 <= len(quadrants) <= 2
+        for quadrant in quadrants:
+            assert quadrant.shape == (5, 9) and not quadrant.flags.writeable
+            with pytest.raises(ValueError):
+                quadrant[0, 0] = 0.0
+
+
+def test_transfer_exponential_is_taken_once_per_geometry(monkeypatch):
+    # A frame loop's forward and backward propagations, five frames over:
+    # np.exp runs once for each of the two geometries, then once for a third.
+    # No other test propagates on this grid, so neither geometry is kept yet.
+    exps = []
+    real_exp = np.exp
+    monkeypatch.setattr(np, "exp", lambda *args, **kwargs: exps.append(1) or real_exp(*args, **kwargs))
+    f = random_field(53, (11, 13))
+    for _ in range(5):
+        fresnel_propagate(f, SHORT)
+        fresnel_propagate(f, replace(SHORT, distance=-SHORT.distance))
+    assert len(exps) == 2
+    fresnel_propagate(f, replace(SHORT, pitch=2 * SHORT.pitch))
+    assert len(exps) == 3
+
+
+def test_kept_transfer_does_not_carry_an_uncarriable_geometry(monkeypatch):
+    # After a carriable geometry is kept, one whose phase overflows on the
+    # same grid is still refused, and the kept entries are left as they were.
+    monkeypatch.setattr(optics, "_transfer_entries", {})
+    f = np.ones((8, 8))
+    fresnel_propagate(f, SHORT)
+    kept = dict(optics._transfer_entries)
+    for params in (replace(SHORT, pitch=4e-160), replace(SHORT, pitch=1e160)):
+        with pytest.raises(GeometryError, match="overflows"):
+            fresnel_propagate(f, params)
+    assert optics._transfer_entries == kept
 
 
 def test_sim4f_peak_memory_stays_near_the_half_spectrum():
