@@ -7,6 +7,7 @@ between identical grids; the constant exp(i*k*z) phase is dropped throughout.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -113,10 +114,12 @@ def fresnel_propagate(field: np.ndarray, params: PropagationParams) -> np.ndarra
     the whole grid.  The process keeps the read-only np.exp quadrants of the
     last two geometries (grid shape, wavelength, pitch and signed distance)
     it used (_transfer_quadrant), enough for a frame's forward and backward
-    propagation, so a repeated geometry takes no np.exp; the phase, the
-    geometry check and the aliasing warning still run on every call.  The
-    working set is the field plus field-sized temporaries: the transfer
-    function and the two spectra.
+    propagation, so a repeated geometry takes neither its phase nor np.exp
+    again; a new one's quadrant is made before the least recently used is
+    dropped, so a third is held while that call runs.  The aliasing warning
+    comes on every call, once per distinct axis length.  The working set is
+    the field plus field-sized temporaries: the transfer function and the
+    two spectra.
 
     A geometry the grid cannot carry raises GeometryError: one whose
     alias-free range overflows (a pitch too large for the wavelength), or
@@ -133,23 +136,13 @@ def fresnel_propagate(field: np.ndarray, params: PropagationParams) -> np.ndarra
     if not all(map(math.isfinite, ranges)):
         raise GeometryError(f"the alias-free range of a {nx}x{ny} grid overflows: "
                             "the pitch is too large for the wavelength")
-    with np.errstate(over="ignore", invalid="ignore"):
-        fx = np.fft.fftfreq(nx, d=params.pitch)[:nx // 2 + 1]
-        fy = np.fft.fftfreq(ny, d=params.pitch)[:ny // 2 + 1]
-        phase = -1j * np.pi * params.wavelength * params.distance * (fx[None, :] ** 2 + fy[:, None] ** 2)
-    if not np.isfinite(phase).all():
-        raise GeometryError(f"the transfer phase of a {nx}x{ny} grid overflows: "
-                            "the pitch is too small for the wavelength and distance")
-    for n, limit in zip((ny, nx), ranges):
-        if abs(params.distance) > limit:
-            warnings.warn(
-                f"|z| = {abs(params.distance):g} m exceeds the alias-free range "
-                f"{limit:g} m of a {n}-sample axis",
-                AliasingGuardWarning,
-                stacklevel=2,
-            )
-    quadrant = _transfer_quadrant(f.shape, params, phase)
-    del phase  # unused on a kept geometry, so freed before the transforms allocate
+    distance = params.distance
+    quadrant = _transfer_quadrant(ny, nx, params.wavelength, params.pitch, distance,
+                                  math.copysign(1.0, distance))
+    for n, limit in dict(zip((ny, nx), ranges)).items():  # once per distinct axis length
+        if abs(distance) > limit:
+            warnings.warn(f"|z| = {abs(distance):g} m exceeds the alias-free range {limit:g} m "
+                          f"of a {n}-sample axis", AliasingGuardWarning, stacklevel=2)
     ky, kx = np.arange(ny), np.arange(nx)
     transfer = quadrant[np.minimum(ky, ny - ky)][:, np.minimum(kx, nx - kx)]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -161,31 +154,23 @@ def fresnel_propagate(field: np.ndarray, params: PropagationParams) -> np.ndarra
     return out
 
 
-# np.exp of the transfer quadrant by geometry key, least recently used
-# first: at most _TRANSFERS entries.
-_TRANSFERS = 2
-_transfer_entries = {}
-
-
-def _transfer_quadrant(shape: tuple[int, int], params: PropagationParams,
-                       phase: np.ndarray) -> np.ndarray:
-    """The read-only np.exp(phase) of a `shape` grid under `params`, kept for
-    the last _TRANSFERS geometries used; the least recently used is dropped
-    before a new one is made.  The key holds each parameter's type and the
-    sign of the distance, which equality leaves out: -0.0 == 0.0, and a
-    float32 equals the float64 of its value but rounds the phase otherwise."""
-    values = (params.wavelength, params.pitch, params.distance)
-    key = (shape, *values, *map(type, values), math.copysign(1.0, params.distance))
-    # Each dict operation is one that another thread changing the dict
-    # between them cannot make raise.
-    quadrant = _transfer_entries.pop(key, None)
-    if quadrant is None:
-        kept = list(_transfer_entries)
-        for old in kept[:len(kept) + 1 - _TRANSFERS]:
-            _transfer_entries.pop(old, None)
-        quadrant = np.exp(phase, out=phase)
-        quadrant.flags.writeable = False
-    _transfer_entries[key] = quadrant
+@functools.lru_cache(maxsize=2, typed=True)
+def _transfer_quadrant(ny: int, nx: int, wavelength: float, pitch: float, distance: float,
+                       sign: float) -> np.ndarray:
+    """The read-only np.exp of the transfer phase on the |f| quadrant (entries
+    0..n//2 of each axis) of an (ny, nx) grid, kept for the last two
+    geometries; GeometryError where the phase overflows.  `sign` is
+    copysign(1, distance) and typed=True keys by type, since -0.0 == 0.0 and
+    a float32 equals the float64 of its value but rounds the phase otherwise."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        fx = np.fft.fftfreq(nx, d=pitch)[:nx // 2 + 1]
+        fy = np.fft.fftfreq(ny, d=pitch)[:ny // 2 + 1]
+        phase = -1j * np.pi * wavelength * distance * (fx[None, :] ** 2 + fy[:, None] ** 2)
+    if not np.isfinite(phase).all():
+        raise GeometryError(f"the transfer phase of a {nx}x{ny} grid overflows: "
+                            "the pitch is too small for the wavelength and distance")
+    quadrant = np.exp(phase, out=phase)
+    quadrant.flags.writeable = False
     return quadrant
 
 
@@ -258,10 +243,13 @@ def generate_hologram(obj: np.ndarray, params: PropagationParams,
     Object pixel n, in row-major order, takes the phase 2*pi*u with
     u = output n of SplitMix64(diffuser_seed) / 2**64.  The diffuser is a
     fixed phase plate, np.exp(2j*pi*u) at every pixel: the process keeps the
-    plate of the last object shape and seed, so only the first hologram of a
-    shape and seed pays for the exponential, over every pixel, lit or not,
-    one stream block at a time.  The seed is an integer in 0..2**64-1; a
-    numpy integer is taken by value, and a float is refused (ValueError).
+    plate of the last object shape and seed (_diffuser_plate), so only the
+    first hologram of a shape and seed pays for the exponential, over every
+    pixel, lit or not, one stream block at a time.  A new shape or seed
+    makes its plate before the kept one is dropped, so two are held while
+    that call runs.  The seed is an integer in 0..2**64-1, checked before
+    the kept plate is looked up; a numpy integer is taken by value, and a
+    float is refused (ValueError).
     The field is amp * plate.  A zero amplitude gives parts of +-0 there,
     but resample_bilinear adds its terms from 0.0, no partial sum begun at
     +0 can be -0, and adding a signed zero to it changes no bit.
@@ -273,33 +261,24 @@ def generate_hologram(obj: np.ndarray, params: PropagationParams,
         raise ValueError("object amplitudes must be finite and non-negative")
     peak = a.max()
     amp = a / peak if peak > 0 else a
-    field = amp.astype(np.complex128) if diffuser_seed is None else amp * _diffuser_plate(a.shape, diffuser_seed)
+    field = (amp.astype(np.complex128) if diffuser_seed is None
+             else amp * _diffuser_plate(a.shape, check_seed(diffuser_seed)))
     del amp  # the scaled copy, before the resampling allocates
     return fresnel_propagate(resample_bilinear(field, shape), params)
 
 
-# (object shape, seed, plate) of the last diffuser made, or None.
-_plate_entry = None
-
-
+@functools.lru_cache(maxsize=1)
 def _diffuser_plate(shape: tuple[int, int], seed: int) -> np.ndarray:
-    """The read-only plate np.exp(2j*pi*u) over an object of `shape` (see
-    generate_hologram), kept until another shape or seed comes; the old
-    plate is dropped before the new one is made, so one plate is held; it
-    is filled a stream block at a time, with no stream-sized temporary."""
-    global _plate_entry
-    seed = check_seed(seed)
-    entry = _plate_entry
-    if entry is not None and entry[0] == shape and entry[1] == seed:
-        return entry[2]
-    _plate_entry = entry = None
+    """The read-only plate np.exp(2j*pi*u) over an object of `shape` and a
+    checked `seed` (see generate_hologram), kept until the plate of a new
+    shape or seed is made; it is filled a stream block at a time, with no
+    stream-sized temporary."""
     plate = np.empty(shape, dtype=np.complex128)
     for lo, z in _stream_blocks(seed, plate.size):
         u = z.astype(np.float64)
         u /= 2.0 ** 64
         np.exp(2j * np.pi * u, out=plate.reshape(-1)[lo:lo + z.size])
     plate.flags.writeable = False
-    _plate_entry = (shape, seed, plate)
     return plate
 
 

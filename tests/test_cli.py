@@ -66,6 +66,23 @@ def test_hologram_writes_field_and_report(capsys, workspace):
     assert np.abs(field).max() > 0
 
 
+@pytest.mark.parametrize("superpixels, lengths", [("1x1", [1]), ("2x1", [1, 2])])
+def test_aliasing_warnings_name_each_axis_length_once(capsys, workspace, superpixels, lengths):
+    # A square grid has one axis length, so one warning; a non-square one
+    # warns for its rows, then its columns.  At 1 m every grid here aliases.
+    tmp_path, obj = workspace
+    geometry = ["--wavelength", "520e-9", "--distance", "1", "--pitch", "7.56e-6"]
+    holo = tmp_path / "h.bin"
+    report = json.loads(run(capsys, "hologram", "--input", str(obj), "--output", str(holo),
+                            *geometry, "--superpixels", superpixels))
+    expected = [f"|z| = 1 m exceeds the alias-free range {n * (4 * 7.56e-6) ** 2 / 520e-9:g} m "
+                f"of a {n}-sample axis" for n in lengths]
+    assert report["warnings"] == expected
+    report = json.loads(run(capsys, "reconstruct", "--input", str(holo), "--output", str(tmp_path / "r.pgm"),
+                            *geometry))
+    assert report["warnings"] == expected
+
+
 def test_hologram_missing_distance_is_usage_error(capsys, workspace):
     tmp_path, obj = workspace
     run(capsys, "hologram", "--input", str(obj), "--output", str(tmp_path / "h.bin"),

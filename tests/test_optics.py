@@ -8,8 +8,10 @@ against a naive per-window double loop and against
 scipy.ndimage.gaussian_filter window means.
 """
 
+import math
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -690,8 +692,10 @@ def test_diffuser_is_drawn_once_per_shape_and_seed(monkeypatch):
     generate_hologram(np.ones((3, 3)), SHORT, (16, 16), diffuser_seed=5)
     del draws[:]
     first = generate_hologram(obj, SHORT, (16, 16), diffuser_seed=5)
-    again = generate_hologram(obj, SHORT, (16, 16), diffuser_seed=5)
-    assert draws == [5] and np.array_equal(bits_of(first), bits_of(again))
+    # A numpy integer is checked to the int it equals, so it takes the kept plate.
+    for seed in (5, np.uint64(5)):
+        again = generate_hologram(obj, SHORT, (16, 16), diffuser_seed=seed)
+        assert draws == [5] and np.array_equal(bits_of(first), bits_of(again))
     generate_hologram(obj, SHORT, (16, 16), diffuser_seed=6)
     assert draws == [5, 6]
 
@@ -711,13 +715,13 @@ def test_a_refused_seed_keeps_the_diffuser(monkeypatch):
     assert draws == [5] and np.array_equal(bits_of(first), bits_of(again))
 
 
-def test_first_plate_holds_no_stream_sized_temporary(monkeypatch):
+def test_first_plate_holds_no_stream_sized_temporary():
     # The plate is filled one stream block at a time, so the first plate of
     # a 540x960 object (8.29 MB) is built with little beside it.  Drawing
     # the whole stream at once held 1.52x the plate.  The rest of the first
     # hologram (the scaled object, the field, the transforms) is not counted.
     shape = (540, 960)
-    monkeypatch.setattr(optics, "_plate_entry", None)
+    optics._diffuser_plate.cache_clear()
     tracemalloc.start()
     try:
         optics._diffuser_plate(shape, 12345)
@@ -772,20 +776,21 @@ def test_kept_transfers_follow_shape_and_distance():
         assert np.array_equal(bits_of(out), bits_of(whole_array_hologram(obj, SHORT, shape, phasor))), shape
 
 
-def test_signed_zero_distances_are_kept_apart(monkeypatch):
-    monkeypatch.setattr(optics, "_transfer_entries", {})
+def test_signed_zero_distances_are_kept_apart():
+    optics._transfer_quadrant.cache_clear()
     f = random_field(41, (9, 16))
     for distance in (0.0, -0.0):
         params = replace(SHORT, distance=distance)
         out = fresnel_propagate(f, params)
         assert np.array_equal(bits_of(out), bits_of(whole_array_fresnel(f, params)))
-    assert len(optics._transfer_entries) == 2
+    info = optics._transfer_quadrant.cache_info()
+    assert info.currsize == 2 and info.hits == 0
 
 
-def test_float32_parameters_are_kept_apart_from_equal_float64_ones(monkeypatch):
+def test_float32_parameters_are_kept_apart_from_equal_float64_ones():
     # A float32 wavelength equals the float64 of its value, but the phase
     # is rounded through complex64, so its transfer differs.
-    monkeypatch.setattr(optics, "_transfer_entries", {})
+    optics._transfer_quadrant.cache_clear()
     f = random_field(43, (9, 16))
     narrow = replace(SHORT, wavelength=np.float32(SHORT.wavelength))
     wide = replace(SHORT, wavelength=float(narrow.wavelength))
@@ -794,25 +799,31 @@ def test_float32_parameters_are_kept_apart_from_equal_float64_ones(monkeypatch):
     for params, out in zip((narrow, wide), outs):
         assert np.array_equal(bits_of(out), bits_of(whole_array_fresnel(f, params)))
     assert not np.array_equal(bits_of(outs[0]), bits_of(outs[1]))
+    assert optics._transfer_quadrant.cache_info().currsize == 2
 
 
-def test_at_most_two_read_only_transfers_are_kept(monkeypatch):
-    monkeypatch.setattr(optics, "_transfer_entries", {})
+def test_at_most_two_read_only_transfers_are_kept():
+    # 0.01 is dropped by the time it comes back, so every propagation misses.
+    cache = optics._transfer_quadrant
+    cache.cache_clear()
     f = random_field(47, (9, 16))
     for distance in (0.01, -0.01, 0.005, 0.01, 0.015):
         fresnel_propagate(f, replace(SHORT, distance=distance))
-        quadrants = list(optics._transfer_entries.values())
-        assert 1 <= len(quadrants) <= 2
-        for quadrant in quadrants:
-            assert quadrant.shape == (5, 9) and not quadrant.flags.writeable
-            with pytest.raises(ValueError):
-                quadrant[0, 0] = 0.0
+        hits = cache.cache_info().hits
+        # The entry just used, read back: a hit returns the kept array itself.
+        quadrant = cache(9, 16, SHORT.wavelength, SHORT.pitch, distance, math.copysign(1.0, distance))
+        info = cache.cache_info()
+        assert info.hits == hits + 1 and 1 <= info.currsize <= 2
+        assert quadrant.shape == (5, 9) and not quadrant.flags.writeable
+        with pytest.raises(ValueError):
+            quadrant[0, 0] = 0.0
+    assert cache.cache_info().misses == 5
 
 
 def test_transfer_exponential_is_taken_once_per_geometry(monkeypatch):
     # A frame loop's forward and backward propagations, five frames over:
     # np.exp runs once for each of the two geometries, then once for a third.
-    # No other test propagates on this grid, so neither geometry is kept yet.
+    optics._transfer_quadrant.cache_clear()
     exps = []
     real_exp = np.exp
     monkeypatch.setattr(np, "exp", lambda *args, **kwargs: exps.append(1) or real_exp(*args, **kwargs))
@@ -825,17 +836,57 @@ def test_transfer_exponential_is_taken_once_per_geometry(monkeypatch):
     assert len(exps) == 3
 
 
-def test_kept_transfer_does_not_carry_an_uncarriable_geometry(monkeypatch):
+def test_kept_transfer_does_not_carry_an_uncarriable_geometry():
     # After a carriable geometry is kept, one whose phase overflows on the
-    # same grid is still refused, and the kept entries are left as they were.
-    monkeypatch.setattr(optics, "_transfer_entries", {})
+    # same grid is still refused, and the kept entries are left as they were:
+    # a refused geometry is neither kept nor evicts one, so the kept one hits.
+    cache = optics._transfer_quadrant
+    cache.cache_clear()
     f = np.ones((8, 8))
     fresnel_propagate(f, SHORT)
-    kept = dict(optics._transfer_entries)
+    kept = cache.cache_info()
+    assert kept.currsize == 1 and kept.hits == 0
     for params in (replace(SHORT, pitch=4e-160), replace(SHORT, pitch=1e160)):
         with pytest.raises(GeometryError, match="overflows"):
             fresnel_propagate(f, params)
-    assert optics._transfer_entries == kept
+        info = cache.cache_info()
+        assert (info.currsize, info.hits) == (kept.currsize, kept.hits)
+    fresnel_propagate(f, SHORT)
+    info = cache.cache_info()
+    assert (info.currsize, info.hits) == (1, 1)
+
+
+def test_threads_share_the_kept_plate_and_transfers():
+    # Four threads run every object shape, seed and grid, each from its own
+    # starting case, so the one kept plate and the two kept quadrants are
+    # replaced under one another; every output must be the whole-array one.
+    objs = [hologram_object("dense", shape) for shape in ((96, 72), (72, 120))]
+    cases = [(obj, seed, grid) for obj in objs for seed in (3, 8) for grid in ((64, 48), (48, 64))]
+    expected = []
+    for obj, seed, grid in cases:
+        holo = whole_array_hologram(obj, SHORT, grid, diffuser_phasor(seed, obj.shape))
+        expected.append((bits_of(holo), whole_array_reconstruct(holo, SHORT)))
+    start, failures = threading.Barrier(4), []
+
+    def work(offset):
+        start.wait()
+        for i in range(3 * len(cases)):
+            k = (offset + i) % len(cases)
+            obj, seed, grid = cases[k]
+            try:
+                holo = generate_hologram(obj, SHORT, grid, diffuser_seed=seed)
+                if not (np.array_equal(bits_of(holo), expected[k][0])
+                        and np.array_equal(reconstruct(holo, SHORT), expected[k][1])):
+                    failures.append(k)
+            except Exception as exc:  # a thread's error would otherwise be lost
+                failures.append(repr(exc))
+
+    threads = [threading.Thread(target=work, args=(3 * t,)) for t in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert failures == []
 
 
 def test_sim4f_peak_memory_stays_near_the_half_spectrum():

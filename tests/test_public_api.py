@@ -1,3 +1,4 @@
+import ast
 import importlib
 import re
 from pathlib import Path
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 import dmdstego
+from dmdstego import optics
 from dmdstego.modulator import quantize_field
 from dmdstego.optics import PropagationParams, fresnel_propagate, generate_hologram, resample_bilinear
 from dmdstego.stego import StegoKey, embed
@@ -61,12 +63,24 @@ def test_all_names():
     # The diffuser plate and the bounded draws read one block stream; the
     # whole-array formula, random access and all, is the tests' oracle.
     ("dmdstego.rng", ["_stream_at"]),
+    # The kept diffuser plate and transfer quadrants are functools caches.
+    ("dmdstego.optics", ["_plate_entry", "_transfer_entries", "_TRANSFERS"]),
 ])
 def test_scalar_helpers_left_the_library(module, names):
     # The scalar definitions live in tests/scalar_reference.py as oracles.
     mod = importlib.import_module(module)
     for name in names:
         assert not hasattr(mod, name), f"{module}.{name}"
+
+
+def test_process_state_is_held_in_functools_caches():
+    # One idiom for process state: functools caches, no module global rebound.
+    assert optics._transfer_quadrant.cache_parameters() == {"maxsize": 2, "typed": True}
+    assert optics._diffuser_plate.cache_parameters() == {"maxsize": 1, "typed": False}
+    package = Path(dmdstego.__file__).parent
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        assert not any(isinstance(node, ast.Global) for node in ast.walk(tree)), path.name
 
 
 @pytest.mark.parametrize("call, message", [
