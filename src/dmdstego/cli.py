@@ -18,6 +18,7 @@ sampled at one value per 4x4 block scale it internally.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import os
 import sys
@@ -122,8 +123,24 @@ def _propagation(args) -> PropagationParams:
     return PropagationParams(wavelength=args.wavelength, distance=args.distance, pitch=args.pitch * BLOCK)
 
 
-def _collect_warnings(caught) -> list[str]:
-    return [str(w.message) for w in caught if issubclass(w.category, AliasingGuardWarning)]
+@contextlib.contextmanager
+def _aliasing_warnings():
+    """Record every AliasingGuardWarning raised inside the block, as message
+    strings for the report; any other warning goes on to the warning filters
+    and stderr as usual."""
+    caught: list[str] = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("always", AliasingGuardWarning)
+        show = warnings.showwarning
+
+        def record(message, category, *args, **kwargs):
+            if issubclass(category, AliasingGuardWarning):
+                caught.append(str(message))
+            else:
+                show(message, category, *args, **kwargs)
+
+        warnings.showwarning = record
+        yield caught
 
 
 def _quantize(field: np.ndarray, alpha: float, assignment: PhaseAssignment | None):
@@ -138,14 +155,13 @@ def cmd_hologram(args) -> int:
     width, height = args.superpixels
     params = _propagation(args)
     seed = None if args.no_diffuser else args.diffuser_seed
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", AliasingGuardWarning)
+    with _aliasing_warnings() as caught:
         field = generate_hologram(obj, params, (height, width), diffuser_seed=seed)
     write_field(args.output, field)
     _emit({
         "alias_free_distance": min(params.alias_free_distance(height), params.alias_free_distance(width)),
         "height": height,
-        "warnings": _collect_warnings(caught),
+        "warnings": caught,
         "width": width,
     })
     return 0
@@ -215,13 +231,12 @@ def cmd_capacity(args) -> int:
 def cmd_reconstruct(args) -> int:
     field = read_field(args.input)
     params = _propagation(args)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", AliasingGuardWarning)
+    with _aliasing_warnings() as caught:
         image = reconstruct(field, params)
     write_image(args.output, image)
     _emit({
         "height": image.shape[0],
-        "warnings": _collect_warnings(caught),
+        "warnings": caught,
         "width": image.shape[1],
     })
     return 0

@@ -206,11 +206,13 @@ def _bilinear(a: np.ndarray, yy: np.ndarray, xx: np.ndarray) -> np.ndarray:
 
 
 def resample_bilinear(array: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """Resize onto `shape` preserving aspect ratio; uncovered rows/columns
-    stay zero (letterboxing).  Complex input is interpolated per component."""
+    """Resize a real array onto `shape` preserving aspect ratio; uncovered
+    rows/columns stay zero (letterboxing).  Complex input is refused."""
     a = np.asarray(array)
     if a.ndim != 2 or a.size == 0:
         raise ValueError("array must be a non-empty 2-D array")
+    if np.iscomplexobj(a):
+        raise ValueError("array must be real")
     h_out, w_out = shape
     h_in, w_in = a.shape
     scale = min(h_out / h_in, w_out / w_in)
@@ -221,14 +223,8 @@ def resample_bilinear(array: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
 
     yy = (np.arange(h_fit) + 0.5) * (h_in / h_fit) - 0.5
     xx = (np.arange(w_fit) + 0.5) * (w_in / w_fit) - 0.5
-    window = (slice(y0, y0 + h_fit), slice(x0, x0 + w_fit))
-    if np.iscomplexobj(a):
-        out = np.zeros(shape, dtype=np.complex128)
-        out[window].real = _bilinear(a.real, yy, xx)
-        out[window].imag = _bilinear(a.imag, yy, xx)
-    else:
-        out = np.zeros(shape, dtype=np.float64)
-        out[window] = _bilinear(a, yy, xx)
+    out = np.zeros(shape, dtype=np.float64)
+    out[y0:y0 + h_fit, x0:x0 + w_fit] = _bilinear(a, yy, xx)
     return out
 
 
@@ -236,23 +232,24 @@ def generate_hologram(obj: np.ndarray, params: PropagationParams,
                       shape: tuple[int, int], diffuser_seed: int | None = 0) -> np.ndarray:
     """Fresnel hologram of an amplitude image on a superpixel grid.
 
-    The object is scaled to unit peak amplitude, optionally roughened by a
-    keyed uniform random phase (diffuser_seed None disables it), letterboxed
-    onto `shape`, and propagated by params.distance.
+    The object is scaled to unit peak amplitude, letterboxed onto `shape`
+    by bilinear resampling, optionally roughened there by a keyed uniform
+    random phase (diffuser_seed None disables it), and propagated by
+    params.distance.  The diffuser is applied after the resampling, so each
+    superpixel carries one phasor and the amplitude reaches the grid
+    unspeckled.
 
-    Object pixel n, in row-major order, takes the phase 2*pi*u with
-    u = output n of SplitMix64(diffuser_seed) / 2**64.  The diffuser is a
-    fixed phase plate, np.exp(2j*pi*u) at every pixel: the process keeps the
-    plate of the last object shape and seed (_diffuser_plate), so only the
-    first hologram of a shape and seed pays for the exponential, over every
-    pixel, lit or not, one stream block at a time.  A new shape or seed
-    makes its plate before the kept one is dropped, so two are held while
-    that call runs.  The seed is an integer in 0..2**64-1, checked before
-    the kept plate is looked up; a numpy integer is taken by value, and a
-    float is refused (ValueError).
-    The field is amp * plate.  A zero amplitude gives parts of +-0 there,
-    but resample_bilinear adds its terms from 0.0, no partial sum begun at
-    +0 can be -0, and adding a signed zero to it changes no bit.
+    Superpixel n of the grid, in row-major order, takes the phase 2*pi*u
+    with u = output n of SplitMix64(diffuser_seed) / 2**64.  The diffuser is
+    a fixed phase plate, np.exp(2j*pi*u) at every superpixel: the process
+    keeps the plate of the last grid shape and seed (_diffuser_plate), so
+    only the first hologram of a grid and seed pays for the exponential,
+    over every superpixel, lit or not, one stream block at a time.  A new
+    grid or seed makes its plate before the kept one is dropped, so two are
+    held while that call runs.  The seed is an integer in 0..2**64-1,
+    checked before the kept plate is looked up; a numpy integer is taken by
+    value, and a float is refused (ValueError).  The field is the resampled
+    amplitude times the plate.
     """
     a = np.asarray(obj, dtype=np.float64)
     if a.ndim != 2 or a.size == 0:
@@ -260,16 +257,16 @@ def generate_hologram(obj: np.ndarray, params: PropagationParams,
     if not np.all(np.isfinite(a)) or a.min() < 0:
         raise ValueError("object amplitudes must be finite and non-negative")
     peak = a.max()
-    amp = a / peak if peak > 0 else a
+    amp = resample_bilinear(a / peak if peak > 0 else a, shape)
     field = (amp.astype(np.complex128) if diffuser_seed is None
-             else amp * _diffuser_plate(a.shape, check_seed(diffuser_seed)))
-    del amp  # the scaled copy, before the resampling allocates
-    return fresnel_propagate(resample_bilinear(field, shape), params)
+             else amp * _diffuser_plate(tuple(shape), check_seed(diffuser_seed)))
+    del amp  # before the propagation allocates
+    return fresnel_propagate(field, params)
 
 
 @functools.lru_cache(maxsize=1)
 def _diffuser_plate(shape: tuple[int, int], seed: int) -> np.ndarray:
-    """The read-only plate np.exp(2j*pi*u) over an object of `shape` and a
+    """The read-only plate np.exp(2j*pi*u) over a grid of `shape` and a
     checked `seed` (see generate_hologram), kept until the plate of a new
     shape or seed is made; it is filled a stream block at a time, with no
     stream-sized temporary."""
@@ -283,16 +280,22 @@ def _diffuser_plate(shape: tuple[int, int], seed: int) -> np.ndarray:
 
 
 def reconstruct(field: np.ndarray, params: PropagationParams) -> np.ndarray:
-    """Back-propagate a finite hologram field and return the 8-bit modulus
-    image; a modulus that overflows float64 has no peak to scale by, and is
-    refused with ValueError."""
-    if not np.all(np.isfinite(field)):
+    """Back-propagate a finite hologram field and return the 8-bit modulus image.
+
+    The field is first scaled by the power of two that brings its largest
+    |re| or |im| into [0.5, 1) (_unit_scaled), so the back-propagated
+    modulus neither overflows nor underflows, and the image of 2**k times a
+    field is the image of the field itself.  A power of two scales exactly,
+    so the image is what the unscaled arithmetic gives wherever that is
+    finite.
+    """
+    f = np.asarray(field, dtype=np.complex128)
+    if not np.all(np.isfinite(f)):
         raise ValueError("field must be finite")
-    back = fresnel_propagate(field, replace(params, distance=-params.distance))
+    scaled = _unit_scaled(f.ravel()).reshape(f.shape)
+    back = fresnel_propagate(scaled, replace(params, distance=-params.distance))
     amp = np.abs(back)
     peak = amp.max()
-    if not math.isfinite(peak):
-        raise ValueError("the reconstructed modulus overflows float64")
     if peak == 0.0:
         return np.zeros(amp.shape, dtype=np.uint8)
     return np.clip(np.rint(amp * (255.0 / peak)), 0, 255).astype(np.uint8)
@@ -488,7 +491,8 @@ def field_correlation(a: np.ndarray, b: np.ndarray) -> float:
 def _unit_scaled(x: np.ndarray) -> np.ndarray:
     """Contiguous 1-D complex x times the power of two that puts its largest |re| or |im| in [0.5, 1)."""
     parts = x.view(np.float64)
-    _, exponent = np.frexp(np.abs(parts).max(initial=0.0))
+    # The largest |part| without an array of them: max(max, -min) is exact.
+    _, exponent = np.frexp(max(parts.max(initial=0.0), -parts.min(initial=0.0)))
     return np.ldexp(parts, -exponent).view(np.complex128)
 
 

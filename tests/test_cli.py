@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -23,6 +24,7 @@ from dmdstego.formats import (
     write_image,
     write_pattern,
 )
+from dmdstego.optics import PropagationParams, reconstruct
 from dmdstego.stego import StegoKey, embed
 
 GEO = ["--wavelength", "520e-9", "--distance", "0.05", "--pitch", "7.56e-6"]
@@ -734,9 +736,6 @@ def test_main_leaves_the_collector_alone(capsys, tmp_path):
     (["decode", "--input", "{pattern}", "--output", "{tmp}/d.bin", "--assignment", "1,2,x"], 2),
     # capacity has no --assignment: its report is the same under every assignment.
     (["capacity", "--input", "{field}", "--assignment", REVERSED], 2),
-    # A finite field whose back-propagated modulus overflows float64 has no
-    # peak to scale the image by.
-    (["reconstruct", "--input", "{overflow}", "--output", "{tmp}/r.pgm", *GEO], 1),
 ], ids=["alpha", "alpha-zero", "wavelength", "pitch", "diffuser-seed", "aperture-radius", "ssim-8x8",
         "distance-nan", "wavelength-nan", "pitch-inf", "aperture-radius-nan", "aperture-center-nan",
         "aperture-center-negative-spaced",
@@ -750,13 +749,12 @@ def test_main_leaves_the_collector_alone(capsys, tmp_path):
         "encode-peak-overflows", "embed-peak-overflows", "capacity-peak-overflows",
         "encode-scale-overflows", "embed-scale-overflows", "capacity-scale-overflows",
         "superpixels-zero-width", "superpixels-no-height", "aperture-center-one-number",
-        "assignment-unparseable", "capacity-assignment", "reconstruct-modulus-overflows"])
+        "assignment-unparseable", "capacity-assignment"])
 def test_bad_values_exit_without_traceback(tmp_path, argv, code):
     files = {"tmp": tmp_path, "field": tmp_path / "f.bin", "image": tmp_path / "i.pgm",
              "pattern": tmp_path / "p.pbm", "nan": tmp_path / "nan.bin", "inf": tmp_path / "inf.bin",
              "wide_pgm": tmp_path / "w.pgm", "wide_pbm": tmp_path / "w.pbm",
-             "huge": tmp_path / "huge.bin", "tiny": tmp_path / "tiny.bin",
-             "overflow": tmp_path / "overflow.bin"}
+             "huge": tmp_path / "huge.bin", "tiny": tmp_path / "tiny.bin"}
     write_field(files["field"], np.ones((8, 8), dtype=complex))
     write_image(files["image"], np.full((8, 8), 100, dtype=np.uint8))
     write_pattern(files["pattern"], np.zeros((32, 32), dtype=np.uint8))
@@ -771,7 +769,6 @@ def test_bad_values_exit_without_traceback(tmp_path, argv, code):
         field = np.zeros((4, 4), dtype=complex)
         field[1, 2] = peak
         write_field(files[name], field)
-    write_field(files["overflow"], np.full((1, 1), 1.3e308 + 1.3e308j))
     inputs = sorted(tmp_path.iterdir())
     r = subprocess.run([sys.executable, "-m", "dmdstego", *(a.format(**files) for a in argv)],
                        capture_output=True, text=True)
@@ -781,3 +778,67 @@ def test_bad_values_exit_without_traceback(tmp_path, argv, code):
     assert sum("error:" in line for line in r.stderr.splitlines()) == 1
     assert r.stdout == ""
     assert sorted(tmp_path.iterdir()) == inputs  # no output file
+
+
+@pytest.mark.parametrize("case", ["modulus-overflows", "faint"])
+def test_reconstruct_takes_fields_at_any_scale(tmp_path, case):
+    # reconstruct scales the field by a power of two before it propagates,
+    # so these exit 0 with an image and nothing on stderr: a 1x1 field whose
+    # modulus, |1.3e308 * (1 + 1j)|, is past the largest float64, and a
+    # field so faint (peak modulus about 3.3e-319) that 255 / peak overflowed
+    # and every pixel read 255.  The faint image is that of the same field
+    # at unit scale.
+    if case == "faint":
+        rng = np.random.default_rng(3)
+        unit = rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32))
+        unit /= 2.0 ** math.ceil(math.log2(np.abs(unit.view(np.float64)).max()))  # exact
+        field = np.ldexp(unit.view(np.float64), -1058).view(np.complex128)
+        assert 1e-319 < np.abs(field).max() < 1e-318
+        # The field's own bits at unit scale: scaling a subnormal up is exact.
+        unit = np.ldexp(field.view(np.float64), 1058).view(np.complex128)
+        expected = reconstruct(unit, PropagationParams(520e-9, 0.05, 4 * 7.56e-6))
+        assert (expected < 255).any()
+    else:
+        field = np.full((1, 1), 1.3e308 + 1.3e308j)
+        expected = np.array([[255]], dtype=np.uint8)
+    write_field(tmp_path / "f.bin", field)
+    r = subprocess.run([sys.executable, "-m", "dmdstego", "reconstruct", "--input", str(tmp_path / "f.bin"),
+                        "--output", str(tmp_path / "r.pgm"), *GEO], capture_output=True, text=True)
+    assert r.returncode == 0 and r.stderr == "", r.stderr
+    assert json.loads(r.stdout)["height"] == field.shape[0]
+    assert np.array_equal(read_image(tmp_path / "r.pgm"), expected)
+
+
+# Runs one command with generate_hologram and reconstruct each raising an
+# aliasing warning and a RuntimeWarning first.
+NOISY_CLI = """
+import sys, warnings
+from dmdstego import cli
+from dmdstego.optics import AliasingGuardWarning
+
+def noisy(real):
+    def call(*args, **kwargs):
+        warnings.warn("stand-in aliasing", AliasingGuardWarning)
+        warnings.warn("stand-in overflow", RuntimeWarning)
+        return real(*args, **kwargs)
+    return call
+
+cli.generate_hologram = noisy(cli.generate_hologram)
+cli.reconstruct = noisy(cli.reconstruct)
+sys.argv[0] = "dmdstego"
+cli.run()
+"""
+
+
+def test_warnings_other_than_aliasing_reach_stderr(workspace):
+    # The report records the aliasing warnings; any other warning goes on to
+    # stderr as Python shows it, where the CLI used to drop it.
+    tmp_path, obj = workspace
+    holo, image = tmp_path / "h.bin", tmp_path / "r.pgm"
+    for argv in (["hologram", "--input", str(obj), "--output", str(holo), *GEO, "--superpixels", "32x32"],
+                 ["reconstruct", "--input", str(holo), "--output", str(image), *GEO]):
+        r = subprocess.run([sys.executable, "-c", NOISY_CLI, *argv], capture_output=True, text=True)
+        assert r.returncode == 0, r.stderr
+        assert json.loads(r.stdout)["warnings"] == ["stand-in aliasing"]
+        assert "RuntimeWarning: stand-in overflow" in r.stderr
+        assert "aliasing" not in r.stderr

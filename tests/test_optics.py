@@ -9,12 +9,14 @@ scipy.ndimage.gaussian_filter window means.
 """
 
 import math
+import runpy
 import subprocess
 import sys
 import threading
 import tracemalloc
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from scipy.ndimage import gaussian_filter, map_coordinates
 
 from dmdstego import optics
 from dmdstego.codebook import build_codebook
+from dmdstego.modulator import normalize_field, quantize_field
 from dmdstego.optics import (
     AliasingGuardWarning,
     ApertureSpec,
@@ -203,7 +206,7 @@ def test_aliasing_guard_per_axis():
 
 
 def test_resample_identity():
-    field = random_field(6, (20, 30))
+    field = random_field(6, (20, 30)).real
     out = resample_bilinear(field, (20, 30))
     assert np.abs(out - field).max() < 1e-12
 
@@ -246,13 +249,7 @@ def reference_resample(array, shape):
     xx = (np.arange(w_fit) + 0.5) * (w_in / w_fit) - 0.5
     coords = np.meshgrid(yy, xx, indexing="ij")
 
-    def interp(component):
-        return map_coordinates(component, coords, order=1, mode="constant", cval=0.0)
-
-    if np.iscomplexobj(a):
-        fitted = interp(a.real) + 1j * interp(a.imag)
-    else:
-        fitted = interp(a.astype(np.float64))
+    fitted = map_coordinates(a.astype(np.float64), coords, order=1, mode="constant", cval=0.0)
     out = np.zeros(shape, dtype=fitted.dtype)
     out[y0:y0 + h_fit, x0:x0 + w_fit] = fitted
     return out
@@ -265,11 +262,13 @@ def test_resample_matches_map_coordinates():
     cases += [(tuple(rng.integers(1, 60, 2)), tuple(rng.integers(1, 150, 2))) for _ in range(150)]
     for in_shape, out_shape in cases:
         real = rng.normal(size=in_shape)
-        for a in (real, real + 1j * rng.normal(size=in_shape)):
-            expected = reference_resample(a, out_shape)
-            got = resample_bilinear(a, out_shape)
-            assert got.dtype == expected.dtype
-            assert np.array_equal(got, expected), (in_shape, out_shape, a.dtype)
+        expected = reference_resample(real, out_shape)
+        got = resample_bilinear(real, out_shape)
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected), (in_shape, out_shape)
+        # The hologram resamples the real amplitude; complex input is refused.
+        with pytest.raises(ValueError, match="real"):
+            resample_bilinear(real + 1j * rng.normal(size=in_shape), out_shape)
 
 
 def test_hologram_deterministic():
@@ -333,14 +332,27 @@ def test_reconstruct_rejects_non_finite_fields():
             reconstruct(field, SHORT)
 
 
-def test_reconstruct_refuses_a_modulus_past_float64():
-    # |1.3e308 * (1 + 1j)| is past the largest float64, so the image has no
-    # finite peak to scale by; a modulus just inside the range still scales.
+def test_reconstruct_takes_a_modulus_past_float64():
+    # |1.3e308 * (1 + 1j)| is past the largest float64, but the field is
+    # scaled by a power of two before it is back-propagated, so it has a
+    # peak to scale the image by, as a modulus just inside the range has.
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", AliasingGuardWarning)
-        with pytest.raises(ValueError, match="overflows float64"):
-            reconstruct(np.full((1, 1), 1.3e308 + 1.3e308j), SHORT)
-        assert reconstruct(np.full((1, 1), 1.2e308 + 1.2e308j), SHORT).tolist() == [[255]]
+        for value in (1.3e308 + 1.3e308j, -1.3e308 - 1.3e308j, 1.2e308 + 1.2e308j, 3.3e-319 + 0j):
+            assert reconstruct(np.full((1, 1), value), SHORT).tolist() == [[255]]
+
+
+@pytest.mark.parametrize("k", [-1000, -1040, 500, 1000, 1021])
+def test_reconstruct_is_the_same_at_every_scale(k):
+    # 2**k times a hologram, down to subnormal and up to the top of the
+    # float64 range, reconstructs to the very image of the hologram itself,
+    # which is the unscaled arithmetic's.  Unscaled, 255 / peak overflowed
+    # at 2**-1040, and the propagation itself at 2**1021.
+    field = generate_hologram(hologram_object("bars", (32, 32)), SHORT, (32, 32))
+    expected = whole_array_reconstruct(field, SHORT)
+    assert np.array_equal(reconstruct(field, SHORT), expected)
+    assert np.array_equal(reconstruct(np.ldexp(field.view(np.float64), k).view(np.complex128), SHORT),
+                          expected)
 
 
 def test_reconstruct_inverts_hologram(synthetic_object):
@@ -622,18 +634,33 @@ def test_fresnel_matches_whole_array_fft(shape):
 
 
 def whole_array_hologram(obj, params, shape, phasor):
-    """generate_hologram's formula over every pixel: `phasor`, the diffuser
-    np.exp(2j*pi*u) of every pixel (None for no diffuser), multiplies the
-    amplitude, zeros included; then whole-array transforms."""
+    """generate_hologram's formula over every superpixel: the amplitude is
+    resampled onto the grid of `shape`, and `phasor`, the diffuser
+    np.exp(2j*pi*u) of every superpixel (None for no diffuser), multiplies
+    it, zeros included; then whole-array transforms."""
+    a = np.asarray(obj, dtype=np.float64)
+    peak = a.max()
+    amp = resample_bilinear(a / peak if peak > 0 else a, shape)
+    field = amp.astype(np.complex128) if phasor is None else amp * phasor
+    return whole_array_fresnel(field, params)
+
+
+def object_plane_hologram(obj, params, shape, seed):
+    """The hologram as it was made before the diffuser moved onto the grid:
+    the phasor of the object's own shape multiplies the amplitude, and the
+    product is resampled a component at a time; then whole-array transforms."""
     a = np.asarray(obj, dtype=np.float64)
     peak = a.max()
     amp = a / peak if peak > 0 else a
-    field = amp.astype(np.complex128) if phasor is None else amp * phasor
-    return whole_array_fresnel(resample_bilinear(field, shape), params)
+    field = amp.astype(np.complex128) if seed is None else amp * diffuser_phasor(seed, a.shape)
+    fitted = np.zeros(shape, dtype=np.complex128)
+    fitted.real = resample_bilinear(field.real, shape)
+    fitted.imag = resample_bilinear(field.imag, shape)
+    return whole_array_fresnel(fitted, params)
 
 
 def diffuser_phasor(seed, shape):
-    """np.exp(2j*pi*u) over every pixel of an object of `shape`, drawn afresh."""
+    """np.exp(2j*pi*u) over every superpixel of a grid of `shape`, drawn afresh."""
     u = whole_array_stream(seed, shape[0] * shape[1]).reshape(shape).astype(np.float64) / 2.0 ** 64
     return np.exp(2j * np.pi * u)
 
@@ -662,11 +689,11 @@ def hologram_object(kind, shape):
                                                  ((90, 125), (64, 50))])
 @pytest.mark.parametrize("seed", [0, 7, (1 << 64) - 1, None])
 def test_hologram_matches_whole_array_diffuser(seed, in_shape, out_shape):
-    # generate_hologram multiplies the amplitude by its kept diffuser plate,
-    # zeros included; a zero amplitude there gives +-0 parts, and the bits
-    # must still be those of the phasor taken afresh, for the all-black and
-    # negative-zero objects too.
-    phasor = None if seed is None else diffuser_phasor(seed, in_shape)
+    # generate_hologram multiplies the resampled amplitude by its kept
+    # diffuser plate, zeros included; a zero amplitude there gives +-0
+    # parts, and the bits must still be those of the phasor taken afresh,
+    # for the all-black and negative-zero objects too.
+    phasor = None if seed is None else diffuser_phasor(seed, out_shape)
     for kind in ("bars", "dense", "single", "black", "negative zeros"):
         obj = hologram_object(kind, in_shape)
         out = generate_hologram(obj, SHORT, out_shape, diffuser_seed=seed)
@@ -674,14 +701,68 @@ def test_hologram_matches_whole_array_diffuser(seed, in_shape, out_shape):
         assert np.array_equal(bits_of(out), bits_of(expected)), kind
 
 
+# The grid as its own object, one axis of each parity, and 1x1, where a
+# zero amplitude is a whole hologram.
+@pytest.mark.parametrize("shape", [(128, 128), (64, 96), (17, 33), (1, 1)])
+@pytest.mark.parametrize("seed", [0, 7, None])
+def test_grid_sized_objects_keep_the_object_plane_hologram(seed, shape):
+    # An object already of the grid's shape is not resampled, so its plate
+    # is the object-plane one and the hologram keeps the bits of the
+    # object-plane formula.  The one exception is the sign of a zero: the
+    # resampling added each component from +0, and now the plate multiplies
+    # a +0 amplitude afterwards, so an all-zero field can carry -0 parts,
+    # which only a one- or two-sample transform passes on to its output.
+    for kind in ("bars", "dense", "single", "black", "negative zeros"):
+        obj = hologram_object(kind, shape)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", AliasingGuardWarning)
+            out = generate_hologram(obj, SHORT, shape, diffuser_seed=seed)
+            expected = object_plane_hologram(obj, SHORT, shape, seed)
+        if kind == "black" and shape == (1, 1) and seed is not None:
+            assert np.array_equal(out, expected) and not out.any()
+        else:
+            assert np.array_equal(bits_of(out), bits_of(expected)), kind
+
+
+@pytest.mark.parametrize("in_shape, out_shape", [((100, 77), (270, 480)), ((90, 125), (64, 50))])
+def test_undiffused_holograms_keep_the_object_plane_hologram(in_shape, out_shape):
+    # With no diffuser, resampling the amplitude and then making it complex
+    # is resampling the complex field a component at a time.
+    for kind in ("bars", "dense", "single", "black", "negative zeros"):
+        obj = hologram_object(kind, in_shape)
+        out = generate_hologram(obj, SHORT, out_shape, diffuser_seed=None)
+        expected = object_plane_hologram(obj, SHORT, out_shape, None)
+        assert np.array_equal(bits_of(out), bits_of(expected)), kind
+
+
+def test_diffused_desk_hologram_keeps_the_object():
+    # run_experiment.py's desk geometry: its object, at twice the grid in
+    # each axis, diffuser seed 0.  With the plate on the object, each
+    # superpixel averaged four random phasors, and the hologram itself
+    # reconstructed at SSIM 0.405 (0.408 quantized); on the grid, one
+    # phasor per superpixel leaves the amplitude whole (1.000 and 0.912).
+    experiment = runpy.run_path(str(Path(__file__).resolve().parents[1] / "scripts" / "run_experiment.py"))
+    grid, distance = experiment["GEOMETRIES"]["desk"]
+    params = PropagationParams(experiment["WAVELENGTH"], distance, BLOCK * experiment["MIRROR_PITCH"])
+    obj = experiment["make_object"]((2 * grid[0], 2 * grid[1]))
+    target = resample_bilinear(obj, grid)
+    target = np.clip(np.rint(target * (255.0 / target.max())), 0, 255).astype(np.uint8)
+    holo = generate_hologram(obj, params, grid, diffuser_seed=0)
+    assert ssim(reconstruct(holo, params), target) >= 0.99
+    codebook = build_codebook()
+    plan = quantize_field(normalize_field(holo)[0], codebook)
+    assert ssim(reconstruct(codebook.values[plan], params), target) >= 0.85
+
+
 def test_kept_diffuser_follows_shape_and_seed():
-    # The plate kept between holograms must be the one of this call's object
-    # shape and seed, whichever came before.
+    # The plate kept between holograms must be the one of this call's grid
+    # shape and seed, whichever came before, and whatever the object's shape.
     a, b = hologram_object("bars", (90, 125)), hologram_object("bars", (125, 90))
-    for obj, seed in ((a, 0), (b, 0), (a, 7), (a, 0)):
-        out = generate_hologram(obj, SHORT, (64, 50), diffuser_seed=seed)
-        expected = whole_array_hologram(obj, SHORT, (64, 50), diffuser_phasor(seed, obj.shape))
-        assert np.array_equal(bits_of(out), bits_of(expected)), (obj.shape, seed)
+    for obj, grid, seed in ((a, (64, 50), 0), (b, (50, 64), 0), (b, (64, 50), 0), (a, (64, 50), 7),
+                            (a, (64, 50), 0)):
+        out = generate_hologram(obj, SHORT, grid, diffuser_seed=seed)
+        expected = whole_array_hologram(obj, SHORT, grid, diffuser_phasor(seed, grid))
+        assert np.array_equal(bits_of(out), bits_of(expected)), (obj.shape, grid, seed)
 
 
 def test_diffuser_is_drawn_once_per_shape_and_seed(monkeypatch):
@@ -689,13 +770,16 @@ def test_diffuser_is_drawn_once_per_shape_and_seed(monkeypatch):
     monkeypatch.setattr(optics, "_stream_blocks",
                         lambda seed, n: draws.append(seed) or _stream_blocks(seed, n))
     obj = hologram_object("bars", (40, 30))
-    generate_hologram(np.ones((3, 3)), SHORT, (16, 16), diffuser_seed=5)
+    generate_hologram(np.ones((3, 3)), SHORT, (8, 8), diffuser_seed=5)
     del draws[:]
     first = generate_hologram(obj, SHORT, (16, 16), diffuser_seed=5)
     # A numpy integer is checked to the int it equals, so it takes the kept plate.
     for seed in (5, np.uint64(5)):
         again = generate_hologram(obj, SHORT, (16, 16), diffuser_seed=seed)
         assert draws == [5] and np.array_equal(bits_of(first), bits_of(again))
+    # The plate belongs to the grid, so an object of another shape takes it too.
+    generate_hologram(np.ones((3, 3)), SHORT, (16, 16), diffuser_seed=5)
+    assert draws == [5]
     generate_hologram(obj, SHORT, (16, 16), diffuser_seed=6)
     assert draws == [5, 6]
 
@@ -703,6 +787,7 @@ def test_diffuser_is_drawn_once_per_shape_and_seed(monkeypatch):
 def test_a_refused_seed_keeps_the_diffuser(monkeypatch):
     # The seed is checked before the kept plate is looked up, so a refused
     # one neither draws nor drops the plate of the last good seed.
+    optics._diffuser_plate.cache_clear()
     draws = []
     monkeypatch.setattr(optics, "_stream_blocks",
                         lambda seed, n: draws.append(seed) or _stream_blocks(seed, n))
@@ -717,7 +802,7 @@ def test_a_refused_seed_keeps_the_diffuser(monkeypatch):
 
 def test_first_plate_holds_no_stream_sized_temporary():
     # The plate is filled one stream block at a time, so the first plate of
-    # a 540x960 object (8.29 MB) is built with little beside it.  Drawing
+    # a 540x960 grid (8.29 MB) is built with little beside it.  Drawing
     # the whole stream at once held 1.52x the plate.  The rest of the first
     # hologram (the scaled object, the field, the transforms) is not counted.
     shape = (540, 960)
@@ -733,7 +818,7 @@ def test_first_plate_holds_no_stream_sized_temporary():
 
 def test_callers_cannot_change_the_kept_diffuser():
     obj = hologram_object("dense", (48, 40))
-    expected = whole_array_hologram(obj, SHORT, (32, 32), diffuser_phasor(3, obj.shape))
+    expected = whole_array_hologram(obj, SHORT, (32, 32), diffuser_phasor(3, (32, 32)))
     mutated = obj.copy()
     out = generate_hologram(mutated, SHORT, (32, 32), diffuser_seed=3)
     out[...] = 1.0
@@ -743,13 +828,17 @@ def test_callers_cannot_change_the_kept_diffuser():
 
 
 def test_one_diffuser_plate_is_kept():
-    # After holograms at two object shapes, only the second one's plate
-    # stays allocated: memory is one object-sized complex field.
+    # After holograms on two grid shapes, only the second one's plate stays
+    # allocated: memory is one grid-sized complex field.  The transfer
+    # quadrants the propagations kept (half a plate) are let go first, so
+    # only the plates are counted.
     plate_bytes = 512 * 512 * 16
+    obj = np.ones((16, 16))
     tracemalloc.start()
     try:
-        generate_hologram(np.ones((512, 512)), SHORT, (16, 16), diffuser_seed=11)
-        generate_hologram(np.ones((512, 511)), SHORT, (16, 16), diffuser_seed=11)
+        generate_hologram(obj, SHORT, (512, 512), diffuser_seed=11)
+        generate_hologram(obj, SHORT, (512, 511), diffuser_seed=11)
+        optics._transfer_quadrant.cache_clear()
         current = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -767,13 +856,14 @@ def test_kept_transfers_follow_shape_and_distance():
     # propagation must use the transfer of its own geometry, whichever were
     # kept before it.
     obj = hologram_object("bars", (90, 125))
-    phasor = diffuser_phasor(0, obj.shape)
     holo = generate_hologram(obj, SHORT, (64, 50))
-    assert np.array_equal(bits_of(holo), bits_of(whole_array_hologram(obj, SHORT, (64, 50), phasor)))
+    expected = whole_array_hologram(obj, SHORT, (64, 50), diffuser_phasor(0, (64, 50)))
+    assert np.array_equal(bits_of(holo), bits_of(expected))
     assert np.array_equal(reconstruct(holo, SHORT), whole_array_reconstruct(holo, SHORT))
     for shape in ((50, 64), (64, 50)):
         out = generate_hologram(obj, SHORT, shape)
-        assert np.array_equal(bits_of(out), bits_of(whole_array_hologram(obj, SHORT, shape, phasor))), shape
+        expected = whole_array_hologram(obj, SHORT, shape, diffuser_phasor(0, shape))
+        assert np.array_equal(bits_of(out), bits_of(expected)), shape
 
 
 def test_signed_zero_distances_are_kept_apart():
@@ -858,13 +948,14 @@ def test_kept_transfer_does_not_carry_an_uncarriable_geometry():
 
 def test_threads_share_the_kept_plate_and_transfers():
     # Four threads run every object shape, seed and grid, each from its own
-    # starting case, so the one kept plate and the two kept quadrants are
-    # replaced under one another; every output must be the whole-array one.
+    # starting case, so the one kept plate (per grid and seed) and the two
+    # kept quadrants are replaced under one another; every output must be
+    # the whole-array one.
     objs = [hologram_object("dense", shape) for shape in ((96, 72), (72, 120))]
     cases = [(obj, seed, grid) for obj in objs for seed in (3, 8) for grid in ((64, 48), (48, 64))]
     expected = []
     for obj, seed, grid in cases:
-        holo = whole_array_hologram(obj, SHORT, grid, diffuser_phasor(seed, obj.shape))
+        holo = whole_array_hologram(obj, SHORT, grid, diffuser_phasor(seed, grid))
         expected.append((bits_of(holo), whole_array_reconstruct(holo, SHORT)))
     start, failures = threading.Barrier(4), []
 
